@@ -6,6 +6,9 @@
 
 namespace sanmap::analysis {
 
+namespace {
+
+/// Renders a legality certificate's illegal routes as SL101 findings.
 void emit_legality_findings(const topo::Topology& map,
                             const LegalityCertificate& cert,
                             DiagnosticReport& report) {
@@ -26,6 +29,8 @@ void emit_legality_findings(const topo::Topology& map,
   }
 }
 
+/// Renders a cyclic deadlock certificate as the SL201 finding (no-op when
+/// the certificate says deadlock-free).
 void emit_deadlock_findings(const DeadlockCertificate& cert,
                             DiagnosticReport& report) {
   if (cert.deadlock_free) {
@@ -43,6 +48,8 @@ void emit_deadlock_findings(const DeadlockCertificate& cert,
              "a cyclic channel-dependency graph can deadlock "
              "(Dally & Seitz); reject this table");
 }
+
+}  // namespace
 
 AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,

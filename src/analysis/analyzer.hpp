@@ -50,18 +50,6 @@ AnalysisResult analyze(const topo::Topology& map,
 AnalysisResult analyze_map(const topo::Topology& map,
                            const AnalyzerOptions& options = {});
 
-/// Renders a legality certificate's illegal routes as SL101 findings.
-/// Shared between analyze() and the incremental engine so both emit
-/// byte-identical diagnostics from the same certificate.
-void emit_legality_findings(const topo::Topology& map,
-                            const LegalityCertificate& cert,
-                            DiagnosticReport& report);
-
-/// Renders a cyclic deadlock certificate as the SL201 finding (no-op when
-/// the certificate says deadlock-free).
-void emit_deadlock_findings(const DeadlockCertificate& cert,
-                            DiagnosticReport& report);
-
 /// The whole result as JSON: diagnostics plus certificate summaries.
 std::string to_json(const AnalysisResult& result);
 

@@ -66,20 +66,9 @@ std::vector<std::set<std::size_t>> dependency_edges(
   return deps;
 }
 
-}  // namespace
-
-std::vector<int> legality_labels(const topo::Topology& topo,
-                                 topo::NodeId root) {
-  routing::UpDownOptions options;
-  options.root = root;
-  const routing::UpDownOrientation orientation(topo, options);
-  std::vector<int> labels(topo.node_capacity(), 0);
-  for (const topo::NodeId n : topo.nodes()) {
-    labels[n] = orientation.label(n);
-  }
-  return labels;
-}
-
+/// Classifies one route against `labels`: leading up moves, then the down
+/// suffix; the first up move after a down move is the offense. The builder
+/// and the checker share this classifier.
 RouteLegality classify_route(const topo::Topology& topo,
                              const std::vector<int>& labels, topo::NodeId src,
                              topo::NodeId dst,
@@ -103,6 +92,8 @@ RouteLegality classify_route(const topo::Topology& topo,
   }
   return entry;
 }
+
+}  // namespace
 
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes) {

@@ -63,21 +63,6 @@ struct DeadlockCertificate {
   std::vector<routing::Channel> cycle;
 };
 
-/// The (label, id)-lexicographic total order every certificate builds on,
-/// indexed by NodeId (0 for dead slots). Shared by the full builder and the
-/// incremental engine so both classify against identical labels.
-std::vector<int> legality_labels(const topo::Topology& topo,
-                                 topo::NodeId root);
-
-/// Classifies one route against `labels`: leading up moves, then the down
-/// suffix; the first up move after a down move is the offense. This is the
-/// builder's and checker's shared classifier — the incremental engine calls
-/// it too, so the three can never drift apart.
-RouteLegality classify_route(const topo::Topology& topo,
-                             const std::vector<int>& labels, topo::NodeId src,
-                             topo::NodeId dst,
-                             const routing::HostRoute& route);
-
 /// Builds the legality certificate: recomputes the UP*/DOWN* labels from
 /// `routes.orientation.root()` (never trusting the orientation's internal
 /// topology pointer, which dangles once a RoutingResult is moved across

@@ -29,6 +29,129 @@ bool end_in_range(const FabricView& view, const topo::PortRef& end) {
   return end.node < view.nodes.size() && view.nodes[end.node].alive;
 }
 
+/// SL102..SL105 for one route. Returns true when it added no finding.
+bool lint_route_structure_one(
+    const topo::Topology& topo,
+    const std::pair<topo::NodeId, topo::NodeId>& key,
+    const routing::HostRoute& route, DiagnosticReport& report) {
+  const std::size_t before = report.errors();
+  std::ostringstream where;
+  const auto name_of = [&](topo::NodeId n) {
+    return n < topo.node_capacity() && topo.node_alive(n)
+               ? topo.name(n)
+               : "node " + std::to_string(n);
+  };
+  where << "route " << name_of(key.first) << "->" << name_of(key.second);
+  const std::string loc = where.str();
+
+  for (const topo::NodeId endpoint : {key.first, key.second}) {
+    if (endpoint >= topo.node_capacity() || !topo.node_alive(endpoint) ||
+        !topo.is_host(endpoint)) {
+      report.add("SL102", loc,
+                 "endpoint " + std::to_string(endpoint) +
+                     " is not a live host",
+                 "recompute routes on the current map");
+    }
+  }
+  if (route.nodes.size() != route.wires.size() + 1 || route.nodes.empty() ||
+      route.nodes.front() != key.first || route.nodes.back() != key.second) {
+    report.add("SL103", loc,
+               "path shape is inconsistent (" +
+                   std::to_string(route.nodes.size()) + " nodes, " +
+                   std::to_string(route.wires.size()) + " wires)",
+               "");
+    return report.errors() == before;  // the walk below assumes the shape
+  }
+  bool walk_ok = true;
+  for (std::size_t i = 0; i < route.wires.size() && walk_ok; ++i) {
+    const topo::WireId w = route.wires[i];
+    if (w >= topo.wire_capacity() || !topo.wire_alive(w)) {
+      report.add("SL103", loc + " hop " + std::to_string(i),
+                 "wire " + std::to_string(w) + " is dead or nonexistent",
+                 "recompute routes on the current map");
+      walk_ok = false;
+      break;
+    }
+    const topo::Wire& wire = topo.wire(w);
+    if (wire.a.node == wire.b.node) {
+      report.add("SL104", loc + " hop " + std::to_string(i),
+                 "wire " + std::to_string(w) + " is a self-loop cable",
+                 "no valid route uses a loopback cable");
+      walk_ok = false;
+      break;
+    }
+    const topo::NodeId from = route.nodes[i];
+    const topo::NodeId to = route.nodes[i + 1];
+    const bool connects = (wire.a.node == from && wire.b.node == to) ||
+                          (wire.b.node == from && wire.a.node == to);
+    if (!connects || !topo.node_alive(from) || !topo.node_alive(to)) {
+      report.add("SL103", loc + " hop " + std::to_string(i),
+                 "wire " + std::to_string(w) + " does not connect " +
+                     name_of(from) + " to " + name_of(to),
+                 "recompute routes on the current map");
+      walk_ok = false;
+    }
+  }
+  if (!walk_ok) {
+    return report.errors() == before;
+  }
+  // The turn word must reproduce the path (sec 2.2 relative addressing):
+  // the NIC-facing table and the hop path must describe the same route.
+  simnet::Route expected;
+  for (std::size_t i = 1; i < route.wires.size(); ++i) {
+    const topo::Wire& in_wire = topo.wire(route.wires[i - 1]);
+    const topo::Wire& out_wire = topo.wire(route.wires[i]);
+    const topo::Port in_port = in_wire.opposite(route.nodes[i - 1]).port;
+    const topo::Port out_port = out_wire.a.node == route.nodes[i]
+                                    ? out_wire.a.port
+                                    : out_wire.b.port;
+    expected.push_back(out_port - in_port);
+  }
+  if (expected != route.turns) {
+    report.add("SL105", loc,
+               "turn word " + simnet::to_string(route.turns) +
+                   " does not reproduce the hop path (expected " +
+                   simnet::to_string(expected) + ")",
+               "re-emit the table from the hop paths");
+  }
+  return report.errors() == before;
+}
+
+/// SL403's parallel-cable index: directed switch-to-switch channels grouped
+/// by (from, to) node pair, ascending by wire id within a group. The bool is
+/// channel direction — true when the wire's `a` end is the group's `from`.
+using ParallelCableGroups =
+    std::map<std::pair<topo::NodeId, topo::NodeId>,
+             std::vector<std::pair<topo::WireId, bool>>>;
+
+ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
+  ParallelCableGroups parallel;
+  for (const topo::WireId w : topo.wires()) {
+    const topo::Wire& wire = topo.wire(w);
+    if (topo.is_switch(wire.a.node) && topo.is_switch(wire.b.node)) {
+      parallel[{wire.a.node, wire.b.node}].emplace_back(w, true);
+      parallel[{wire.b.node, wire.a.node}].emplace_back(w, false);
+    }
+  }
+  return parallel;
+}
+
+/// SL403's traffic oracle: route traversals per directed channel, keyed by
+/// (wire, a-to-b). Zero-count channels are absent.
+using ChannelLoads = std::map<std::pair<topo::WireId, bool>, std::size_t>;
+
+ChannelLoads channel_loads(const topo::Topology& topo,
+                           const routing::RoutingResult& routes) {
+  ChannelLoads load;
+  for (const auto& [key, route] : routes.routes) {
+    for (std::size_t i = 0; i < route.wires.size(); ++i) {
+      const topo::Wire& wire = topo.wire(route.wires[i]);
+      load[{route.wires[i], wire.a.node == route.nodes[i]}] += 1;
+    }
+  }
+  return load;
+}
+
 }  // namespace
 
 FabricView view_of(const topo::Topology& topo) {
@@ -157,8 +280,11 @@ void lint_fabric(const FabricView& view, DiagnosticReport& report) {
       }
     }
     if (incident[n] == 0) {
-      emit_isolated_node(report, node_label(view, n),
-                         node.kind == topo::NodeKind::kHost);
+      report.add("SL307", node_label(view, n),
+                 std::string(node.kind == topo::NodeKind::kHost ? "host"
+                                                                : "switch") +
+                     " has no live wires",
+                 "unreachable by every probe and every route");
     }
   }
   for (const auto& [name, count] : host_names) {
@@ -201,17 +327,6 @@ void lint_fabric(const FabricView& view, DiagnosticReport& report) {
     }
     ++components;
   }
-  emit_component_count(report, components);
-}
-
-void emit_isolated_node(DiagnosticReport& report, const std::string& label,
-                        bool host) {
-  report.add("SL307", label,
-             std::string(host ? "host" : "switch") + " has no live wires",
-             "unreachable by every probe and every route");
-}
-
-void emit_component_count(DiagnosticReport& report, int components) {
   if (components > 1) {
     report.add("SL308", "",
                std::to_string(components) +
@@ -231,150 +346,10 @@ bool lint_route_structure(const topo::Topology& topo,
   return sound;
 }
 
-bool lint_route_structure_one(
-    const topo::Topology& topo,
-    const std::pair<topo::NodeId, topo::NodeId>& key,
-    const routing::HostRoute& route, DiagnosticReport& report) {
-  const std::size_t before = report.errors();
-  std::ostringstream where;
-  const auto name_of = [&](topo::NodeId n) {
-    return n < topo.node_capacity() && topo.node_alive(n)
-               ? topo.name(n)
-               : "node " + std::to_string(n);
-  };
-  where << "route " << name_of(key.first) << "->" << name_of(key.second);
-  const std::string loc = where.str();
-
-  for (const topo::NodeId endpoint : {key.first, key.second}) {
-    if (endpoint >= topo.node_capacity() || !topo.node_alive(endpoint) ||
-        !topo.is_host(endpoint)) {
-      report.add("SL102", loc,
-                 "endpoint " + std::to_string(endpoint) +
-                     " is not a live host",
-                 "recompute routes on the current map");
-    }
-  }
-  if (route.nodes.size() != route.wires.size() + 1 || route.nodes.empty() ||
-      route.nodes.front() != key.first || route.nodes.back() != key.second) {
-    report.add("SL103", loc,
-               "path shape is inconsistent (" +
-                   std::to_string(route.nodes.size()) + " nodes, " +
-                   std::to_string(route.wires.size()) + " wires)",
-               "");
-    return report.errors() == before;  // the walk below assumes the shape
-  }
-  bool walk_ok = true;
-  for (std::size_t i = 0; i < route.wires.size() && walk_ok; ++i) {
-    const topo::WireId w = route.wires[i];
-    if (w >= topo.wire_capacity() || !topo.wire_alive(w)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
-                 "wire " + std::to_string(w) + " is dead or nonexistent",
-                 "recompute routes on the current map");
-      walk_ok = false;
-      break;
-    }
-    const topo::Wire& wire = topo.wire(w);
-    if (wire.a.node == wire.b.node) {
-      report.add("SL104", loc + " hop " + std::to_string(i),
-                 "wire " + std::to_string(w) + " is a self-loop cable",
-                 "no valid route uses a loopback cable");
-      walk_ok = false;
-      break;
-    }
-    const topo::NodeId from = route.nodes[i];
-    const topo::NodeId to = route.nodes[i + 1];
-    const bool connects = (wire.a.node == from && wire.b.node == to) ||
-                          (wire.b.node == from && wire.a.node == to);
-    if (!connects || !topo.node_alive(from) || !topo.node_alive(to)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
-                 "wire " + std::to_string(w) + " does not connect " +
-                     name_of(from) + " to " + name_of(to),
-                 "recompute routes on the current map");
-      walk_ok = false;
-    }
-  }
-  if (!walk_ok) {
-    return report.errors() == before;
-  }
-  // The turn word must reproduce the path (sec 2.2 relative addressing):
-  // the NIC-facing table and the hop path must describe the same route.
-  simnet::Route expected;
-  for (std::size_t i = 1; i < route.wires.size(); ++i) {
-    const topo::Wire& in_wire = topo.wire(route.wires[i - 1]);
-    const topo::Wire& out_wire = topo.wire(route.wires[i]);
-    const topo::Port in_port = in_wire.opposite(route.nodes[i - 1]).port;
-    const topo::Port out_port = out_wire.a.node == route.nodes[i]
-                                    ? out_wire.a.port
-                                    : out_wire.b.port;
-    expected.push_back(out_port - in_port);
-  }
-  if (expected != route.turns) {
-    report.add("SL105", loc,
-               "turn word " + simnet::to_string(route.turns) +
-                   " does not reproduce the hop path (expected " +
-                   simnet::to_string(expected) + ")",
-               "re-emit the table from the hop paths");
-  }
-  return report.errors() == before;
-}
-
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report) {
-  // Default distance oracle: from-scratch BFS, cached across the
-  // consecutive routes that share a source (the route map is key-ordered).
-  topo::NodeId bfs_src = topo::kInvalidNode;
-  std::vector<int> dist;
-  lint_route_quality(topo, routes, options, report,
-                     [&](topo::NodeId src) -> const std::vector<int>& {
-                       if (src != bfs_src) {
-                         bfs_src = src;
-                         dist = topo::bfs_distances(topo, src);
-                       }
-                       return dist;
-                     });
-}
-
-ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
-  ParallelCableGroups parallel;
-  for (const topo::WireId w : topo.wires()) {
-    const topo::Wire& wire = topo.wire(w);
-    if (topo.is_switch(wire.a.node) && topo.is_switch(wire.b.node)) {
-      parallel[{wire.a.node, wire.b.node}].emplace_back(w, true);
-      parallel[{wire.b.node, wire.a.node}].emplace_back(w, false);
-    }
-  }
-  return parallel;
-}
-
-ChannelLoads channel_loads(const topo::Topology& topo,
-                           const routing::RoutingResult& routes) {
-  ChannelLoads load;
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      load[{route.wires[i], wire.a.node == route.nodes[i]}] += 1;
-    }
-  }
-  return load;
-}
-
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances) {
-  lint_route_quality(topo, routes, options, report, distances,
-                     parallel_cable_groups(topo),
-                     channel_loads(topo, routes));
-}
-
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances,
-                        const ParallelCableGroups& parallel,
-                        const ChannelLoads& loads) {
   // SL402: every ordered pair of live hosts must have a route.
   const auto hosts = topo.hosts();
   for (const topo::NodeId src : hosts) {
@@ -399,8 +374,16 @@ void lint_route_quality(const topo::Topology& topo,
   std::size_t non_minimal = 0;
   int worst_extra = 0;
   std::string worst;
+  // BFS distances are cached across the consecutive routes that share a
+  // source (the route map is key-ordered).
+  topo::NodeId bfs_src = topo::kInvalidNode;
+  std::vector<int> dist;
   for (const auto& [key, route] : routes.routes) {
-    const int shortest = distances(key.first)[key.second];
+    if (key.first != bfs_src) {
+      bfs_src = key.first;
+      dist = topo::bfs_distances(topo, bfs_src);
+    }
+    const int shortest = dist[key.second];
     if (shortest >= 0 && route.hops() > shortest) {
       ++non_minimal;
       if (route.hops() - shortest > worst_extra) {
@@ -436,6 +419,7 @@ void lint_route_quality(const topo::Topology& topo,
   //  * skew across redundant parallel cables between the same two switches
   //    (the seed's tie-break exists precisely to spread those), and
   //  * a single channel funneling the majority of all routes.
+  const ChannelLoads loads = channel_loads(topo, routes);
   const auto channel_load = [&](topo::WireId w, bool a_to_b) {
     const auto it = loads.find({w, a_to_b});
     return it == loads.end() ? std::size_t{0} : it->second;
@@ -456,7 +440,7 @@ void lint_route_quality(const topo::Topology& topo,
     const auto it = plan.find({w, a_to_b});
     return it == plan.end() ? nullptr : &it->second;
   };
-  for (const auto& [endpoints, channels] : parallel) {
+  for (const auto& [endpoints, channels] : parallel_cable_groups(topo)) {
     if (channels.size() < 2) {
       continue;
     }

@@ -8,9 +8,7 @@
 // over a route table and the map it claims to cover.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,16 +57,6 @@ struct LintOptions {
 /// Model-graph well-formedness: SL301..SL308.
 void lint_fabric(const FabricView& view, DiagnosticReport& report);
 
-/// The SL307 finding for one isolated node. Shared with the incremental
-/// engine: on a live Topology the only SL3xx findings that can fire are
-/// SL307/SL308 (the class enforces the rest at mutation time), so these two
-/// emitters are the whole fabric-lint surface the engine has to replay.
-void emit_isolated_node(DiagnosticReport& report, const std::string& label,
-                        bool host);
-
-/// The SL308 finding for a fabric of `components` > 1 connected components.
-void emit_component_count(DiagnosticReport& report, int components);
-
 /// Structural route-table checks against the map: SL102..SL105. Returns
 /// true when the table is structurally sound (certificates may then walk it
 /// without tripping Topology access checks).
@@ -76,67 +64,10 @@ bool lint_route_structure(const topo::Topology& topo,
                           const routing::RoutingResult& routes,
                           DiagnosticReport& report);
 
-/// The body of lint_route_structure's loop for a single route: SL102..SL105
-/// for `key`/`route` only, emitted exactly as the full pass would. Returns
-/// true when this route added no finding (the incremental engine caches
-/// that verdict per route and re-runs only the dirty closure).
-bool lint_route_structure_one(
-    const topo::Topology& topo,
-    const std::pair<topo::NodeId, topo::NodeId>& key,
-    const routing::HostRoute& route, DiagnosticReport& report);
-
-/// BFS distance oracle for lint_route_quality: returns the
-/// topo::bfs_distances vector for `src`. The incremental engine substitutes
-/// its maintained per-source distance caches; values must be identical to a
-/// from-scratch BFS or SL401 would diverge between the two paths.
-using DistanceProvider =
-    std::function<const std::vector<int>&(topo::NodeId)>;
-
 /// Route-quality checks: SL401..SL404. Requires a structurally sound table.
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report);
-
-/// Same checks with an explicit distance oracle (the incremental path).
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances);
-
-/// SL403's parallel-cable index: directed switch-to-switch channels grouped
-/// by (from, to) node pair. The bool is channel direction — true when the
-/// wire's `a` end is the group's `from`. Within a group, entries ascend by
-/// wire id (the order a full wire scan produces; the incremental engine
-/// preserves it with sorted inserts so the SL403 hottest-wire tie-break
-/// cannot diverge).
-using ParallelCableGroups =
-    std::map<std::pair<topo::NodeId, topo::NodeId>,
-             std::vector<std::pair<topo::WireId, bool>>>;
-
-/// Builds the index with a full wire scan — O(m log m), the analyzer's
-/// from-scratch path.
-ParallelCableGroups parallel_cable_groups(const topo::Topology& topo);
-
-/// SL403's traffic oracle: route traversals per directed channel, keyed by
-/// (wire, a-to-b). Zero-count channels are absent — a maintained copy must
-/// erase entries that drain to zero or SL403's funnel scan would diverge.
-using ChannelLoads = std::map<std::pair<topo::WireId, bool>, std::size_t>;
-
-/// Builds the loads by walking every route — O(R·L), the from-scratch path
-/// (route length L grows with fabric diameter, so this is not O(R)).
-ChannelLoads channel_loads(const topo::Topology& topo,
-                           const routing::RoutingResult& routes);
-
-/// Same checks with every oracle explicit. This is the only overload whose
-/// per-call cost is independent of the wire count and the route-table
-/// footprint; the incremental engine maintains `parallel` and `loads`
-/// across epochs instead of rescanning wires and rewalking routes.
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances,
-                        const ParallelCableGroups& parallel,
-                        const ChannelLoads& loads);
 
 }  // namespace sanmap::analysis

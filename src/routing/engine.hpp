@@ -33,8 +33,7 @@ namespace sanmap::routing {
 
 /// One deadlock-free route computation. Implementations must be
 /// deterministic in (topology, options, seed): the snapshot codec decodes
-/// by recomputing and byte-comparing, and the paranoid publish gate diffs
-/// tables across independent passes.
+/// by recomputing and byte-comparing.
 class Engine {
  public:
   Engine() = default;

@@ -1,7 +1,6 @@
 #include "service/map_catalog.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "analysis/analyzer.hpp"
@@ -17,23 +16,6 @@ bool MapCatalog::HealthStatus::quarantines(
     const std::string& switch_name) const {
   return std::binary_search(quarantined.begin(), quarantined.end(),
                             switch_name);
-}
-
-void MapCatalog::set_gate_mode(GateMode mode) {
-  common::MutexLock lock(writer_mutex_);
-  if (mode == gate_mode_) {
-    return;
-  }
-  gate_mode_ = mode;
-  // Any mode switch invalidates the incremental baseline: the next gated
-  // candidate re-primes (and re-seeds the checker) via an escalated delta.
-  gate_state_ = analysis::AnalysisState{};
-  gate_checker_ = analysis::DeltaChecker{};
-}
-
-MapCatalog::GateMode MapCatalog::gate_mode() const {
-  common::MutexLock lock(writer_mutex_);
-  return gate_mode_;
 }
 
 MapCatalog::GateStats MapCatalog::gate_stats() const {
@@ -76,46 +58,6 @@ std::vector<analysis::Diagnostic> gate_errors_of(
 }
 
 }  // namespace
-
-bool equivalent_verdicts(const analysis::AnalysisResult& a,
-                         const analysis::AnalysisResult& b) {
-  const auto& da = a.report.diagnostics();
-  const auto& db = b.report.diagnostics();
-  if (da.size() != db.size() || a.analyzed_routes != b.analyzed_routes) {
-    return false;
-  }
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    if (da[i].code != db[i].code || da[i].severity != db[i].severity ||
-        da[i].location != db[i].location || da[i].message != db[i].message ||
-        da[i].hint != db[i].hint) {
-      return false;
-    }
-  }
-  if (!a.analyzed_routes) {
-    return true;
-  }
-  // The certified route set, not just the aggregate flags: two verdicts
-  // that agree "all legal, deadlock-free" may still have certified
-  // different tables (different entry count, a different apex split, or a
-  // different root). That is a divergence too.
-  const auto& ra = a.legality.routes;
-  const auto& rb = b.legality.routes;
-  if (ra.size() != rb.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    if (ra[i].src != rb[i].src || ra[i].dst != rb[i].dst ||
-        ra[i].legal != rb[i].legal || ra[i].apex_hop != rb[i].apex_hop ||
-        ra[i].offending_hop != rb[i].offending_hop) {
-      return false;
-    }
-  }
-  return a.legality.all_legal == b.legality.all_legal &&
-         a.legality.root == b.legality.root &&
-         a.legality.labels == b.legality.labels &&
-         a.deadlock.deadlock_free == b.deadlock.deadlock_free &&
-         a.deadlock.dependencies == b.deadlock.dependencies;
-}
 
 void MapCatalog::lint_staleness(
     const MapSnapshot& snapshot,
@@ -187,134 +129,42 @@ MapCatalog::PublishResult MapCatalog::publish_impl(
     return PublishResult{PublishStatus::kRejectedUnsafe, epoch(), {}};
   }
 
-  // kFull derives the verdict before taking the writer lock (the analyzer
-  // is the expensive part; readers of at_epoch()/history should not queue
-  // behind it). The incremental modes derive it under the lock instead —
-  // the AnalysisState baseline is writer state, and the dirty-region pass
-  // is exactly the cheap path that can afford to hold it.
-  std::optional<analysis::AnalysisResult> verdict;
-  if (gate_mode() == GateMode::kFull) {
-    // The full static pass: legality + deadlock certificates and the
-    // structural lints. This catches snapshots whose flags were set by a
-    // buggy (or bypassed) builder — the catalog re-derives the verdict
-    // from the map and routes themselves and refuses on any ERROR.
-    verdict = analysis::analyze(snapshot.map, snapshot.routes);
-    if (!verdict->clean()) {
-      rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<analysis::Diagnostic> errors = gate_errors_of(*verdict);
-      SANMAP_LOG(kWarning, "map-catalog",
-                 "refusing snapshot from "
-                     << snapshot.options.source << ": static analysis found "
-                     << errors.size() << " error(s), first: "
-                     << (errors.empty() ? "?" : errors.front().code));
-      PublishResult result{PublishStatus::kRejectedUnsafe, epoch(), {}};
-      result.gate_errors = std::move(errors);
-      return result;
-    }
-  }
+  // The full static pass, before taking the writer lock (the analyzer is
+  // the expensive part; readers of at_epoch()/history should not queue
+  // behind it): legality + deadlock certificates, each re-validated by its
+  // independent checker, and the structural lints. This catches snapshots
+  // whose flags were set by a buggy (or bypassed) builder — the catalog
+  // re-derives the verdict from the map and routes themselves.
+  std::vector<analysis::Diagnostic> errors =
+      gate_errors_of(analysis::analyze(snapshot.map, snapshot.routes));
 
   common::MutexLock lock(writer_mutex_);
+  ++gate_stats_.incremental_escalated;
   const SnapshotPtr old = current_.load(std::memory_order_acquire);
   const std::uint64_t current_epoch = old ? old->epoch : 0;
-  if (check_stale && current_epoch != based_on_epoch) {
-    rejected_stale_.fetch_add(1, std::memory_order_relaxed);
-    return PublishResult{PublishStatus::kRejectedStale, current_epoch, {}};
-  }
-
-  // The SL5xx staleness lints gate every mode: they depend on catalog
-  // state (quarantine, history window), not on the analyzer.
-  {
-    std::vector<analysis::Diagnostic> stale_errors;
-    lint_staleness(snapshot, stale_errors);
-    if (!stale_errors.empty()) {
+  if (errors.empty()) {
+    if (check_stale && current_epoch != based_on_epoch) {
+      rejected_stale_.fetch_add(1, std::memory_order_relaxed);
+      return PublishResult{PublishStatus::kRejectedStale, current_epoch, {}};
+    }
+    // The SL5xx staleness lints depend on catalog state (quarantine,
+    // history window), so they run under the lock.
+    lint_staleness(snapshot, errors);
+    if (!errors.empty()) {
       ++gate_stats_.rejected_stale_lints;
-      rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-      SANMAP_LOG(kWarning, "map-catalog",
-                 "refusing snapshot from " << snapshot.options.source << ": "
-                                           << stale_errors.front().code << " "
-                                           << stale_errors.front().message);
-      PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
-      result.gate_errors = std::move(stale_errors);
-      return result;
     }
   }
-
-  // The incremental verdict: dirty-region re-analysis against the last
-  // gated candidate, with every CertificateDelta re-proved by the
-  // independent checker. A refused delta forces a full re-prime — the
-  // builder is never trusted past what the checker re-derived.
-  if (gate_mode_ != GateMode::kFull) {
-    analysis::AnalysisState::Result inc =
-        gate_state_.reanalyze(snapshot.map, snapshot.routes);
-    std::vector<std::string> why;
-    bool proved = gate_checker_.check(snapshot.map, snapshot.routes,
-                                      inc.analysis, inc.delta, &why);
-    if (!proved) {
-      ++gate_stats_.checker_rejections;
-      SANMAP_LOG(kWarning, "map-catalog",
-                 "delta checker refused the incremental verdict ("
-                     << (why.empty() ? "?" : why.front())
-                     << "); escalating to a full re-analysis");
-      inc = gate_state_.reset(snapshot.map, snapshot.routes,
-                              analysis::EscalationReason::kCheckerRejected);
-      why.clear();
-      proved = gate_checker_.check(snapshot.map, snapshot.routes,
-                                   inc.analysis, inc.delta, &why);
-    }
-    if (!proved) {
-      // Even the from-scratch certificates failed their independent
-      // recheck: refuse outright.
-      rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-      PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
-      result.gate_errors.push_back(analysis::Diagnostic{
-          "SL202", analysis::Severity::kError, "publish gate",
-          why.empty() ? "certificate recheck failed" : why.front(), ""});
-      return result;
-    }
-    if (inc.delta.escalated_full) {
-      ++gate_stats_.incremental_escalated;
-    } else {
-      ++gate_stats_.incremental_fast;
-    }
-    verdict = std::move(inc.analysis);
-
-    if (gate_mode_ == GateMode::kParanoid) {
-      analysis::AnalysisResult full =
-          analysis::analyze(snapshot.map, snapshot.routes);
-      if (!equivalent_verdicts(*verdict, full)) {
-        ++gate_stats_.paranoid_divergences;
-        SANMAP_LOG(kError, "map-catalog",
-                   "paranoid gate: incremental verdict diverged from the "
-                   "from-scratch analysis; trusting the latter");
-        verdict = std::move(full);
-        // The baseline is suspect: drop it so the next candidate re-primes.
-        gate_state_ = analysis::AnalysisState{};
-        gate_checker_ = analysis::DeltaChecker{};
-      }
-    }
-    if (!verdict->clean()) {
-      rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<analysis::Diagnostic> errors = gate_errors_of(*verdict);
-      SANMAP_LOG(kWarning, "map-catalog",
-                 "refusing snapshot from "
-                     << snapshot.options.source << ": incremental gate found "
-                     << errors.size() << " error(s), first: "
-                     << (errors.empty() ? "?" : errors.front().code));
-      PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
-      result.gate_errors = std::move(errors);
-      return result;
-    }
-  } else if (!verdict.has_value()) {
-    // The mode flipped to kFull between the pre-lock check and acquiring
-    // the writer lock; derive the verdict here (the rare race pays the
-    // analyzer under the lock once).
-    verdict = analysis::analyze(snapshot.map, snapshot.routes);
-    if (!verdict->clean()) {
-      rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-      PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
-      result.gate_errors = gate_errors_of(*verdict);
-      return result;
-    }
+  if (!errors.empty()) {
+    rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
+    SANMAP_LOG(kWarning, "map-catalog",
+               "refusing snapshot from " << snapshot.options.source << ": "
+                                         << errors.size()
+                                         << " error(s), first: "
+                                         << errors.front().code << " "
+                                         << errors.front().message);
+    PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
+    result.gate_errors = std::move(errors);
+    return result;
   }
 
   snapshot.epoch = next_epoch_++;

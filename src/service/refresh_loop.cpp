@@ -93,13 +93,6 @@ RefreshLoop::RefreshLoop(simnet::Network& net, MapCatalog& catalog,
     config_.robust.base.search_depth =
         topo::search_depth(net.topology(), master_) + 2;
   }
-  // The loop is the catalog's writer; it owns the gate-mode decision. The
-  // incremental gate mirrors the remap pipeline's localize→splice→validate
-  // shape on the analysis side; --paranoid cross-checks it with a
-  // from-scratch analysis per candidate.
-  catalog_->set_gate_mode(config_.paranoid
-                              ? MapCatalog::GateMode::kParanoid
-                              : MapCatalog::GateMode::kIncremental);
 }
 
 TickReport RefreshLoop::bootstrap() {

@@ -90,14 +90,6 @@ struct RefreshConfig {
   /// seed switches. 0 sweeps only the seeds themselves.
   int dirty_radius = 1;
 
-  // -- publish gate ----------------------------------------------------------
-  /// The loop configures its catalog's safety gate at construction:
-  /// incremental by default (dirty-region re-analysis with independently
-  /// re-proved certificate deltas; full analysis stays as the escalation
-  /// path), or paranoid (`sanmap serve --paranoid`): the incremental
-  /// verdict AND a from-scratch analysis on every candidate, cross-checked.
-  bool paranoid = false;
-
   // -- remap storm damping --------------------------------------------------
   /// Pause before the next remap after each consecutive breakage tick,
   /// doubling per consecutive remap up to max_backoff. Zero disables

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/incremental.hpp"
 #include "federation/federated_mapper.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/incremental.hpp"
@@ -576,196 +575,6 @@ void run_incremental_oracle(const ScenarioCase& c, const OracleOptions& options,
   }
 }
 
-// The first per-field discrepancy between a from-scratch AnalysisResult and
-// the incremental engine's, or "" when they are equivalent. The deadlock
-// topological order is deliberately NOT compared: any valid order is
-// acceptable, and both certificates are re-proved by check_deadlock before
-// this diff runs.
-std::string diff_analysis(const analysis::AnalysisResult& full,
-                          const analysis::AnalysisResult& inc) {
-  const auto& a = full.report.diagnostics();
-  const auto& b = inc.report.diagnostics();
-  if (a.size() != b.size()) {
-    return "diagnostic count " + std::to_string(b.size()) +
-           " != " + std::to_string(a.size());
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].code != b[i].code || a[i].severity != b[i].severity ||
-        a[i].location != b[i].location || a[i].message != b[i].message ||
-        a[i].hint != b[i].hint) {
-      return "diagnostic " + std::to_string(i) + " diverges (" + b[i].code +
-             " vs " + a[i].code + ")";
-    }
-  }
-  if (full.analyzed_routes != inc.analyzed_routes) {
-    return "analyzed_routes diverges";
-  }
-  if (!full.analyzed_routes) {
-    return "";
-  }
-  if (full.legality.root != inc.legality.root ||
-      full.legality.root_name != inc.legality.root_name) {
-    return "legality root " + inc.legality.root_name +
-           " != " + full.legality.root_name;
-  }
-  if (full.legality.labels != inc.legality.labels) {
-    return "UP*/DOWN* labels diverge";
-  }
-  if (full.legality.all_legal != inc.legality.all_legal ||
-      full.legality.routes.size() != inc.legality.routes.size()) {
-    return "legality verdicts diverge";
-  }
-  for (std::size_t i = 0; i < full.legality.routes.size(); ++i) {
-    const analysis::RouteLegality& x = full.legality.routes[i];
-    const analysis::RouteLegality& y = inc.legality.routes[i];
-    if (x.src != y.src || x.dst != y.dst || x.legal != y.legal ||
-        x.apex_hop != y.apex_hop || x.offending_hop != y.offending_hop) {
-      return "legality entry " + std::to_string(i) + " diverges";
-    }
-  }
-  if (full.deadlock.deadlock_free != inc.deadlock.deadlock_free) {
-    return std::string("deadlock verdict diverges: incremental says ") +
-           (inc.deadlock.deadlock_free ? "acyclic" : "cyclic");
-  }
-  if (full.deadlock.channels != inc.deadlock.channels ||
-      full.deadlock.dependencies != inc.deadlock.dependencies) {
-    return "deadlock graph size diverges";
-  }
-  return "";
-}
-
-// The incremental static analyzer is exact: reanalyzing a perturbed fabric
-// through an AnalysisState primed on the baseline must reproduce a
-// from-scratch analyze() byte-for-byte, and the CertificateDelta it emits
-// must survive the independent DeltaChecker. Baseline and perturbed fabric
-// share c.network's id space (surviving/component_of/core only remove
-// entities, never renumber), which is exactly the correspondence the engine
-// keys its dirty sets on.
-void run_incremental_lint_oracle(const ScenarioCase& c,
-                                 const OracleOptions& options, NodeId mapper,
-                                 OracleReport& report) {
-  if (!options.incremental_lint) {
-    report.skipped.push_back("incremental-lint-equiv: disabled");
-    return;
-  }
-  if (c.has_flap()) {
-    report.skipped.push_back("incremental-lint-equiv: flapping timeline");
-    return;
-  }
-  const Topology previous = topo::core(component_of(c.network, mapper));
-  if (previous.num_switches() == 0 || previous.num_hosts() == 0) {
-    report.skipped.push_back("incremental-lint-equiv: unroutable baseline");
-    return;
-  }
-
-  Topology next = previous;
-  if (c.quiescent()) {
-    // Synthesize a one-wire epoch: drop the first redundant switch-switch
-    // wire (never a bridge, so routing stays total on the same component).
-    topo::WireId victim = topo::kInvalidWire;
-    const auto bridge_list = topo::bridges(next);
-    const std::unordered_set<topo::WireId> bridge_set(bridge_list.begin(),
-                                                      bridge_list.end());
-    for (const topo::WireId w : next.wires()) {
-      const topo::Wire& wire = next.wire(w);
-      if (!bridge_set.contains(w) && next.is_switch(wire.a.node) &&
-          next.is_switch(wire.b.node)) {
-        victim = w;
-        break;
-      }
-    }
-    if (victim == topo::kInvalidWire) {
-      report.skipped.push_back(
-          "incremental-lint-equiv: no redundant wire to perturb");
-      return;
-    }
-    next.disconnect(victim);
-  } else {
-    const simnet::FaultSchedule schedule = c.schedule();
-    common::SimTime settle{};
-    for (const FaultEvent& event : c.faults) {
-      settle = std::max(settle, event.at);
-    }
-    settle += common::SimTime::ms(1);
-    Topology alive = schedule.surviving(c.network, settle);
-    if (mapper >= alive.node_capacity() || !alive.node_alive(mapper)) {
-      report.skipped.push_back(
-          "incremental-lint-equiv: mapper host itself failed");
-      return;
-    }
-    next = topo::core(component_of(alive, mapper));
-    if (next.num_switches() == 0 || next.num_hosts() == 0) {
-      report.skipped.push_back(
-          "incremental-lint-equiv: unroutable surviving fabric");
-      return;
-    }
-  }
-
-  try {
-    const routing::RoutingResult prev_routes =
-        routing::compute_updown_routes(previous, {}, options.route_seed);
-    const routing::RoutingResult next_routes =
-        routing::compute_updown_routes(next, {}, options.route_seed);
-    const analysis::AnalysisResult scratch =
-        analysis::analyze(next, next_routes);
-
-    analysis::AnalysisState state;
-    analysis::DeltaChecker checker;
-    std::vector<std::string> why;
-    const analysis::AnalysisState::Result base =
-        state.reset(previous, prev_routes);
-    if (!checker.check(previous, prev_routes, base.analysis, base.delta,
-                       &why)) {
-      report.violations.push_back(
-          {"incremental-lint-cert",
-           "checker refused the baseline: " +
-               (why.empty() ? std::string("(no reason)") : why.front())});
-      return;
-    }
-    const analysis::AnalysisState::Result step =
-        state.reanalyze(next, next_routes);
-    if (!checker.check(next, next_routes, step.analysis, step.delta, &why)) {
-      report.violations.push_back(
-          {"incremental-lint-cert",
-           std::string("checker refused the ") +
-               (step.delta.escalated_full ? "escalated" : "incremental") +
-               " delta: " +
-               (why.empty() ? std::string("(no reason)") : why.front())});
-      return;
-    }
-
-    const std::string discrepancy = diff_analysis(scratch, step.analysis);
-    if (!discrepancy.empty()) {
-      report.violations.push_back(
-          {"incremental-lint-equiv",
-           discrepancy + " (" +
-               (step.delta.escalated_full
-                    ? "escalated: " +
-                          std::string(analysis::to_string(step.delta.reason))
-                    : "fast path, " + std::to_string(step.delta.touched()) +
-                          " touched") +
-               ")"});
-      return;
-    }
-    // Belt and braces: the incremental certificates must also survive the
-    // from-scratch re-checkers, independent of the checker's mirror.
-    if (step.analysis.analyzed_routes) {
-      const auto paths = routing::route_channel_paths(next, next_routes);
-      why.clear();
-      if (!analysis::check_legality(next, next_routes, step.analysis.legality,
-                                    &why) ||
-          !analysis::check_deadlock(paths, step.analysis.deadlock, &why)) {
-        report.violations.push_back(
-            {"incremental-lint-cert",
-             why.empty() ? "incremental certificate re-check failed"
-                         : why.front()});
-      }
-    }
-  } catch (const std::exception& e) {
-    report.violations.push_back({"incremental-lint-crash", e.what()});
-  }
-}
-
 // Federated mapping loses nothing: shard the mapper's component into
 // auto-partitioned regions anchored at the mapper host, run the concurrent
 // per-region sessions plus boundary resolution, and demand the merged model
@@ -872,7 +681,6 @@ OracleReport run_oracles(const ScenarioCase& c, const OracleOptions& options) {
     run_faulted_oracles(c, options, mapper, depth, report);
     run_incremental_oracle(c, options, mapper, depth, report);
   }
-  run_incremental_lint_oracle(c, options, mapper, report);
   run_federated_oracle(c, options, mapper, report);
   return report;
 }

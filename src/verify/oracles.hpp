@@ -53,21 +53,6 @@
 //                     the oracle runs on the settled surviving fabric, so
 //                     fault schedules are covered too; flap timelines are a
 //                     skip (no quiescent instant to shard at).
-//  * incremental-lint-equiv — the incremental static analyzer is exact:
-//                     prime an analysis::AnalysisState on the pre-fault
-//                     mapper-component core, reanalyze the settled surviving
-//                     fabric (for quiescent cases, the same core with one
-//                     redundant switch-switch wire dropped — a synthesized
-//                     single-wire epoch), and demand the incremental
-//                     AnalysisResult match a from-scratch analyze() of the
-//                     same inputs byte-for-byte — diagnostics, legality
-//                     entries, labels, and the deadlock verdict (the
-//                     topological order itself may differ; both orders are
-//                     re-proved instead of compared). The emitted
-//                     CertificateDelta must also survive the independent
-//                     DeltaChecker, and the incremental certificates the
-//                     from-scratch re-checkers (incremental-lint-cert);
-//                     exceptions are incremental-lint-crash.
 //  * incremental-equiv — for the same flap-free faulted cases, run after
 //                     the timeline settles (clock based past the last
 //                     event): an IncrementalMapper sweep restricted to the
@@ -101,9 +86,7 @@ struct Violation {
   /// "analysis-deadlock-diff", "analysis-certificate", "analysis-crash",
   /// "conservation", "pipeline-equiv", "pipeline-crash", "robust-iso",
   /// "robust-crash", "incremental-equiv", "incremental-crash",
-  /// "incremental-lint-equiv", "incremental-lint-cert",
-  /// "incremental-lint-crash", "federated-iso", "federated-certify",
-  /// "federated-crash".
+  /// "federated-iso", "federated-certify", "federated-crash".
   std::string oracle;
   std::string detail;
 };
@@ -129,7 +112,6 @@ struct OracleOptions {
   bool pipeline = true;
   bool robust = true;
   bool incremental = true;
-  bool incremental_lint = true;
   bool federated = true;
 
   /// federated-iso: regions to shard the mapper's component into (clamped

@@ -16,6 +16,7 @@
 //    while genuine parallel-cable skew fires.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -453,6 +454,48 @@ TEST(Analyzer, JsonCarriesDiagnosticsAndCertificates) {
   EXPECT_NE(json.find("\"certificates\""), std::string::npos);
   EXPECT_NE(json.find("\"deadlock_free\":true"), std::string::npos);
   EXPECT_NE(json.find("\"exit_code\":0"), std::string::npos);
+}
+
+// The adversarial matrix against the full certificates: each independent
+// checker must reject a reversed or truncated Kahn order, an off-by-one
+// dependency count, a shifted apex hop, and a dropped legality entry.
+TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
+  topo::FatTreeOptions fat;
+  fat.leaf_switches = 4;
+  fat.hosts_per_leaf = 2;
+  const topo::Topology t = topo::fat_tree(fat);
+  const auto routes = routing::compute_updown_routes(t, {}, 1);
+  const auto paths = routing::route_channel_paths(t, routes);
+  const auto full = analysis::analyze(t, routes);
+  ASSERT_TRUE(full.analyzed_routes);
+  ASSERT_TRUE(analysis::check_deadlock(paths, full.deadlock));
+  ASSERT_TRUE(analysis::check_legality(t, routes, full.legality));
+  {
+    auto cert = full.deadlock;
+    std::reverse(cert.topological_order.begin(),
+                 cert.topological_order.end());
+    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+  }
+  {
+    auto cert = full.deadlock;
+    cert.topological_order.pop_back();
+    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+  }
+  {
+    auto cert = full.deadlock;
+    cert.dependencies -= 1;
+    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+  }
+  {
+    auto cert = full.legality;
+    cert.routes.front().apex_hop += 1;
+    EXPECT_FALSE(analysis::check_legality(t, routes, cert));
+  }
+  {
+    auto cert = full.legality;
+    cert.routes.pop_back();
+    EXPECT_FALSE(analysis::check_legality(t, routes, cert));
+  }
 }
 
 // ------------------------------------------------------------ catalog gate

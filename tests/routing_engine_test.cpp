@@ -1,9 +1,9 @@
 // The routing::Engine interface: the DFS-order load-aware engine next to
 // UP*/DOWN*, the Mendlovic–Matias acyclicity checker, the RouteOptimizer,
 // and the regressions this PR fixes — SL403 consuming the engine's cable
-// plan, self_heal_routes escalating on an unroutable partial remap, the
-// paranoid gate diffing the certified route set, and the snapshot codec
-// carrying engine + optimizer provenance (v2, with v1 back-compat).
+// plan, self_heal_routes escalating on an unroutable partial remap, and
+// the snapshot codec carrying engine + optimizer provenance (v2, with v1
+// back-compat).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -337,38 +337,6 @@ TEST(SelfHeal, EscalatesAnUnroutablePartialRemap) {
   EXPECT_EQ(remaps, 2);
   EXPECT_GT(result.total_broken, 0u);
   EXPECT_FALSE(result.map.find_host("h3").has_value());
-}
-
-// Regression: the paranoid gate's comparator matched only the aggregate
-// verdict (diagnostics + flags + labels), so an incremental pass that
-// certified a different route set with the same summary sailed through.
-// The certified per-route entries and the certifying root must be diffed
-// too.
-TEST(ParanoidGate, ComparatorDiffsTheCertifiedRouteSet) {
-  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
-  const auto routes = routing::compute_routes(t, routing::EngineKind::kUpDown);
-  const analysis::AnalysisResult a = analysis::analyze(t, routes);
-  ASSERT_TRUE(a.analyzed_routes);
-  ASSERT_FALSE(a.legality.routes.empty());
-
-  analysis::AnalysisResult b = a;
-  EXPECT_TRUE(service::equivalent_verdicts(a, b));
-
-  b.legality.routes[0].apex_hop += 1;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.routes[0].legal = false;
-  b.legality.routes[0].offending_hop = 0;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.routes.pop_back();
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.root += 1;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
 }
 
 std::uint64_t fnv1a(const char* data, std::size_t size) {

@@ -13,10 +13,10 @@
 //   sanmap lint   --in FILE [--root NAME] [--seed N] [--json]
 //                 [--engine updown|dfs] [--optimize]
 //                 [--map-only] [--hop-limit N] [--imbalance-threshold X]
-//                 [--sabotage-turn] [--diff OLD]
+//                 [--sabotage-turn]
 //   sanmap dot    --in FILE [--out FILE]
 //   sanmap serve  --in FILE [--master HOST] [--ticks N] [--interval-ms M]
-//                 [--federate SPEC [--overlap N]] [--paranoid]
+//                 [--federate SPEC [--overlap N]]
 //                 [--engine updown|dfs] [--optimize]
 //                 [--faults SPEC | --churn SPEC [--churn-seed N]]
 //                 [--snapshot-out FILE]
@@ -30,7 +30,6 @@
 #include <sstream>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/incremental.hpp"
 #include "common/flags.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -583,9 +582,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.define("overlap", "2",
                "federation overlap margin (extra region probe depth)");
   flags.define("snapshot-out", "", "write the final snapshot here (binary)");
-  flags.define("paranoid", "false",
-               "cross-check the incremental publish gate with a from-scratch "
-               "analysis on every candidate snapshot");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
@@ -610,7 +606,6 @@ int cmd_serve(int argc, const char* const* argv) {
   config.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.engine = parse_engine_flag(flags.get("engine"));
   config.optimize = flags.get_bool("optimize");
-  config.paranoid = flags.get_bool("paranoid");
   service::RefreshLoop loop(net, catalog, config);
 
   if (!flags.get("federate").empty()) {
@@ -704,10 +699,7 @@ int cmd_serve(int argc, const char* const* argv) {
             << stats.rejected_unsafe << " rejected unsafe, "
             << stats.rejected_stale << " rejected stale\n";
   const auto gate = catalog.gate_stats();
-  std::cerr << "gate      : " << gate.incremental_fast << " fast, "
-            << gate.incremental_escalated << " escalated, "
-            << gate.checker_rejections << " checker rejections, "
-            << gate.paranoid_divergences << " divergences, "
+  std::cerr << "gate      : " << gate.incremental_escalated << " analysed, "
             << gate.rejected_stale_lints << " stale-lint refusals\n";
   const service::SnapshotPtr current = catalog.current();
   if (current && !flags.get("snapshot-out").empty()) {
@@ -825,102 +817,10 @@ int print_lint_result(const analysis::AnalysisResult& result) {
   return result.report.exit_code();
 }
 
-// sanmap lint --diff: incremental re-analysis of NEW against OLD. Both
-// inputs must share a wire/node id space (the usual source: two
-// serializations of the same fabric across a mutation or a churn window —
-// topology ids are append-only, so that correspondence is exact). The old
-// case primes an AnalysisState, the new one is reanalyzed through the
-// dirty-region engine, and an independent DeltaChecker re-proves the
-// emitted CertificateDelta; a refused delta is an ERROR-grade exit no
-// matter what the report itself says.
-int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
-              const std::string& root_name, std::uint64_t seed,
-              routing::EngineKind engine,
-              const analysis::AnalyzerOptions& options, bool json) {
-  const auto route = [&](const topo::Topology& t) {
-    routing::UpDownOptions route_options;
-    if (!root_name.empty()) {
-      for (const topo::NodeId s : t.switches()) {
-        if (t.name(s) == root_name) {
-          route_options.root = s;
-        }
-      }
-      if (!route_options.root) {
-        throw std::runtime_error("no switch named " + root_name);
-      }
-    }
-    return routing::compute_routes(t, engine, route_options, seed);
-  };
-  const routing::RoutingResult old_routes = route(old_fabric);
-  const routing::RoutingResult new_routes = route(fabric);
-
-  analysis::AnalysisStateOptions state_options;
-  state_options.analyzer = options;
-  analysis::AnalysisState state(state_options);
-  analysis::DeltaChecker checker;
-  std::vector<std::string> why;
-
-  const analysis::AnalysisState::Result base =
-      state.reset(old_fabric, old_routes);
-  if (!checker.check(old_fabric, old_routes, base.analysis, base.delta,
-                     &why)) {
-    std::cerr << "baseline  : REJECTED by the certificate checker\n";
-    for (const std::string& line : why) {
-      std::cerr << "            - " << line << "\n";
-    }
-    return 2;
-  }
-  const analysis::AnalysisState::Result step = state.reanalyze(fabric,
-                                                               new_routes);
-  const bool proven =
-      checker.check(fabric, new_routes, step.analysis, step.delta, &why);
-
-  const analysis::CertificateDelta& delta = step.delta;
-  std::cerr << "baseline  : "
-            << (base.analysis.report.exit_code() == 2 ? "ERRORS" : "ok")
-            << " (" << old_fabric.num_switches() << " switches, "
-            << old_routes.routes.size() << " routes)\n";
-  std::cerr << "delta     : revision " << delta.base_revision << " -> "
-            << delta.revision << ", ";
-  if (delta.escalated_full) {
-    std::cerr << "escalated (" << analysis::to_string(delta.reason) << ")\n";
-  } else {
-    std::cerr << "fast path, " << delta.touched() << " touched\n";
-    std::cerr << "            dirty " << delta.dirty_wires.size()
-              << " wires / " << delta.dirty_nodes.size() << " nodes; routes "
-              << delta.changed_routes.size() << " changed / "
-              << delta.removed_routes.size() << " removed; labels "
-              << delta.label_updates.size() << "; legality "
-              << delta.legality_updates.size() << "; edges +"
-              << delta.inserted_edges.size() << "/-"
-              << delta.removed_edges.size()
-              << (delta.order_rebuilt ? "; order rebuilt" : "") << "\n";
-  }
-  if (proven) {
-    std::cerr << "checker   : delta PROVEN (revision " << checker.revision()
-              << ")\n";
-  } else {
-    std::cerr << "checker   : delta REJECTED\n";
-    for (const std::string& line : why) {
-      std::cerr << "            - " << line << "\n";
-    }
-  }
-
-  int code;
-  if (json) {
-    std::cout << analysis::to_json(step.analysis) << "\n";
-    code = step.analysis.report.exit_code();
-  } else {
-    code = print_lint_result(step.analysis);
-  }
-  return proven ? code : 2;
-}
-
 // sanmap lint: the static analyzer's CLI face. Reads a topology v1 file,
 // a to_dot export, or a .sancase scenario (auto-detected), runs sanlint,
 // and exits with the report's max severity (0 clean/info, 1 warnings,
-// 2 errors). With --diff OLD the run goes through the incremental engine
-// instead: OLD primes the baseline, --in is reanalyzed as a delta.
+// 2 errors).
 int cmd_lint(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-",
@@ -938,10 +838,6 @@ int cmd_lint(int argc, const char* const* argv) {
   flags.define("sabotage-turn", "false",
                "inject an illegal down-to-up turn into one route first "
                "(self-check: lint must then fail with SL101)");
-  flags.define("diff", "",
-               "baseline input: prime the incremental engine on it, "
-               "reanalyze --in as a certificate delta, and have the "
-               "independent checker re-prove the delta");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
@@ -952,18 +848,6 @@ int cmd_lint(int argc, const char* const* argv) {
   options.lints.hop_limit = static_cast<int>(flags.get_int("hop-limit"));
   options.lints.load_imbalance_threshold =
       flags.get_double("imbalance-threshold");
-
-  if (!flags.get("diff").empty()) {
-    // Diff mode routes over the raw fabrics (no component stripping, no
-    // compaction): the incremental engine keys its dirty sets on wire and
-    // node ids, and only the uncompacted fabric keeps those stable across
-    // the two inputs.
-    return lint_diff(read_lint_input(flags.get("diff")), fabric,
-                     flags.get("root"),
-                     static_cast<std::uint64_t>(flags.get_int("seed")),
-                     parse_engine_flag(flags.get("engine")), options,
-                     flags.get_bool("json"));
-  }
 
   analysis::AnalysisResult result;
   const bool routable = !flags.get_bool("map-only") &&
