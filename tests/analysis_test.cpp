@@ -498,6 +498,186 @@ TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
   }
 }
 
+// The checkers derive dependencies from the paths with their own dense
+// accounting; each fabricated piece of evidence below must still fail.
+TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
+  topo::FatTreeOptions fat;
+  fat.leaf_switches = 4;
+  fat.hosts_per_leaf = 2;
+  const topo::Topology t = topo::fat_tree(fat);
+  const auto routes = routing::compute_updown_routes(t, {}, 1);
+  const auto paths = routing::route_channel_paths(t, routes);
+  const auto cert = analysis::build_deadlock_certificate(t, paths);
+  ASSERT_TRUE(cert.deadlock_free);
+  ASSERT_TRUE(analysis::check_deadlock(paths, cert));
+  std::vector<std::string> why;
+  for (const int delta : {-1, +1}) {
+    auto wrong = cert;
+    wrong.dependencies = static_cast<std::size_t>(
+        static_cast<long>(wrong.dependencies) + delta);
+    why.clear();
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong, &why)) << delta;
+    ASSERT_FALSE(why.empty());
+    EXPECT_NE(why.front().find("dependencies"), std::string::npos)
+        << why.front();
+  }
+  {
+    // Swap the two channels of one real dependency: exactly one edge now
+    // points backward, everything else stays consistent.
+    const auto& path = *std::find_if(
+        paths.begin(), paths.end(),
+        [](const auto& p) { return p.size() >= 2; });
+    auto wrong = cert;
+    auto& order = wrong.topological_order;
+    const auto from = std::find(order.begin(), order.end(), path[0]);
+    const auto to = std::find(order.begin(), order.end(), path[1]);
+    ASSERT_TRUE(from != order.end() && to != order.end());
+    std::iter_swap(from, to);
+    why.clear();
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong, &why));
+    ASSERT_FALSE(why.empty());
+    EXPECT_NE(why.front().find("backward"), std::string::npos)
+        << why.front();
+  }
+  {
+    auto wrong = cert;
+    wrong.topological_order.push_back(wrong.topological_order.front());
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong));
+  }
+}
+
+TEST(CertificateCheckers, RejectFabricatedCycleEdges) {
+  const topo::Topology t = topo::ring(3, 1);
+  const routing::Channel c0{0, true};
+  const routing::Channel c1{1, true};
+  const routing::Channel c2{2, true};
+  const std::vector<std::vector<routing::Channel>> paths = {
+      {c0, c1}, {c1, c2}, {c2, c0}};
+  const auto cert = analysis::build_deadlock_certificate(t, paths);
+  ASSERT_FALSE(cert.deadlock_free);
+  ASSERT_EQ(cert.cycle.size(), 3u);
+  ASSERT_TRUE(analysis::check_deadlock(paths, cert));
+  std::vector<std::string> why;
+  {
+    // A channel on no dependency spliced into the witness.
+    auto wrong = cert;
+    wrong.cycle[1] = routing::Channel{1, false};
+    why.clear();
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong, &why));
+    ASSERT_FALSE(why.empty());
+    EXPECT_NE(why.front().find("not a real dependency"), std::string::npos)
+        << why.front();
+  }
+  {
+    // Dropping one channel fabricates the edge that skips it.
+    auto wrong = cert;
+    wrong.cycle.erase(wrong.cycle.begin() + 1);
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong));
+  }
+  {
+    // The reversed walk follows no real edge.
+    auto wrong = cert;
+    std::reverse(wrong.cycle.begin(), wrong.cycle.end());
+    EXPECT_FALSE(analysis::check_deadlock(paths, wrong));
+  }
+}
+
+TEST(CertificateCheckers, RejectWrongApexHopAnywhereInTheTable) {
+  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
+  const auto routes = routing::compute_updown_routes(t, {}, 1);
+  const auto cert = analysis::build_legality_certificate(t, routes);
+  ASSERT_TRUE(cert.all_legal);
+  ASSERT_TRUE(analysis::check_legality(t, routes, cert));
+  const std::size_t n = cert.routes.size();
+  for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+    for (const int delta : {-1, +1}) {
+      auto wrong = cert;
+      wrong.routes[at].apex_hop += delta;
+      std::vector<std::string> why;
+      EXPECT_FALSE(analysis::check_legality(t, routes, wrong, &why))
+          << "entry " << at << " delta " << delta;
+      ASSERT_FALSE(why.empty());
+      EXPECT_NE(why.front().find("apex"), std::string::npos) << why.front();
+    }
+  }
+}
+
+TEST(RouteLints, TiedHottestChannelsNameTheFirstInKeyOrder) {
+  // One route a -> b over s1 -> s2: its three channels all carry 1 of 1
+  // routes. The trunk is wire 0 and the route crosses it b-to-a, so the
+  // funnel finding must name (wire 0, b->a), the smallest (wire, a-to-b)
+  // key among the tied channels.
+  topo::Topology t;
+  const auto s1 = t.add_switch("s1");
+  const auto s2 = t.add_switch("s2");
+  const auto trunk = t.connect(s2, 6, s1, 6);
+  ASSERT_EQ(trunk, 0u);
+  const auto a = t.add_host("a");
+  t.connect(a, 0, s1, 0);
+  const auto b = t.add_host("b");
+  t.connect(b, 0, s2, 0);
+  auto routes = routing::compute_updown_routes(t, {}, 1);
+  routes.routes.erase({b, a});
+  ASSERT_EQ(routes.routes.size(), 1u);
+  analysis::LintOptions options;
+  options.min_routes_for_quality = 1;
+  analysis::DiagnosticReport report;
+  analysis::lint_route_quality(t, routes, options, report);
+  bool found = false;
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == "SL403") {
+      EXPECT_EQ(d.message, "channel s1->s2 (wire 0) carries 1 of 1 routes");
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << report.text();
+}
+
+TEST(RouteLints, TiedParallelCablesNameTheLowestWire) {
+  // Three parallel cables: per direction, the first two carry the same
+  // load and the third none. The skew finding names the first of the tie.
+  topo::Topology t;
+  const auto s1 = t.add_switch("s1");
+  const auto s2 = t.add_switch("s2");
+  const auto w1 = t.connect(s1, 5, s2, 5);
+  const auto w2 = t.connect(s1, 6, s2, 6);
+  const auto w3 = t.connect(s1, 7, s2, 7);
+  for (int i = 0; i < 4; ++i) {
+    const auto h = t.add_host("a" + std::to_string(i));
+    t.connect(h, 0, s1, static_cast<topo::Port>(i));
+    const auto g = t.add_host("b" + std::to_string(i));
+    t.connect(g, 0, s2, static_cast<topo::Port>(i));
+  }
+  auto routes = routing::compute_updown_routes(t, {}, 1);
+  // Deal each direction's 16 crossings alternately onto w2 and w1 (8 each),
+  // leaving w3 idle.
+  std::size_t dealt[2] = {0, 0};
+  for (auto& [key, route] : routes.routes) {
+    for (std::size_t i = 0; i < route.wires.size(); ++i) {
+      const auto w = route.wires[i];
+      if (w == w1 || w == w2 || w == w3) {
+        const std::size_t dir = route.nodes[i] == s1 ? 0 : 1;
+        route.wires[i] = (dealt[dir]++ % 2 == 0) ? w2 : w1;
+      }
+    }
+    routing::recompute_turns(t, route);
+  }
+  ASSERT_EQ(dealt[0], 16u);
+  ASSERT_EQ(dealt[1], 16u);
+  analysis::DiagnosticReport report;
+  analysis::lint_route_quality(t, routes, {}, report);
+  std::size_t skew = 0;
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == "SL403" && d.message.rfind("parallel cables", 0) == 0) {
+      EXPECT_NE(d.message.find("wire " + std::to_string(w1) + " carries 8"),
+                std::string::npos)
+          << d.message;
+      ++skew;
+    }
+  }
+  EXPECT_EQ(skew, 2u) << report.text();
+}
+
 // ------------------------------------------------------------ catalog gate
 
 TEST(CatalogGate, PublishesCleanSnapshots) {

@@ -1,0 +1,342 @@
+// Route-table goldens: every observable output of route emission and
+// certification, pinned byte for byte.
+//
+// Each case is routed with three engine settings (UP*/DOWN* at seeds 1 and
+// 7, and the DFS-preorder engine), each both as emitted and after
+// optimize_routes. A variant's digest records what a consumer could see:
+//   * every route's node path, wire choice and turn word (hashed per
+//     source host, so a divergence names the source it starts at);
+//   * the optimizer report and meta.cable_plan;
+//   * the DeadlockAnalysis counts and both certificates (the Kahn order,
+//     the witness cycle, and every route's apex/offense entry);
+//   * analysis::to_json(analyze(...)) verbatim;
+//   * the distribute_tables messages, bytes and elapsed virtual time;
+//   * the encode_snapshot bytes (size and hash).
+//
+// The goldens were recorded before the linear-time emission and analysis
+// rewrite and must keep passing without re-recording: a seeded tie-break
+// that sees one candidate more, fewer or in another order shows up here.
+//
+// Regenerating (only when a change deliberately alters route tables):
+//   SANMAP_UPDATE_GOLDEN=1 ./build/tests/route_golden_test
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "analysis/analyzer.hpp"
+#include "analysis/certificates.hpp"
+#include "common/rng.hpp"
+#include "routing/deadlock.hpp"
+#include "routing/distribute.hpp"
+#include "routing/engine.hpp"
+#include "routing/optimizer.hpp"
+#include "routing/routes.hpp"
+#include "service/snapshot.hpp"
+#include "service/snapshot_codec.hpp"
+#include "simnet/network.hpp"
+#include "topology/algorithms.hpp"
+#include "topology/generators.hpp"
+#include "verify/scenario_case.hpp"
+
+namespace sanmap {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// FNV-1a 64 over a stream of integers (each fed as 8 little-endian bytes).
+class Fnv {
+ public:
+  void add(std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= bits & 0xffu;
+      hash_ *= 0x100000001b3ull;
+      bits >>= 8;
+    }
+  }
+  void add_bytes(const std::string& bytes) {
+    for (const char c : bytes) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] std::string hex() const {
+    std::ostringstream os;
+    os << std::hex << hash_;
+    return os.str();
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct Variant {
+  const char* label;
+  routing::EngineKind engine;
+  std::uint64_t seed;
+  bool optimize;
+};
+
+constexpr Variant kVariants[] = {
+    {"updown seed 1 raw", routing::EngineKind::kUpDown, 1, false},
+    {"updown seed 1 optimized", routing::EngineKind::kUpDown, 1, true},
+    {"updown seed 7 raw", routing::EngineKind::kUpDown, 7, false},
+    {"updown seed 7 optimized", routing::EngineKind::kUpDown, 7, true},
+    {"dfs raw", routing::EngineKind::kDfs, 1, false},
+    {"dfs optimized", routing::EngineKind::kDfs, 1, true},
+};
+
+/// The component a mapper on the first host would discover, compacted —
+/// what `sanmap lint` routes over.
+topo::Topology routable_part(const topo::Topology& fabric) {
+  topo::Topology local = fabric;
+  std::vector<int> component;
+  topo::components(local, component);
+  const topo::NodeId anchor = local.hosts().front();
+  for (const topo::NodeId n : local.nodes()) {
+    if (component[n] != component[anchor]) {
+      local.remove_node(n);
+    }
+  }
+  return local.compacted();
+}
+
+void digest_variant(const topo::Topology& t, const Variant& v,
+                    std::ostream& os) {
+  os << "variant " << v.label << "\n";
+  routing::RoutingResult routes =
+      routing::compute_routes(t, v.engine, {}, v.seed);
+  if (v.optimize) {
+    const routing::OptimizerReport opt = routing::optimize_routes(t, routes);
+    os << "optimizer " << opt.max_load_before << ' ' << opt.max_load_after
+       << ' ' << opt.path_moves << ' ' << opt.cable_moves << ' '
+       << opt.rounds << ' ' << (opt.reverted ? "reverted" : "kept") << "\n";
+  }
+  os << "root " << t.name(routes.orientation.root()) << " routes "
+     << routes.routes.size() << " max_hops " << routes.max_hops() << "\n";
+
+  // Routes, hashed per source (the map is key-ordered, so each source's
+  // routes are contiguous) and over the whole table.
+  Fnv table;
+  Fnv source;
+  topo::NodeId current = topo::kInvalidNode;
+  std::size_t count = 0;
+  std::int64_t hops = 0;
+  const auto flush = [&] {
+    if (current != topo::kInvalidNode) {
+      os << "source " << t.name(current) << ' ' << count << ' ' << hops << ' '
+         << source.hex() << "\n";
+    }
+  };
+  for (const auto& [key, route] : routes.routes) {
+    if (key.first != current) {
+      flush();
+      current = key.first;
+      source = Fnv();
+      count = 0;
+      hops = 0;
+    }
+    ++count;
+    hops += route.hops();
+    for (Fnv* h : {&source, &table}) {
+      h->add(key.second);
+      h->add(static_cast<std::int64_t>(route.nodes.size()));
+      for (const topo::NodeId n : route.nodes) {
+        h->add(n);
+      }
+      for (const topo::WireId w : route.wires) {
+        h->add(w);
+      }
+      for (const auto turn : route.turns) {
+        h->add(turn);
+      }
+    }
+  }
+  flush();
+  os << "table " << table.hex() << "\n";
+
+  os << "cable_plan " << routes.meta.cable_plan.size() << "\n";
+  for (const auto& [channel, load] : routes.meta.cable_plan) {
+    os << "  wire " << channel.first << (channel.second ? " a->b " : " b->a ")
+       << load << "\n";
+  }
+
+  const routing::DeadlockAnalysis deadlock =
+      routing::analyze_routes(t, routes);
+  os << "deadlock " << (deadlock.deadlock_free ? "free" : "cyclic")
+     << " channels " << deadlock.channels << " dependencies "
+     << deadlock.dependencies << " cycle " << deadlock.cycle.size() << "\n";
+
+  const analysis::AnalysisResult result = analysis::analyze(t, routes);
+  Fnv order;
+  for (const routing::Channel& c : result.deadlock.topological_order) {
+    order.add(c.wire);
+    order.add(c.a_to_b ? 1 : 0);
+  }
+  for (const routing::Channel& c : result.deadlock.cycle) {
+    order.add(c.wire);
+    order.add(c.a_to_b ? 1 : 0);
+  }
+  Fnv legality;
+  for (const int label : result.legality.labels) {
+    legality.add(label);
+  }
+  for (const analysis::RouteLegality& entry : result.legality.routes) {
+    legality.add(entry.src);
+    legality.add(entry.dst);
+    legality.add(entry.apex_hop);
+    legality.add(entry.legal ? 1 : 0);
+    legality.add(entry.offending_hop);
+  }
+  os << "certificates order " << order.hex() << " legality "
+     << legality.hex() << "\n";
+  os << "analysis " << analysis::to_json(result) << "\n";
+
+  simnet::Network net(t);
+  const routing::DistributionResult dist =
+      routing::distribute_tables(net, routes, t.hosts().front());
+  os << "distribute messages " << dist.messages << " bytes " << dist.bytes
+     << " elapsed_ns " << dist.elapsed.to_ns() << " complete "
+     << (dist.complete ? 1 : 0) << "\n";
+
+  service::SnapshotOptions options;
+  options.route_seed = v.seed;
+  options.source = "golden";
+  options.engine = v.engine;
+  options.optimize = v.optimize;
+  const service::MapSnapshot snapshot{/*epoch=*/0,
+                                      common::SimTime{},
+                                      t,
+                                      routes,
+                                      options,
+                                      deadlock.deadlock_free,
+                                      routing::updown_compliant(routes),
+                                      deadlock.channels,
+                                      deadlock.dependencies,
+                                      routes.mean_hops(),
+                                      routes.max_hops()};
+  const std::string bytes = service::encode_snapshot(snapshot);
+  Fnv encoded;
+  encoded.add_bytes(bytes);
+  os << "snapshot bytes " << bytes.size() << ' ' << encoded.hex() << "\n";
+}
+
+std::string digest(const std::string& name, const topo::Topology& fabric) {
+  const topo::Topology t = routable_part(fabric);
+  std::ostringstream os;
+  os << "# sanmap route golden v1\n";
+  os << "case " << name << " switches " << t.num_switches() << " hosts "
+     << t.num_hosts() << " wires " << t.num_wires() << "\n";
+  for (const Variant& v : kVariants) {
+    digest_variant(t, v, os);
+  }
+  return os.str();
+}
+
+fs::path golden_dir() { return fs::path(SANMAP_GOLDEN_DIR) / "routes"; }
+
+bool update_mode() {
+  return std::getenv("SANMAP_UPDATE_GOLDEN") != nullptr;
+}
+
+/// Compares `actual` against the named golden file, or rewrites the file in
+/// update mode.
+void check_golden(const std::string& golden_name, const std::string& actual) {
+  const fs::path path = golden_dir() / (golden_name + ".golden");
+  if (update_mode()) {
+    fs::create_directories(golden_dir());
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — record it with SANMAP_UPDATE_GOLDEN=1 on a known-good build";
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string expected = buffer.str();
+  if (expected == actual) {
+    return;
+  }
+  std::istringstream want(expected);
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  std::string variant;
+  int line_no = 0;
+  while (true) {
+    const bool have_want = static_cast<bool>(std::getline(want, want_line));
+    const bool have_got = static_cast<bool>(std::getline(got, got_line));
+    ++line_no;
+    if (have_want && want_line.rfind("variant ", 0) == 0) {
+      variant = want_line;
+    }
+    if (!have_want && !have_got) {
+      break;
+    }
+    if (!have_want || !have_got || want_line != got_line) {
+      FAIL() << golden_name << ": first divergence at line " << line_no
+             << " (" << variant << ")"
+             << "\n  golden: " << (have_want ? want_line : "<eof>")
+             << "\n  actual: " << (have_got ? got_line : "<eof>");
+    }
+  }
+  FAIL() << golden_name << ": digests differ";
+}
+
+TEST(RouteGolden, CorpusCases) {
+  std::vector<fs::path> cases;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(SANMAP_CORPUS_DIR))) {
+    if (entry.path().extension() == ".sancase") {
+      cases.push_back(entry.path());
+    }
+  }
+  std::sort(cases.begin(), cases.end());
+  ASSERT_FALSE(cases.empty());
+  for (const fs::path& path : cases) {
+    SCOPED_TRACE(path.filename().string());
+    const verify::ScenarioCase c = verify::read_case_file(path.string());
+    check_golden(path.stem().string(), digest(c.name, c.network));
+  }
+}
+
+TEST(RouteGolden, Figure4Subcluster) {
+  check_golden("fig4", digest("fig4-subcluster-c",
+                              topo::now_subcluster(topo::Subcluster::kC, "C")));
+}
+
+TEST(RouteGolden, Figure5NowCluster) {
+  check_golden("fig5", digest("fig5-now100", topo::now_cluster()));
+}
+
+TEST(RouteGolden, MegaFatTree64Leaves) {
+  topo::MegaFatTreeOptions options;
+  options.leaf_switches = 64;
+  check_golden("megafattree-64", digest("megafattree-64",
+                                        topo::mega_fat_tree(options)));
+}
+
+TEST(RouteGolden, Dragonfly128Switches) {
+  // The serve-churn-dragonfly fabric: 16 groups of 8 switches, 16 hosts
+  // per group, seed 1.
+  topo::DragonflyishOptions options;
+  options.groups = 16;
+  options.switches_per_group = 8;
+  options.hosts_per_group = 16;
+  common::Rng rng(1);
+  check_golden("dragonfly-128", digest("dragonfly-128",
+                                       topo::dragonfly_ish(options, rng)));
+}
+
+}  // namespace
+}  // namespace sanmap

@@ -2,6 +2,9 @@
 // and replay of the emitted source routes through the simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "routing/updown.hpp"
@@ -266,10 +269,33 @@ TEST(Routes, ParallelCablesAreLoadBalanced) {
 
 TEST(Routes, TableForReturnsPerSourceRoutes) {
   const Topology t = topo::star(3, 2);
-  const auto result = compute_updown_routes(t);
-  const auto hosts = t.hosts();
-  const auto table = result.table_for(hosts.front());
-  EXPECT_EQ(table.size(), hosts.size() - 1);
+  auto result = compute_updown_routes(t);
+  auto hosts = t.hosts();
+  std::sort(hosts.begin(), hosts.end());
+  // Each source gets exactly its own routes, in ascending destination order,
+  // pointing into the table itself.
+  for (const NodeId src : hosts) {
+    const auto table = result.table_for(src);
+    std::vector<const routing::HostRoute*> want;
+    for (const NodeId dst : hosts) {
+      if (dst != src) {
+        want.push_back(&result.route(src, dst));
+      }
+    }
+    EXPECT_EQ(table, want) << "source " << src;
+  }
+  // Sources without routes: a switch, an id past every node, and a host
+  // whose routes were dropped — its neighbors in key order keep theirs.
+  EXPECT_TRUE(result.table_for(t.switches().front()).empty());
+  EXPECT_TRUE(
+      result.table_for(static_cast<NodeId>(t.node_capacity() + 5)).empty());
+  const NodeId dropped = hosts[1];
+  for (const NodeId dst : hosts) {
+    result.routes.erase({dropped, dst});
+  }
+  EXPECT_TRUE(result.table_for(dropped).empty());
+  EXPECT_EQ(result.table_for(hosts[0]).size(), hosts.size() - 1);
+  EXPECT_EQ(result.table_for(hosts[2]).size(), hosts.size() - 1);
 }
 
 TEST(Routes, MissingRouteThrows) {
