@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "routing/deadlock.hpp"
 
 namespace sanmap::analysis {
 
@@ -98,11 +97,10 @@ AnalysisResult analyze(const topo::Topology& map,
                         "analyzer self-check: report this as a bug");
     }
 
-    const auto paths = routing::route_channel_paths(map, routes);
-    result.deadlock = build_deadlock_certificate(map, paths);
+    result.deadlock = build_deadlock_certificate(map, routes);
     emit_deadlock_findings(result.deadlock, result.report);
     why.clear();
-    if (!check_deadlock(paths, result.deadlock, &why)) {
+    if (!check_deadlock(map, routes, result.deadlock, &why)) {
       result.report.add("SL202", "deadlock",
                         why.empty() ? "deadlock certificate recheck failed"
                                     : why.front(),

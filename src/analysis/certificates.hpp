@@ -84,10 +84,20 @@ bool check_legality(const topo::Topology& topo,
 DeadlockCertificate build_deadlock_certificate(
     const topo::Topology& topo,
     const std::vector<std::vector<routing::Channel>>& paths);
+/// The same certificate over a route table's own channel paths, read
+/// straight off its hops (routing::for_each_dependency) — nothing is
+/// materialized per hop.
+DeadlockCertificate build_deadlock_certificate(
+    const topo::Topology& topo, const routing::RoutingResult& routes);
 
 /// Validates a deadlock certificate against the dependency edges re-derived
 /// from `paths`. Appends discrepancies to `why`; true when it holds.
 bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
+                    const DeadlockCertificate& cert,
+                    std::vector<std::string>* why = nullptr);
+/// The same check against a route table's own channel paths.
+bool check_deadlock(const topo::Topology& topo,
+                    const routing::RoutingResult& routes,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why = nullptr);
 

@@ -35,19 +35,20 @@ bool lint_route_structure_one(
     const std::pair<topo::NodeId, topo::NodeId>& key,
     const routing::HostRoute& route, DiagnosticReport& report) {
   const std::size_t before = report.errors();
-  std::ostringstream where;
   const auto name_of = [&](topo::NodeId n) {
     return n < topo.node_capacity() && topo.node_alive(n)
                ? topo.name(n)
                : "node " + std::to_string(n);
   };
-  where << "route " << name_of(key.first) << "->" << name_of(key.second);
-  const std::string loc = where.str();
+  // Formatted only when a finding names it: clean routes cost no strings.
+  const auto loc = [&] {
+    return "route " + name_of(key.first) + "->" + name_of(key.second);
+  };
 
   for (const topo::NodeId endpoint : {key.first, key.second}) {
     if (endpoint >= topo.node_capacity() || !topo.node_alive(endpoint) ||
         !topo.is_host(endpoint)) {
-      report.add("SL102", loc,
+      report.add("SL102", loc(),
                  "endpoint " + std::to_string(endpoint) +
                      " is not a live host",
                  "recompute routes on the current map");
@@ -55,7 +56,7 @@ bool lint_route_structure_one(
   }
   if (route.nodes.size() != route.wires.size() + 1 || route.nodes.empty() ||
       route.nodes.front() != key.first || route.nodes.back() != key.second) {
-    report.add("SL103", loc,
+    report.add("SL103", loc(),
                "path shape is inconsistent (" +
                    std::to_string(route.nodes.size()) + " nodes, " +
                    std::to_string(route.wires.size()) + " wires)",
@@ -66,7 +67,7 @@ bool lint_route_structure_one(
   for (std::size_t i = 0; i < route.wires.size() && walk_ok; ++i) {
     const topo::WireId w = route.wires[i];
     if (w >= topo.wire_capacity() || !topo.wire_alive(w)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
+      report.add("SL103", loc() + " hop " + std::to_string(i),
                  "wire " + std::to_string(w) + " is dead or nonexistent",
                  "recompute routes on the current map");
       walk_ok = false;
@@ -74,7 +75,7 @@ bool lint_route_structure_one(
     }
     const topo::Wire& wire = topo.wire(w);
     if (wire.a.node == wire.b.node) {
-      report.add("SL104", loc + " hop " + std::to_string(i),
+      report.add("SL104", loc() + " hop " + std::to_string(i),
                  "wire " + std::to_string(w) + " is a self-loop cable",
                  "no valid route uses a loopback cable");
       walk_ok = false;
@@ -85,7 +86,7 @@ bool lint_route_structure_one(
     const bool connects = (wire.a.node == from && wire.b.node == to) ||
                           (wire.b.node == from && wire.a.node == to);
     if (!connects || !topo.node_alive(from) || !topo.node_alive(to)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
+      report.add("SL103", loc() + " hop " + std::to_string(i),
                  "wire " + std::to_string(w) + " does not connect " +
                      name_of(from) + " to " + name_of(to),
                  "recompute routes on the current map");
@@ -97,18 +98,26 @@ bool lint_route_structure_one(
   }
   // The turn word must reproduce the path (sec 2.2 relative addressing):
   // the NIC-facing table and the hop path must describe the same route.
-  simnet::Route expected;
-  for (std::size_t i = 1; i < route.wires.size(); ++i) {
+  const auto turn_at = [&](std::size_t i) {
     const topo::Wire& in_wire = topo.wire(route.wires[i - 1]);
     const topo::Wire& out_wire = topo.wire(route.wires[i]);
     const topo::Port in_port = in_wire.opposite(route.nodes[i - 1]).port;
     const topo::Port out_port = out_wire.a.node == route.nodes[i]
                                     ? out_wire.a.port
                                     : out_wire.b.port;
-    expected.push_back(out_port - in_port);
+    return static_cast<simnet::Turn>(out_port - in_port);
+  };
+  const std::size_t turns = route.wires.empty() ? 0 : route.wires.size() - 1;
+  bool reproduces = route.turns.size() == turns;
+  for (std::size_t i = 1; i <= turns && reproduces; ++i) {
+    reproduces = route.turns[i - 1] == turn_at(i);
   }
-  if (expected != route.turns) {
-    report.add("SL105", loc,
+  if (!reproduces) {
+    simnet::Route expected;
+    for (std::size_t i = 1; i <= turns; ++i) {
+      expected.push_back(turn_at(i));
+    }
+    report.add("SL105", loc(),
                "turn word " + simnet::to_string(route.turns) +
                    " does not reproduce the hop path (expected " +
                    simnet::to_string(expected) + ")",
@@ -136,17 +145,17 @@ ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
   return parallel;
 }
 
-/// SL403's traffic oracle: route traversals per directed channel, keyed by
-/// (wire, a-to-b). Zero-count channels are absent.
-using ChannelLoads = std::map<std::pair<topo::WireId, bool>, std::size_t>;
-
-ChannelLoads channel_loads(const topo::Topology& topo,
-                           const routing::RoutingResult& routes) {
-  ChannelLoads load;
+/// SL403's traffic oracle: route traversals per directed channel, indexed
+/// by the dense channel slot wire * 2 + a-to-b — ascending slots are
+/// ascending (wire, a-to-b) keys.
+std::vector<std::size_t> channel_loads(const topo::Topology& topo,
+                                       const routing::RoutingResult& routes) {
+  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
   for (const auto& [key, route] : routes.routes) {
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
       const topo::Wire& wire = topo.wire(route.wires[i]);
-      load[{route.wires[i], wire.a.node == route.nodes[i]}] += 1;
+      ++load[static_cast<std::size_t>(route.wires[i]) * 2 +
+             (wire.a.node == route.nodes[i] ? 1 : 0)];
     }
   }
   return load;
@@ -350,12 +359,21 @@ void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report) {
-  // SL402: every ordered pair of live hosts must have a route.
+  // SL402: every ordered pair of live hosts must have a route. Host pairs
+  // come in ascending key order, so one forward walk of the table finds
+  // them all.
   const auto hosts = topo.hosts();
+  auto next = routes.routes.begin();
   for (const topo::NodeId src : hosts) {
     for (const topo::NodeId dst : hosts) {
-      if (src != dst &&
-          routes.routes.find({src, dst}) == routes.routes.end()) {
+      if (src == dst) {
+        continue;
+      }
+      const std::pair<topo::NodeId, topo::NodeId> key{src, dst};
+      while (next != routes.routes.end() && next->first < key) {
+        ++next;
+      }
+      if (next == routes.routes.end() || next->first != key) {
         report.add("SL402",
                    "route " + topo.name(src) + "->" + topo.name(dst),
                    "no route for a live host pair",
@@ -419,10 +437,9 @@ void lint_route_quality(const topo::Topology& topo,
   //  * skew across redundant parallel cables between the same two switches
   //    (the seed's tie-break exists precisely to spread those), and
   //  * a single channel funneling the majority of all routes.
-  const ChannelLoads loads = channel_loads(topo, routes);
+  const std::vector<std::size_t> loads = channel_loads(topo, routes);
   const auto channel_load = [&](topo::WireId w, bool a_to_b) {
-    const auto it = loads.find({w, a_to_b});
-    return it == loads.end() ? std::size_t{0} : it->second;
+    return loads[static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0)];
   };
   // Parallel-cable skew. When the engine (or the route optimizer) declared
   // a per-cable assignment for the whole group, the lint audits the table
@@ -520,12 +537,14 @@ void lint_route_quality(const topo::Topology& topo,
   }
   // Funneling: one channel on the majority of all routes means the
   // orientation has collapsed the fabric onto a single pipe.
+  // The first strictly hottest slot: ties go to the smallest (wire,
+  // a-to-b) key.
   std::size_t max_load = 0;
   std::pair<topo::WireId, bool> hottest{topo::kInvalidWire, false};
-  for (const auto& [channel, n] : loads) {
-    if (n > max_load) {
-      max_load = n;
-      hottest = channel;
+  for (std::size_t slot = 0; slot < loads.size(); ++slot) {
+    if (loads[slot] > max_load) {
+      max_load = loads[slot];
+      hottest = {static_cast<topo::WireId>(slot / 2), slot % 2 != 0};
     }
   }
   if (max_load * 2 > routes.routes.size() && routes.routes.size() > 0) {

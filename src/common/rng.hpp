@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -116,11 +117,15 @@ class Rng {
     }
   }
 
-  /// Uniformly chosen element of a non-empty vector.
+  /// Uniformly chosen element of a non-empty range.
   template <typename T>
-  const T& pick(const std::vector<T>& items) {
+  const T& pick(std::span<const T> items) {
     SANMAP_CHECK(!items.empty());
     return items[static_cast<std::size_t>(below(items.size()))];
+  }
+  template <typename T>
+  const T& pick(const std::vector<T>& items) {
+    return pick(std::span<const T>(items));
   }
 
   /// Derives an independent child generator; useful for fanning one seed out

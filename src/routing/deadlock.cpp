@@ -1,7 +1,6 @@
 #include "routing/deadlock.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -20,31 +19,43 @@ Channel channel_from_id(std::size_t id) {
   return Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
 }
 
-DeadlockAnalysis analyze(const topo::Topology& topo,
-                         const std::vector<std::vector<Channel>>& paths) {
-  const std::size_t num_channels = topo.wire_capacity() * 2;
-  std::vector<std::vector<std::size_t>> deps(num_channels);
-  std::size_t dependency_count = 0;
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::size_t from = channel_id(path[i]);
-      const std::size_t to = channel_id(path[i + 1]);
-      auto& list = deps[from];
-      if (std::find(list.begin(), list.end(), to) == list.end()) {
-        list.push_back(to);
-        ++dependency_count;
-      }
+/// The channel-dependency graph as dense per-channel successor lists,
+/// deduplicated, each in first-seen order.
+struct DependencyGraph {
+  std::vector<std::vector<std::size_t>> next;
+  std::size_t count = 0;
+};
+
+/// Builds the graph from either dependency stream of for_each_dependency
+/// (explicit paths, or a topology plus its route table).
+template <typename... Input>
+DependencyGraph dependency_graph(std::size_t num_channels,
+                                 const Input&... input) {
+  DependencyGraph graph;
+  graph.next.resize(num_channels);
+  for_each_dependency(input..., [&](const Channel& held,
+                                    const Channel& requested) {
+    auto& list = graph.next[channel_id(held)];
+    const std::size_t to = channel_id(requested);
+    if (std::find(list.begin(), list.end(), to) == list.end()) {
+      list.push_back(to);
+      ++graph.count;
     }
-  }
+  });
+  return graph;
+}
+
+DeadlockAnalysis analyze(const DependencyGraph& graph) {
+  const std::size_t num_channels = graph.next.size();
+  const auto& deps = graph.next;
 
   DeadlockAnalysis result;
   result.channels = num_channels;
-  result.dependencies = dependency_count;
+  result.dependencies = graph.count;
 
   // Iterative three-color DFS for a cycle.
   enum : std::uint8_t { kWhite, kGray, kBlack };
   std::vector<std::uint8_t> color(num_channels, kWhite);
-  std::vector<std::size_t> parent(num_channels, num_channels);
   for (std::size_t start = 0; start < num_channels; ++start) {
     if (color[start] != kWhite) {
       continue;
@@ -88,6 +99,51 @@ DeadlockAnalysis analyze(const topo::Topology& topo,
   return result;
 }
 
+/// Longest-path relaxation over the graph's edges in ascending (from, to)
+/// order (see check_mm_condition in the header).
+MmCondition mm_condition(DependencyGraph graph) {
+  const std::size_t num_channels = graph.next.size();
+  std::vector<bool> participates(num_channels, false);
+  for (std::size_t from = 0; from < num_channels; ++from) {
+    auto& list = graph.next[from];
+    std::sort(list.begin(), list.end());
+    participates[from] = participates[from] || !list.empty();
+    for (const std::size_t to : list) {
+      participates[to] = true;
+    }
+  }
+
+  MmCondition result;
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    if (participates[c]) {
+      ++result.channels;
+    }
+  }
+  result.rank.assign(num_channels, 0);
+  // Each round propagates rank constraints one more edge down every
+  // dependency chain; a DAG's longest chain has at most `channels`
+  // vertices, so a change after round `channels` means a chain longer than
+  // the vertex count — a cycle.
+  for (std::size_t round = 0; round <= result.channels; ++round) {
+    bool changed = false;
+    for (std::size_t from = 0; from < num_channels; ++from) {
+      for (const std::size_t to : graph.next[from]) {
+        if (result.rank[to] <= result.rank[from]) {
+          result.rank[to] = result.rank[from] + 1;
+          changed = true;
+        }
+      }
+    }
+    ++result.iterations;
+    if (!changed) {
+      result.holds = true;
+      return result;
+    }
+  }
+  result.holds = false;  // still relaxing past the DAG bound: cyclic
+  return result;
+}
+
 }  // namespace
 
 std::vector<std::vector<Channel>> route_channel_paths(
@@ -109,59 +165,24 @@ std::vector<std::vector<Channel>> route_channel_paths(
 
 DeadlockAnalysis analyze_routes(const topo::Topology& topo,
                                 const RoutingResult& routes) {
-  return analyze(topo, route_channel_paths(topo, routes));
+  return analyze(dependency_graph(topo.wire_capacity() * 2, topo, routes));
 }
 
 DeadlockAnalysis analyze_channel_paths(
     const topo::Topology& topo,
     const std::vector<std::vector<Channel>>& paths) {
-  return analyze(topo, paths);
+  return analyze(dependency_graph(topo.wire_capacity() * 2, paths));
 }
 
 MmCondition check_mm_condition(const topo::Topology& topo,
                                const std::vector<std::vector<Channel>>& paths) {
-  const std::size_t num_channels = topo.wire_capacity() * 2;
-  // Deduplicated dependency edge list, plus the set of participating
-  // channels (the relaxation bound is over those, not the dense capacity).
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  std::vector<bool> participates(num_channels, false);
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      edges.emplace_back(channel_id(path[i]), channel_id(path[i + 1]));
-      participates[edges.back().first] = true;
-      participates[edges.back().second] = true;
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return mm_condition(dependency_graph(topo.wire_capacity() * 2, paths));
+}
 
-  MmCondition result;
-  for (std::size_t c = 0; c < num_channels; ++c) {
-    if (participates[c]) {
-      ++result.channels;
-    }
-  }
-  result.rank.assign(num_channels, 0);
-  // Longest-path relaxation. Each round propagates rank constraints one
-  // more edge down every dependency chain; a DAG's longest chain has at
-  // most `channels` vertices, so a change after round `channels` means a
-  // chain longer than the vertex count — a cycle.
-  for (std::size_t round = 0; round <= result.channels; ++round) {
-    bool changed = false;
-    for (const auto& [from, to] : edges) {
-      if (result.rank[to] <= result.rank[from]) {
-        result.rank[to] = result.rank[from] + 1;
-        changed = true;
-      }
-    }
-    ++result.iterations;
-    if (!changed) {
-      result.holds = true;
-      return result;
-    }
-  }
-  result.holds = false;  // still relaxing past the DAG bound: cyclic
-  return result;
+MmCondition check_mm_condition(const topo::Topology& topo,
+                               const RoutingResult& routes) {
+  return mm_condition(
+      dependency_graph(topo.wire_capacity() * 2, topo, routes));
 }
 
 bool updown_compliant(const RoutingResult& routes) {

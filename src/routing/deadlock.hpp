@@ -32,11 +32,44 @@ struct DeadlockAnalysis {
 };
 
 /// The channel sequence each route holds, in order — the exact dependency
-/// inputs analyze_routes works from. Exposed so an independent cycle
-/// detector (src/verify's differential deadlock oracle) can be run on the
-/// same inputs rather than on its own re-derivation of them.
+/// inputs analyze_routes works from (it streams them via
+/// for_each_dependency instead of materializing them). Exposed so an
+/// independent cycle detector (src/verify's differential deadlock oracle)
+/// can be run on the same inputs rather than on its own re-derivation of
+/// them.
 std::vector<std::vector<Channel>> route_channel_paths(
     const topo::Topology& topo, const RoutingResult& routes);
+
+/// Calls visit(held, requested) for every consecutive channel pair of
+/// every path: the dependency stream all acyclicity checks consume.
+template <typename Visit>
+void for_each_dependency(const std::vector<std::vector<Channel>>& paths,
+                         Visit&& visit) {
+  for (const auto& path : paths) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      visit(path[i], path[i + 1]);
+    }
+  }
+}
+
+/// The same stream read straight off a route table, in route key order —
+/// route_channel_paths(topo, routes) without materializing it, so a check
+/// over a table allocates nothing per hop.
+template <typename Visit>
+void for_each_dependency(const topo::Topology& topo,
+                         const RoutingResult& routes, Visit&& visit) {
+  for (const auto& [key, route] : routes.routes) {
+    Channel held;
+    for (std::size_t i = 0; i < route.wires.size(); ++i) {
+      const Channel next{route.wires[i],
+                         topo.wire(route.wires[i]).a.node == route.nodes[i]};
+      if (i > 0) {
+        visit(held, next);
+      }
+      held = next;
+    }
+  }
+}
 
 /// Analyzes a route set over its topology.
 DeadlockAnalysis analyze_routes(const topo::Topology& topo,
@@ -75,5 +108,8 @@ struct MmCondition {
 /// bound proves a dependency cycle, so the condition fails.
 MmCondition check_mm_condition(const topo::Topology& topo,
                                const std::vector<std::vector<Channel>>& paths);
+/// The same check over a route table's own channel paths.
+MmCondition check_mm_condition(const topo::Topology& topo,
+                               const RoutingResult& routes);
 
 }  // namespace sanmap::routing

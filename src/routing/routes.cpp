@@ -4,17 +4,9 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "routing/all_pairs.hpp"
+#include "routing/updown_paths.hpp"
 
 namespace sanmap::routing {
-
-namespace {
-
-constexpr int kInf = detail::kUnreachable;
-
-using detail::AllPairs;
-
-}  // namespace
 
 const HostRoute& RoutingResult::route(topo::NodeId src,
                                       topo::NodeId dst) const {
@@ -26,11 +18,13 @@ const HostRoute& RoutingResult::route(topo::NodeId src,
 
 std::vector<const HostRoute*> RoutingResult::table_for(
     topo::NodeId src) const {
+  // The map is key-ordered, so one source's routes are one contiguous run.
   std::vector<const HostRoute*> out;
-  for (const auto& [key, value] : routes) {
-    if (key.first == src) {
-      out.push_back(&value);
-    }
+  const auto end = src == std::numeric_limits<topo::NodeId>::max()
+                       ? routes.end()
+                       : routes.lower_bound({src + 1, 0});
+  for (auto it = routes.lower_bound({src, 0}); it != end; ++it) {
+    out.push_back(&it->second);
   }
   return out;
 }
@@ -58,96 +52,48 @@ RoutingResult compute_updown_routes(const topo::Topology& topo,
                                     const UpDownOptions& options,
                                     std::uint64_t seed) {
   RoutingResult result{UpDownOrientation(topo, options), {}, {}};
-  const UpDownOrientation& orientation = result.orientation;
   common::Rng rng(seed);
+  const detail::UpDownPaths paths(topo, result.orientation);
 
-  // Compact node indexing over live nodes.
-  const auto nodes = topo.nodes();
-  const std::size_t n = nodes.size();
-  std::vector<std::size_t> index_of(topo.node_capacity(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    index_of[nodes[i]] = i;
-  }
-
-  // Up/down adjacency, with the parallel-wire lists kept for load-balanced
-  // emission. Self-loop cables are excluded: no valid route uses them.
-  std::vector<std::vector<std::size_t>> up_adj(n);
-  std::vector<std::vector<std::size_t>> down_adj(n);
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<topo::WireId>>
-      wires_between;
-  for (const topo::WireId w : topo.wires()) {
-    const topo::Wire& wire = topo.wire(w);
-    if (wire.a.node == wire.b.node) {
-      continue;
-    }
-    const std::size_t ia = index_of[wire.a.node];
-    const std::size_t ib = index_of[wire.b.node];
-    wires_between[{std::min(ia, ib), std::max(ia, ib)}].push_back(w);
-    if (orientation.goes_up(w, wire.a.node)) {
-      up_adj[ia].push_back(ib);
-      down_adj[ib].push_back(ia);
-    } else {
-      up_adj[ib].push_back(ia);
-      down_adj[ia].push_back(ib);
-    }
-  }
-
-  AllPairs up;
-  up.compute(n, up_adj);
-  AllPairs down;
-  down.compute(n, down_adj);
-
-  // Host pairs: best apex combining an up prefix with a down suffix.
+  // Host pairs: best apex combining an up prefix with a down suffix. Pairs
+  // are emitted in key order, so each lands at the end of the map.
   const auto hosts = topo.hosts();
+  std::vector<std::size_t> cone;
+  std::vector<std::size_t> apexes;
+  std::vector<std::size_t> sequence;
   for (const topo::NodeId src : hosts) {
+    const std::size_t si = paths.index(src);
+    paths.up_cone(si, cone);
     for (const topo::NodeId dst : hosts) {
       if (src == dst) {
         continue;
       }
-      const std::size_t si = index_of[src];
-      const std::size_t di = index_of[dst];
-      int best = kInf;
-      std::vector<std::size_t> apexes;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (up.d(si, k) == kInf || down.d(k, di) == kInf) {
-          continue;
-        }
-        const int total = up.d(si, k) + down.d(k, di);
-        if (total < best) {
-          best = total;
-          apexes.clear();
-        }
-        if (total == best) {
-          apexes.push_back(k);
-        }
-      }
-      SANMAP_CHECK_MSG(best < kInf, "no UP*/DOWN* route between hosts "
-                                        << topo.name(src) << " and "
-                                        << topo.name(dst));
+      const int best = paths.tied_apexes(si, paths.index(dst), cone, apexes);
+      SANMAP_CHECK_MSG(best < detail::kUnreachable,
+                       "no UP*/DOWN* route between hosts "
+                           << topo.name(src) << " and " << topo.name(dst));
       // §5.5's load-balance freedom, applied to equal-cost apexes as well
       // as parallel cables: spread traffic over the tied alternatives.
       const std::size_t apex = rng.pick(apexes);
-      // Node sequence: src ... apex (up moves) ... dst (down moves).
-      std::vector<std::size_t> sequence{si};
-      up.expand(si, apex, sequence);
-      down.expand(apex, di, sequence);
+      paths.path(si, apex, paths.index(dst), sequence);
 
       HostRoute route;
-      route.nodes.reserve(sequence.size());
+      const std::size_t hops = sequence.size() - 1;
+      route.nodes.reserve(hops + 1);
+      route.wires.reserve(hops);
+      route.turns.reserve(hops - 1);
       for (const std::size_t i : sequence) {
-        route.nodes.push_back(nodes[i]);
+        route.nodes.push_back(paths.node(i));
       }
       // Pick a wire per hop (uniformly among parallel cables of that hop's
       // direction — both directions share the cable set).
-      for (std::size_t h = 0; h + 1 < sequence.size(); ++h) {
-        const auto key = std::make_pair(
-            std::min(sequence[h], sequence[h + 1]),
-            std::max(sequence[h], sequence[h + 1]));
-        const auto& candidates = wires_between.at(key);
-        route.wires.push_back(rng.pick(candidates));
+      for (std::size_t h = 0; h < hops; ++h) {
+        route.wires.push_back(
+            rng.pick(paths.cables(sequence[h], sequence[h + 1])));
       }
       recompute_turns(topo, route);
-      result.routes.emplace(std::make_pair(src, dst), std::move(route));
+      result.routes.emplace_hint(result.routes.end(),
+                                 std::make_pair(src, dst), std::move(route));
     }
   }
   return result;

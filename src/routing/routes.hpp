@@ -1,9 +1,10 @@
 // All-pairs UP*/DOWN*-compliant route computation (§5.5).
 //
 // Following the paper, shortest compliant paths are computed with
-// Floyd-Warshall: once over the "up" digraph, once over the "down" digraph
-// (its reverse); a host-to-host route is the best up-prefix + down-suffix
-// through any apex. Where parallel cables join two switches, the emitter
+// Floyd-Warshall over the "up" digraph (the "down" digraph is its reverse,
+// so one table serves both; see routing/updown_paths.hpp); a host-to-host
+// route is the best up-prefix + down-suffix through any apex in the
+// source's up-cone. Where parallel cables join two switches, the emitter
 // picks among them at random for load balance.
 //
 // Routes are emitted both as hop paths (for the deadlock analysis) and as
@@ -71,7 +72,8 @@ struct RoutingResult {
                                        topo::NodeId dst) const;
 
   /// The per-source route table (what the paper distributes to each
-  /// network interface).
+  /// network interface), in ascending destination order. Costs the table's
+  /// size plus a lookup, not a scan of every route.
   [[nodiscard]] std::vector<const HostRoute*> table_for(
       topo::NodeId src) const;
 
