@@ -3,6 +3,7 @@
 #
 #   sanmap gen ... | map | routes --sample 20 | lint --json
 #   sanmap lint --sabotage-turn          (must exit 2 naming an SL101 hop)
+#   sanmap routes / lint --engine dfs --optimize   (the route optimizer)
 #
 # Usage (ctest registers one run per scenario):
 #   cmake -DSANMAP=path/to/sanmap -DSCENARIO=NAME "-DGEN_ARGS=--topology now"
@@ -57,3 +58,6 @@ step(map 0 map --in fabric.topo --out fabric.map)
 step(routes 0 routes --in fabric.map --sample 20)
 step(lint 0 lint --in fabric.map --json)
 step(sabotage 2 lint --in fabric.map --sabotage-turn)
+step(routes-optimize 0 routes --in fabric.map --sample 20 --engine dfs
+     --optimize)
+step(lint-optimize 0 lint --in fabric.map --json --engine dfs --optimize)
