@@ -9,12 +9,12 @@
 //   ./dynamic_reconfiguration [--events N] [--seed N]
 #include <iostream>
 
+#include "analysis/certificates.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/incremental.hpp"
 #include "probe/probe_engine.hpp"
-#include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "simnet/network.hpp"
 #include "topology/algorithms.hpp"
@@ -67,7 +67,7 @@ bool remap(const topo::Topology& network, topo::NodeId mapper_host,
   const bool correct = topo::isomorphic(map, topo::core(network));
   const auto routes = routing::compute_updown_routes(map);
   const bool deadlock_free =
-      routing::analyze_routes(map, routes).deadlock_free;
+      analysis::build_deadlock_certificate(map, routes).deadlock_free;
 
   std::cout << what << ": " << how << " -> " << map.num_hosts() << "h/"
             << map.num_switches() << "s/" << map.num_wires() << "w in "

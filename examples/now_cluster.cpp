@@ -2,7 +2,7 @@
 //
 //   1. map the network with the Berkeley algorithm (master mode),
 //   2. compute mutually deadlock-free UP*/DOWN* routes from the map,
-//   3. prove deadlock freedom with a channel-dependency analysis,
+//   3. prove deadlock freedom with a channel-dependency certificate,
 //   4. "distribute" per-interface route tables and validate every route by
 //      replaying its turn sequence through the simulated fabric.
 //
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "analysis/certificates.hpp"
 #include "common/flags.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "probe/probe_engine.hpp"
@@ -68,13 +69,15 @@ int main(int argc, char** argv) {
             << "\n";
 
   // -- 3. deadlock freedom ----------------------------------------------------
-  const auto analysis = routing::analyze_routes(result.map, routes);
-  std::cout << "deadlock : " << analysis.dependencies
-            << " channel dependencies over " << analysis.channels
+  const auto certificate =
+      analysis::build_deadlock_certificate(result.map, routes);
+  std::cout << "deadlock : " << certificate.dependencies
+            << " channel dependencies over " << certificate.channels
             << " channels -> "
-            << (analysis.deadlock_free ? "ACYCLIC (deadlock-free)" : "CYCLE!")
+            << (certificate.deadlock_free ? "ACYCLIC (deadlock-free)"
+                                          : "CYCLE!")
             << "\n";
-  if (!analysis.deadlock_free || !routing::updown_compliant(routes)) {
+  if (!certificate.deadlock_free || !routing::updown_compliant(routes)) {
     return 1;
   }
 

@@ -13,10 +13,11 @@
 //    check_deadlock() re-derives the dependency edges from the routes and
 //    validates the order / cycle against them.
 //
-// The certificate builders here are deliberately a third deadlock
-// implementation (after routing's DFS 3-coloring and verify's Kahn detector
-// over analyzer-shared inputs), so the fuzzer's analysis_clean oracle can
-// diff three independent verdicts.
+// The deadlock certificate is the one deadlock proof production code runs
+// (build_snapshot, the publish gate, federation, CLI routes and lint).
+// Routing's three-color DFS (routing::analyze_routes) is a different
+// algorithm over the same dependency stream and serves as its cross-check:
+// the fuzzer's analysis-deadlock-diff oracle and the tests diff the two.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +79,9 @@ bool check_legality(const topo::Topology& topo,
                     const LegalityCertificate& cert,
                     std::vector<std::string>* why = nullptr);
 
-/// Builds the deadlock certificate from explicit channel sequences (the
-/// same routing::route_channel_paths inputs the dynamic detectors use),
-/// via Kahn elimination over an explicitly constructed dependency graph.
+/// Builds the deadlock certificate from explicit channel sequences (for
+/// hand-built cyclic route sets), via Kahn elimination over an explicitly
+/// constructed dependency graph.
 DeadlockCertificate build_deadlock_certificate(
     const topo::Topology& topo,
     const std::vector<std::vector<routing::Channel>>& paths);

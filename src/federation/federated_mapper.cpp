@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analysis/certificates.hpp"
+#include "analysis/analyzer.hpp"
 #include "common/thread_pool.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "probe/probe_engine.hpp"
-#include "routing/deadlock.hpp"
 #include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 #include "topology/algorithms.hpp"
@@ -137,17 +136,6 @@ FederatedResult FederatedMapper::run() {
     if (!result.verdict.deadlock.deadlock_free) {
       result.uncertified_reasons.push_back(
           "deadlock certificate records a dependency cycle");
-    }
-    // Never trust the builder: both certificates must survive their
-    // independent re-checkers.
-    std::vector<std::string> why;
-    const auto paths =
-        routing::route_channel_paths(result.map, *result.routes);
-    if (!analysis::check_legality(result.map, *result.routes,
-                                  result.verdict.legality, &why) ||
-        !analysis::check_deadlock(paths, result.verdict.deadlock, &why)) {
-      result.uncertified_reasons.push_back(
-          why.empty() ? "certificate re-check failed" : why.front());
     }
   }
   result.certified = result.uncertified_reasons.empty();

@@ -15,11 +15,12 @@
 // The merged model is then treated exactly like a monolithic one: UP*/DOWN*
 // routes are recomputed from scratch and the static analyzer (src/analysis)
 // re-proves legality and deadlock freedom, with both certificates re-checked
-// by their independent checkers. `certified` summarizes that gate; callers
-// (the CLI, serve --federate, the MapCatalog publish path) must not treat an
+// by their independent checkers inside analysis::analyze (a failed re-check
+// is an SL202 error). `certified` summarizes that gate; callers (the CLI,
+// serve --federate, the MapCatalog publish path) must not treat an
 // uncertified merged map as usable — a federation bug must not be able to
-// smuggle an unsafe route table past the Mendlovic–Matias/Dally–Seitz
-// condition just because no single mapper ever saw the whole fabric.
+// smuggle an unsafe route table past the Dally–Seitz condition just because
+// no single mapper ever saw the whole fabric.
 //
 // Timing model: regions genuinely overlap (each runs on its own host), so
 // the federated wall-clock is the *maximum* of the per-region virtual times

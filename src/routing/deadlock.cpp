@@ -99,69 +99,7 @@ DeadlockAnalysis analyze(const DependencyGraph& graph) {
   return result;
 }
 
-/// Longest-path relaxation over the graph's edges in ascending (from, to)
-/// order (see check_mm_condition in the header).
-MmCondition mm_condition(DependencyGraph graph) {
-  const std::size_t num_channels = graph.next.size();
-  std::vector<bool> participates(num_channels, false);
-  for (std::size_t from = 0; from < num_channels; ++from) {
-    auto& list = graph.next[from];
-    std::sort(list.begin(), list.end());
-    participates[from] = participates[from] || !list.empty();
-    for (const std::size_t to : list) {
-      participates[to] = true;
-    }
-  }
-
-  MmCondition result;
-  for (std::size_t c = 0; c < num_channels; ++c) {
-    if (participates[c]) {
-      ++result.channels;
-    }
-  }
-  result.rank.assign(num_channels, 0);
-  // Each round propagates rank constraints one more edge down every
-  // dependency chain; a DAG's longest chain has at most `channels`
-  // vertices, so a change after round `channels` means a chain longer than
-  // the vertex count — a cycle.
-  for (std::size_t round = 0; round <= result.channels; ++round) {
-    bool changed = false;
-    for (std::size_t from = 0; from < num_channels; ++from) {
-      for (const std::size_t to : graph.next[from]) {
-        if (result.rank[to] <= result.rank[from]) {
-          result.rank[to] = result.rank[from] + 1;
-          changed = true;
-        }
-      }
-    }
-    ++result.iterations;
-    if (!changed) {
-      result.holds = true;
-      return result;
-    }
-  }
-  result.holds = false;  // still relaxing past the DAG bound: cyclic
-  return result;
-}
-
 }  // namespace
-
-std::vector<std::vector<Channel>> route_channel_paths(
-    const topo::Topology& topo, const RoutingResult& routes) {
-  std::vector<std::vector<Channel>> paths;
-  paths.reserve(routes.routes.size());
-  for (const auto& [key, route] : routes.routes) {
-    std::vector<Channel> channels;
-    channels.reserve(route.wires.size());
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      channels.push_back(Channel{route.wires[i],
-                                 wire.a.node == route.nodes[i]});
-    }
-    paths.push_back(std::move(channels));
-  }
-  return paths;
-}
 
 DeadlockAnalysis analyze_routes(const topo::Topology& topo,
                                 const RoutingResult& routes) {
@@ -172,17 +110,6 @@ DeadlockAnalysis analyze_channel_paths(
     const topo::Topology& topo,
     const std::vector<std::vector<Channel>>& paths) {
   return analyze(dependency_graph(topo.wire_capacity() * 2, paths));
-}
-
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const std::vector<std::vector<Channel>>& paths) {
-  return mm_condition(dependency_graph(topo.wire_capacity() * 2, paths));
-}
-
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const RoutingResult& routes) {
-  return mm_condition(
-      dependency_graph(topo.wire_capacity() * 2, topo, routes));
 }
 
 bool updown_compliant(const RoutingResult& routes) {

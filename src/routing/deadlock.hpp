@@ -3,8 +3,11 @@
 // Channels are the directed halves of every wire. Each route contributes a
 // dependency from every channel it holds to the next one it requests; a
 // set of routes is mutually deadlock-free iff the resulting dependency
-// graph is acyclic. This is the formal check behind §5.5's claim that the
-// distributed UP*/DOWN* routes are mutually deadlock-free.
+// graph is acyclic. This is the check behind §5.5's claim that the
+// distributed UP*/DOWN* routes are mutually deadlock-free. Production code
+// proves it with analysis::DeadlockCertificate (Kahn elimination over the
+// dependency streams below); the three-color DFS here is its one
+// independent cross-check.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +34,6 @@ struct DeadlockAnalysis {
   std::vector<Channel> cycle;
 };
 
-/// The channel sequence each route holds, in order — the exact dependency
-/// inputs analyze_routes works from (it streams them via
-/// for_each_dependency instead of materializing them). Exposed so an
-/// independent cycle detector (src/verify's differential deadlock oracle)
-/// can be run on the same inputs rather than on its own re-derivation of
-/// them.
-std::vector<std::vector<Channel>> route_channel_paths(
-    const topo::Topology& topo, const RoutingResult& routes);
-
 /// Calls visit(held, requested) for every consecutive channel pair of
 /// every path: the dependency stream all acyclicity checks consume.
 template <typename Visit>
@@ -52,9 +46,10 @@ void for_each_dependency(const std::vector<std::vector<Channel>>& paths,
   }
 }
 
-/// The same stream read straight off a route table, in route key order —
-/// route_channel_paths(topo, routes) without materializing it, so a check
-/// over a table allocates nothing per hop.
+/// The same stream read straight off a route table, in route key order:
+/// each route's channels are the directed halves of its wires, in hop
+/// order. Nothing is materialized, so a check over a table allocates
+/// nothing per hop.
 template <typename Visit>
 void for_each_dependency(const topo::Topology& topo,
                          const RoutingResult& routes, Visit&& visit) {
@@ -71,7 +66,9 @@ void for_each_dependency(const topo::Topology& topo,
   }
 }
 
-/// Analyzes a route set over its topology.
+/// Analyzes a route set over its topology by three-color DFS: the
+/// cross-check of the certificate, used by tests, the route goldens and the
+/// fuzzer's analysis-deadlock-diff oracle.
 DeadlockAnalysis analyze_routes(const topo::Topology& topo,
                                 const RoutingResult& routes);
 
@@ -83,33 +80,5 @@ DeadlockAnalysis analyze_channel_paths(
 
 /// True when every route obeys the UP*/DOWN* rule: no down-to-up turn.
 bool updown_compliant(const RoutingResult& routes);
-
-/// The Mendlovic–Matias-style acyclicity witness: a rank function over the
-/// channels that strictly increases along every consecutive channel pair of
-/// every route. Such a function exists iff the channel-dependency graph is
-/// acyclic — i.e. iff the (deterministic) routing relation is deadlock-free
-/// — so computing one is a third, algorithmically independent proof next to
-/// the Kahn-based DeadlockCertificate and the three-color DFS detector.
-struct MmCondition {
-  /// A finite rank assignment exists (the condition holds).
-  bool holds = false;
-  /// Channels that participate in at least one dependency.
-  std::size_t channels = 0;
-  /// Relaxation rounds used; bounded by `channels` when the condition
-  /// holds, `channels` + 1 when it does not.
-  std::size_t iterations = 0;
-  /// rank[channel id] for participating channels (meaningful iff holds).
-  std::vector<std::uint32_t> rank;
-};
-
-/// Checks the condition by longest-path relaxation: ranks start at zero and
-/// every dependency (a, b) forces rank(b) > rank(a). On a DAG this settles
-/// within `channels` rounds; a round that still raises a rank after that
-/// bound proves a dependency cycle, so the condition fails.
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const std::vector<std::vector<Channel>>& paths);
-/// The same check over a route table's own channel paths.
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const RoutingResult& routes);
 
 }  // namespace sanmap::routing

@@ -17,9 +17,9 @@
 // shortest alternatives — tied apexes, parallel cables — the emitter picks
 // deterministically by current channel load instead of at random, which is
 // what cuts parallel-cable skew and root funneling. Acyclicity of the
-// emitted table is re-checked via the Mendlovic–Matias condition
-// (check_mm_condition) and the independent certificate checkers; an engine
-// does not get to assume its own correctness argument.
+// emitted table is proved by the analysis layer's DeadlockCertificate and
+// its independent checker; an engine does not get to assume its own
+// correctness argument.
 #pragma once
 
 #include <cstdint>

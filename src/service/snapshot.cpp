@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "analysis/certificates.hpp"
 #include "common/check.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/engine.hpp"
@@ -31,8 +32,8 @@ MapSnapshot build_snapshot(const topo::Topology& map,
     routing::optimize_routes(compacted, routes);
   }
 
-  const routing::DeadlockAnalysis analysis =
-      routing::analyze_routes(compacted, routes);
+  const analysis::DeadlockCertificate certificate =
+      analysis::build_deadlock_certificate(compacted, routes);
   const bool compliant = routing::updown_compliant(routes);
   const double mean_hops = routes.mean_hops();
   const int max_hops = routes.max_hops();
@@ -41,10 +42,10 @@ MapSnapshot build_snapshot(const topo::Topology& map,
                      std::move(compacted),
                      std::move(routes),
                      options,
-                     analysis.deadlock_free,
+                     certificate.deadlock_free,
                      compliant,
-                     analysis.channels,
-                     analysis.dependencies,
+                     certificate.channels,
+                     certificate.dependencies,
                      mean_hops,
                      max_hops};
 }

@@ -41,8 +41,8 @@ struct SnapshotOptions {
   /// safety independently either way.
   routing::EngineKind engine = routing::EngineKind::kUpDown;
   /// Run the skew/funnel RouteOptimizer pass over the table before the
-  /// safety verdict (the optimizer re-proves legality after every rewrite,
-  /// and the snapshot verdict re-checks the final table regardless).
+  /// safety verdict (the optimizer walks the final table's legality once,
+  /// and the snapshot's deadlock certificate covers it regardless).
   bool optimize = false;
 };
 
@@ -60,8 +60,9 @@ struct MapSnapshot {
   SnapshotOptions options;
 
   // -- safety verdict (filled by build_snapshot) ---------------------------
-  /// Dally & Seitz channel-dependency analysis: acyclic, hence mutually
-  /// deadlock-free. MapCatalog refuses to publish when false.
+  /// Dally & Seitz channel-dependency analysis, from the Kahn-based
+  /// analysis::DeadlockCertificate: acyclic, hence mutually deadlock-free.
+  /// MapCatalog refuses to publish when false.
   bool deadlock_free = false;
   /// Every route obeys the UP*/DOWN* rule (no down-to-up turn).
   bool compliant = false;
@@ -76,8 +77,8 @@ struct MapSnapshot {
 using SnapshotPtr = std::shared_ptr<const MapSnapshot>;
 
 /// Builds a snapshot from a map: compacts it, resolves the root by name,
-/// computes the routes, and runs the deadlock analysis. The map must be
-/// connected with at least one switch and one host (the router's
+/// computes the routes, and builds their deadlock certificate. The map must
+/// be connected with at least one switch and one host (the router's
 /// precondition). Throws via SANMAP_CHECK when `options.root_name` names no
 /// switch of the map.
 MapSnapshot build_snapshot(const topo::Topology& map,

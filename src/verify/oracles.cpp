@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -15,6 +14,7 @@
 #include "mapper/robust_mapper.hpp"
 #include "myricom/myricom_mapper.hpp"
 #include "probe/probe_engine.hpp"
+#include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/isomorphism.hpp"
@@ -36,56 +36,6 @@ std::string OracleReport::summary() const {
     oss << "skipped " << s << '\n';
   }
   return oss.str();
-}
-
-bool channel_paths_acyclic(
-    const std::vector<std::vector<routing::Channel>>& paths) {
-  // Dense channel indexing; dependency edges deduplicated per source.
-  std::map<routing::Channel, std::size_t> index;
-  const auto id_of = [&](const routing::Channel& ch) {
-    return index.emplace(ch, index.size()).first->second;
-  };
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> in_degree;
-  const auto grow = [&](std::size_t n) {
-    if (out.size() <= n) {
-      out.resize(n + 1);
-      in_degree.resize(n + 1, 0);
-    }
-  };
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::size_t from = id_of(path[i]);
-      const std::size_t to = id_of(path[i + 1]);
-      grow(std::max(from, to));
-      if (std::find(out[from].begin(), out[from].end(), to) ==
-          out[from].end()) {
-        out[from].push_back(to);
-        ++in_degree[to];
-      }
-    }
-  }
-  grow(index.empty() ? 0 : index.size() - 1);
-  // Kahn: repeatedly eliminate zero-in-degree channels; a leftover means a
-  // cycle.
-  std::vector<std::size_t> ready;
-  for (std::size_t v = 0; v < in_degree.size(); ++v) {
-    if (in_degree[v] == 0) {
-      ready.push_back(v);
-    }
-  }
-  std::size_t eliminated = 0;
-  while (!ready.empty()) {
-    const std::size_t v = ready.back();
-    ready.pop_back();
-    ++eliminated;
-    for (const std::size_t w : out[v]) {
-      if (--in_degree[w] == 0) {
-        ready.push_back(w);
-      }
-    }
-  }
-  return eliminated == in_degree.size();
 }
 
 namespace {
@@ -253,8 +203,13 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
                         : "myricom-diff: disabled");
   }
 
-  if (options.deadlock && have_berkeley && berkeley.map.num_switches() >= 1 &&
-      berkeley.map.num_hosts() >= 1) {
+  // The route safety oracle: route the Berkeley map once, require
+  // UP*/DOWN* compliance, run sanlint's analyzer over the table (it builds
+  // both certificates and re-checks them; a failed re-check is an SL202
+  // error) and diff its deadlock certificate against the independent
+  // three-color DFS.
+  if (options.analysis && have_berkeley &&
+      berkeley.map.num_switches() >= 1 && berkeley.map.num_hosts() >= 1) {
     try {
       const routing::RoutingResult routes =
           routing::compute_updown_routes(berkeley.map, {}, options.route_seed);
@@ -262,42 +217,6 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
         report.violations.push_back(
             {"deadlock-updown", "a route takes a down-to-up turn"});
       }
-      const auto paths =
-          routing::route_channel_paths(berkeley.map, routes);
-      const routing::DeadlockAnalysis analysis =
-          routing::analyze_channel_paths(berkeley.map, paths);
-      const bool independent = channel_paths_acyclic(paths);
-      if (!analysis.deadlock_free) {
-        report.violations.push_back(
-            {"deadlock-cycle",
-             "channel dependency cycle of " +
-                 std::to_string(analysis.cycle.size()) + " channels"});
-      }
-      if (analysis.deadlock_free != independent) {
-        report.violations.push_back(
-            {"deadlock-differential",
-             std::string("DFS coloring says ") +
-                 (analysis.deadlock_free ? "acyclic" : "cyclic") +
-                 " but Kahn elimination says " +
-                 (independent ? "acyclic" : "cyclic")});
-      }
-    } catch (const std::exception& e) {
-      report.violations.push_back({"routing-crash", e.what()});
-    }
-  } else {
-    report.skipped.push_back(
-        options.deadlock ? "deadlock: no usable Berkeley map"
-                         : "deadlock: disabled");
-  }
-
-  // The static pass: run sanlint's analyzer over the same map and routes
-  // and diff its deadlock verdict against both dynamic detectors. Any
-  // disagreement means one of three independent implementations is wrong.
-  if (options.analysis && have_berkeley &&
-      berkeley.map.num_switches() >= 1 && berkeley.map.num_hosts() >= 1) {
-    try {
-      const routing::RoutingResult routes =
-          routing::compute_updown_routes(berkeley.map, {}, options.route_seed);
       const analysis::AnalysisResult verdict =
           analysis::analyze(berkeley.map, routes);
       for (const analysis::Diagnostic& d : verdict.report.diagnostics()) {
@@ -306,29 +225,16 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
               {"analysis-clean", d.code + " " + d.location + ": " + d.message});
         }
       }
-      const auto paths = routing::route_channel_paths(berkeley.map, routes);
       const bool dfs_verdict =
-          routing::analyze_channel_paths(berkeley.map, paths).deadlock_free;
-      const bool kahn_verdict = channel_paths_acyclic(paths);
+          routing::analyze_routes(berkeley.map, routes).deadlock_free;
       if (verdict.analyzed_routes &&
-          (verdict.deadlock.deadlock_free != dfs_verdict ||
-           verdict.deadlock.deadlock_free != kahn_verdict)) {
+          verdict.deadlock.deadlock_free != dfs_verdict) {
         report.violations.push_back(
             {"analysis-deadlock-diff",
-             std::string("static certificate says ") +
+             std::string("deadlock certificate says ") +
                  (verdict.deadlock.deadlock_free ? "acyclic" : "cyclic") +
-                 " but DFS says " + (dfs_verdict ? "acyclic" : "cyclic") +
-                 " and Kahn says " + (kahn_verdict ? "acyclic" : "cyclic")});
-      }
-      if (verdict.analyzed_routes) {
-        std::vector<std::string> why;
-        if (!analysis::check_legality(berkeley.map, routes, verdict.legality,
-                                      &why) ||
-            !analysis::check_deadlock(paths, verdict.deadlock, &why)) {
-          report.violations.push_back(
-              {"analysis-certificate",
-               why.empty() ? "certificate re-check failed" : why.front()});
-        }
+                 " but three-color DFS says " +
+                 (dfs_verdict ? "acyclic" : "cyclic")});
       }
     } catch (const std::exception& e) {
       report.violations.push_back({"analysis-crash", e.what()});

@@ -13,19 +13,14 @@
 //                     is isomorphic to ALL of C (§4.1 maps host-free
 //                     regions too), and the two mappers agree differentially:
 //                     core(Myricom's map) ≅ Berkeley's map.
-//  * deadlock       — UP*/DOWN* routes over the Berkeley map are compliant
-//                     and deadlock-free per routing::analyze_routes (DFS
-//                     3-coloring), AND an independent Kahn's-algorithm
-//                     detector over the same routing::route_channel_paths
-//                     input reaches the same acyclicity verdict.
-//  * analysis-clean — the static analyzer (src/analysis) over the Berkeley
-//                     map and its routes reports no ERROR diagnostic, its
-//                     deadlock-certificate verdict agrees with BOTH dynamic
-//                     detectors (DFS 3-coloring and Kahn elimination), and
-//                     both certificates survive their independent
-//                     re-checkers. Three ways to fail, three keys:
-//                     analysis-clean, analysis-deadlock-diff,
-//                     analysis-certificate.
+//  * analysis-clean — UP*/DOWN* routes over the Berkeley map, routed once,
+//                     are compliant (deadlock-updown); the static analyzer
+//                     (src/analysis) over the map and those routes reports
+//                     no ERROR diagnostic (analysis-clean: SL201 is a
+//                     dependency cycle, SL202 a certificate that failed its
+//                     independent re-checker); and the Kahn-based deadlock
+//                     certificate agrees with the three-color DFS detector
+//                     routing::analyze_routes (analysis-deadlock-diff).
 //  * conservation   — the ConservationChecker hook, attached to the network
 //                     for the whole mapping session, observed no accounting
 //                     violation.
@@ -65,7 +60,7 @@
 //                     probes than that from-scratch remap.
 //
 // Oracles that do not apply to a case (Myricom under circuit switching,
-// deadlock on a switchless map, iso under flapping links) are recorded as
+// analysis on a switchless map, iso under flapping links) are recorded as
 // skipped so a fuzzing report can prove coverage, not just absence of
 // failures.
 #pragma once
@@ -74,16 +69,14 @@
 #include <string>
 #include <vector>
 
-#include "routing/deadlock.hpp"
 #include "verify/scenario_case.hpp"
 
 namespace sanmap::verify {
 
 struct Violation {
   /// Stable oracle key: "berkeley-iso", "berkeley-crash", "myricom-diff",
-  /// "myricom-crash", "deadlock-updown", "deadlock-cycle",
-  /// "deadlock-differential", "routing-crash", "analysis-clean",
-  /// "analysis-deadlock-diff", "analysis-certificate", "analysis-crash",
+  /// "myricom-crash", "deadlock-updown", "analysis-clean",
+  /// "analysis-deadlock-diff", "analysis-crash",
   /// "conservation", "pipeline-equiv", "pipeline-crash", "robust-iso",
   /// "robust-crash", "incremental-equiv", "incremental-crash",
   /// "federated-iso", "federated-certify", "federated-crash".
@@ -106,7 +99,6 @@ struct OracleReport {
 struct OracleOptions {
   bool berkeley = true;
   bool myricom = true;
-  bool deadlock = true;
   bool analysis = true;
   bool conservation = true;
   bool pipeline = true;
@@ -138,13 +130,5 @@ struct OracleOptions {
 /// Runs every applicable oracle on the case.
 OracleReport run_oracles(const ScenarioCase& c,
                          const OracleOptions& options = {});
-
-/// The independent channel-dependency-graph acyclicity check: Kahn's
-/// algorithm (iterated zero-in-degree elimination) over the dependencies in
-/// `paths` — deliberately a different algorithm from the DFS 3-coloring in
-/// routing::analyze_channel_paths, so the two can cross-check each other.
-/// Returns true when the dependency graph is acyclic.
-bool channel_paths_acyclic(
-    const std::vector<std::vector<routing::Channel>>& paths);
 
 }  // namespace sanmap::verify

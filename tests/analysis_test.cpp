@@ -220,13 +220,12 @@ TEST(LegalityCertificate, InjectedTurnIsFlaggedAtItsExactHop) {
 TEST(DeadlockCertificate, AcyclicFabricsCarryATopologicalOrder) {
   for (const topo::Topology& t : healthy_fabrics()) {
     const auto routes = routing::compute_updown_routes(t, {}, 1);
-    const auto paths = routing::route_channel_paths(t, routes);
-    const auto cert = analysis::build_deadlock_certificate(t, paths);
+    const auto cert = analysis::build_deadlock_certificate(t, routes);
     EXPECT_TRUE(cert.deadlock_free);
     EXPECT_TRUE(cert.cycle.empty());
     EXPECT_FALSE(cert.topological_order.empty());
     std::vector<std::string> why;
-    EXPECT_TRUE(analysis::check_deadlock(paths, cert, &why))
+    EXPECT_TRUE(analysis::check_deadlock(t, routes, cert, &why))
         << (why.empty() ? "" : why.front());
   }
 }
@@ -254,9 +253,9 @@ TEST(DeadlockCertificate, HandBuiltCycleYieldsACounterexample) {
   EXPECT_FALSE(analysis::check_deadlock(paths, tampered, &why));
 }
 
-TEST(DeadlockCertificate, AgreesWithBothDynamicDetectorsOnRandomFabrics) {
-  // The property behind the fuzzer's analysis_clean oracle, pinned here
-  // deterministically: on 200 seeded random topologies the certificate
+TEST(DeadlockCertificate, AgreesWithTheDfsDetectorOnRandomFabrics) {
+  // The property behind the fuzzer's analysis-deadlock-diff oracle, pinned
+  // here deterministically: on 200 seeded random topologies the certificate
   // verdict matches routing's DFS 3-coloring detector.
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     common::Rng rng(seed);
@@ -266,13 +265,12 @@ TEST(DeadlockCertificate, AgreesWithBothDynamicDetectorsOnRandomFabrics) {
     const topo::Topology t =
         topo::random_irregular(switches, hosts, extra, rng);
     const auto routes = routing::compute_updown_routes(t, {}, seed);
-    const auto paths = routing::route_channel_paths(t, routes);
-    const auto dynamic = routing::analyze_channel_paths(t, paths);
-    const auto cert = analysis::build_deadlock_certificate(t, paths);
+    const auto dynamic = routing::analyze_routes(t, routes);
+    const auto cert = analysis::build_deadlock_certificate(t, routes);
     ASSERT_EQ(cert.deadlock_free, dynamic.deadlock_free)
         << "static/dynamic deadlock verdicts diverge at seed " << seed;
     std::vector<std::string> why;
-    ASSERT_TRUE(analysis::check_deadlock(paths, cert, &why))
+    ASSERT_TRUE(analysis::check_deadlock(t, routes, cert, &why))
         << "seed " << seed << ": " << (why.empty() ? "" : why.front());
     const auto legality = analysis::build_legality_certificate(t, routes);
     ASSERT_TRUE(legality.all_legal) << "seed " << seed;
@@ -465,26 +463,25 @@ TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
   fat.hosts_per_leaf = 2;
   const topo::Topology t = topo::fat_tree(fat);
   const auto routes = routing::compute_updown_routes(t, {}, 1);
-  const auto paths = routing::route_channel_paths(t, routes);
   const auto full = analysis::analyze(t, routes);
   ASSERT_TRUE(full.analyzed_routes);
-  ASSERT_TRUE(analysis::check_deadlock(paths, full.deadlock));
+  ASSERT_TRUE(analysis::check_deadlock(t, routes, full.deadlock));
   ASSERT_TRUE(analysis::check_legality(t, routes, full.legality));
   {
     auto cert = full.deadlock;
     std::reverse(cert.topological_order.begin(),
                  cert.topological_order.end());
-    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, cert));
   }
   {
     auto cert = full.deadlock;
     cert.topological_order.pop_back();
-    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, cert));
   }
   {
     auto cert = full.deadlock;
     cert.dependencies -= 1;
-    EXPECT_FALSE(analysis::check_deadlock(paths, cert));
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, cert));
   }
   {
     auto cert = full.legality;
@@ -498,7 +495,7 @@ TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
   }
 }
 
-// The checkers derive dependencies from the paths with their own dense
+// The checkers derive dependencies from the routes with their own dense
 // accounting; each fabricated piece of evidence below must still fail.
 TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
   topo::FatTreeOptions fat;
@@ -506,17 +503,16 @@ TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
   fat.hosts_per_leaf = 2;
   const topo::Topology t = topo::fat_tree(fat);
   const auto routes = routing::compute_updown_routes(t, {}, 1);
-  const auto paths = routing::route_channel_paths(t, routes);
-  const auto cert = analysis::build_deadlock_certificate(t, paths);
+  const auto cert = analysis::build_deadlock_certificate(t, routes);
   ASSERT_TRUE(cert.deadlock_free);
-  ASSERT_TRUE(analysis::check_deadlock(paths, cert));
+  ASSERT_TRUE(analysis::check_deadlock(t, routes, cert));
   std::vector<std::string> why;
   for (const int delta : {-1, +1}) {
     auto wrong = cert;
     wrong.dependencies = static_cast<std::size_t>(
         static_cast<long>(wrong.dependencies) + delta);
     why.clear();
-    EXPECT_FALSE(analysis::check_deadlock(paths, wrong, &why)) << delta;
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, wrong, &why)) << delta;
     ASSERT_FALSE(why.empty());
     EXPECT_NE(why.front().find("dependencies"), std::string::npos)
         << why.front();
@@ -524,17 +520,21 @@ TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
   {
     // Swap the two channels of one real dependency: exactly one edge now
     // points backward, everything else stays consistent.
-    const auto& path = *std::find_if(
-        paths.begin(), paths.end(),
-        [](const auto& p) { return p.size() >= 2; });
+    routing::Channel held;
+    routing::Channel requested;
+    routing::for_each_dependency(
+        t, routes, [&](const routing::Channel& h, const routing::Channel& r) {
+          held = h;
+          requested = r;
+        });
     auto wrong = cert;
     auto& order = wrong.topological_order;
-    const auto from = std::find(order.begin(), order.end(), path[0]);
-    const auto to = std::find(order.begin(), order.end(), path[1]);
+    const auto from = std::find(order.begin(), order.end(), held);
+    const auto to = std::find(order.begin(), order.end(), requested);
     ASSERT_TRUE(from != order.end() && to != order.end());
     std::iter_swap(from, to);
     why.clear();
-    EXPECT_FALSE(analysis::check_deadlock(paths, wrong, &why));
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, wrong, &why));
     ASSERT_FALSE(why.empty());
     EXPECT_NE(why.front().find("backward"), std::string::npos)
         << why.front();
@@ -542,7 +542,7 @@ TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
   {
     auto wrong = cert;
     wrong.topological_order.push_back(wrong.topological_order.front());
-    EXPECT_FALSE(analysis::check_deadlock(paths, wrong));
+    EXPECT_FALSE(analysis::check_deadlock(t, routes, wrong));
   }
 }
 

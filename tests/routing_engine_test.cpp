@@ -1,6 +1,6 @@
 // The routing::Engine interface: the DFS-order load-aware engine next to
-// UP*/DOWN*, the Mendlovic–Matias acyclicity checker, the RouteOptimizer,
-// and the regressions this PR fixes — SL403 consuming the engine's cable
+// UP*/DOWN*, the deadlock certificate against its DFS cross-check, the
+// RouteOptimizer, and regressions — SL403 consuming the engine's cable
 // plan, self_heal_routes escalating on an unroutable partial remap, and
 // the snapshot codec carrying engine + optimizer provenance (v2, with v1
 // back-compat).
@@ -48,22 +48,13 @@ bool same_tables(const routing::RoutingResult& a,
   return a.meta.cable_plan == b.meta.cable_plan;
 }
 
-/// Full certification stack for a table: 3-color DFS acyclicity, order
-/// compliance, the MM condition, and both analysis-layer certificates
-/// surviving their independent re-checkers.
+/// Full certification stack for a table: order compliance, both
+/// analysis-layer certificates surviving their independent re-checkers, and
+/// the three-color DFS agreeing that the dependency graph is acyclic.
 ::testing::AssertionResult certifies(const topo::Topology& t,
                                      const routing::RoutingResult& routes) {
-  const auto paths = routing::route_channel_paths(t, routes);
-  const auto dfs3 = routing::analyze_channel_paths(t, paths);
-  if (!dfs3.deadlock_free) {
-    return ::testing::AssertionFailure() << "3-color DFS found a cycle";
-  }
   if (!routing::updown_compliant(routes)) {
     return ::testing::AssertionFailure() << "a down-to-up turn slipped in";
-  }
-  const auto mm = routing::check_mm_condition(t, paths);
-  if (!mm.holds) {
-    return ::testing::AssertionFailure() << "MM condition violated";
   }
   std::vector<std::string> why;
   const auto legality = analysis::build_legality_certificate(t, routes);
@@ -73,12 +64,15 @@ bool same_tables(const routing::RoutingResult& a,
            << "legality certificate failed: "
            << (why.empty() ? "illegal route" : why.front());
   }
-  const auto deadlock = analysis::build_deadlock_certificate(t, paths);
+  const auto deadlock = analysis::build_deadlock_certificate(t, routes);
   if (!deadlock.deadlock_free ||
-      !analysis::check_deadlock(paths, deadlock, &why)) {
+      !analysis::check_deadlock(t, routes, deadlock, &why)) {
     return ::testing::AssertionFailure()
            << "deadlock certificate failed: "
            << (why.empty() ? "cycle recorded" : why.front());
+  }
+  if (!routing::analyze_routes(t, routes).deadlock_free) {
+    return ::testing::AssertionFailure() << "3-color DFS found a cycle";
   }
   return ::testing::AssertionSuccess();
 }
@@ -121,11 +115,12 @@ TEST(Engine, DfsCutsMaxChannelLoadOnFig5) {
   EXPECT_LT(ld.max_channel_load, lu.max_channel_load);
 }
 
-// The 200-topology property sweep: both engines must produce tables whose
-// channel-dependency graph satisfies the Mendlovic–Matias condition, in
-// agreement with the Kahn-based DeadlockCertificate checker and the 3-color
-// DFS — three independent acyclicity algorithms, one verdict.
-TEST(Engine, MmConditionHoldsOn200RandomTopologies) {
+// The 200-topology property sweep: for both engines, on the raw table and
+// on the optimized one, the table is compliant, its Kahn-based deadlock
+// certificate holds and survives check_deadlock, and the three-color DFS
+// reaches the same verdict — two independent acyclicity algorithms, one
+// verdict. The optimizer's single legality walk never reverts.
+TEST(Engine, CertificateAndDfsAgreeOn200RandomTopologies) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     common::Rng rng(seed);
     // 8 ports a switch: the spanning tree burns 2(s-1) ends and each extra
@@ -139,20 +134,24 @@ TEST(Engine, MmConditionHoldsOn200RandomTopologies) {
         topo::random_irregular(switches, hosts, extra, rng);
     for (const auto kind :
          {routing::EngineKind::kUpDown, routing::EngineKind::kDfs}) {
-      const auto routes = routing::compute_routes(t, kind, {}, seed);
-      const auto paths = routing::route_channel_paths(t, routes);
-      const auto mm = routing::check_mm_condition(t, paths);
-      const auto dfs3 = routing::analyze_channel_paths(t, paths);
-      const auto cert = analysis::build_deadlock_certificate(t, paths);
-      std::vector<std::string> why;
-      ASSERT_TRUE(mm.holds) << "seed " << seed << " engine "
-                            << routing::to_string(kind);
-      ASSERT_EQ(mm.holds, dfs3.deadlock_free) << "seed " << seed;
-      ASSERT_EQ(mm.holds, cert.deadlock_free) << "seed " << seed;
-      ASSERT_TRUE(analysis::check_deadlock(paths, cert, &why))
-          << "seed " << seed << ": "
-          << (why.empty() ? "?" : why.front());
-      ASSERT_TRUE(routing::updown_compliant(routes)) << "seed " << seed;
+      auto routes = routing::compute_routes(t, kind, {}, seed);
+      for (const bool optimized : {false, true}) {
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " engine " + routing::to_string(kind) +
+                                  (optimized ? " optimized" : " raw");
+        if (optimized) {
+          ASSERT_FALSE(routing::optimize_routes(t, routes).reverted) << where;
+        }
+        const auto cert = analysis::build_deadlock_certificate(t, routes);
+        std::vector<std::string> why;
+        ASSERT_TRUE(cert.deadlock_free) << where;
+        ASSERT_TRUE(analysis::check_deadlock(t, routes, cert, &why))
+            << where << ": " << (why.empty() ? "?" : why.front());
+        ASSERT_EQ(routing::analyze_routes(t, routes).deadlock_free,
+                  cert.deadlock_free)
+            << where;
+        ASSERT_TRUE(routing::updown_compliant(routes)) << where;
+      }
     }
   }
 }

@@ -230,35 +230,6 @@ TEST(Oracles, IncrementalRepairSurvivesSkippedMerges) {
   EXPECT_FALSE(report.violates("incremental-crash")) << report.summary();
 }
 
-// ---------------------------------------------------------- Kahn detector --
-
-TEST(KahnDetector, AgreesWithDfsColoringOnRealRoutes) {
-  for (const Topology& t :
-       {topo::star(4, 2), topo::mesh(3, 3, 1), topo::hypercube(3, 1)}) {
-    const routing::RoutingResult routes =
-        routing::compute_updown_routes(t, {}, 1);
-    const auto paths = routing::route_channel_paths(t, routes);
-    const routing::DeadlockAnalysis analysis =
-        routing::analyze_channel_paths(t, paths);
-    EXPECT_EQ(analysis.deadlock_free, channel_paths_acyclic(paths));
-    EXPECT_TRUE(channel_paths_acyclic(paths));  // UP*/DOWN* is deadlock-free
-  }
-}
-
-TEST(KahnDetector, FlagsAHandBuiltCycle) {
-  // Three channels in a ring of dependencies: A->B, B->C, C->A.
-  const routing::Channel a{0, true};
-  const routing::Channel b{1, true};
-  const routing::Channel c{2, true};
-  const std::vector<std::vector<routing::Channel>> cyclic = {
-      {a, b}, {b, c}, {c, a}};
-  EXPECT_FALSE(channel_paths_acyclic(cyclic));
-  const std::vector<std::vector<routing::Channel>> acyclic = {
-      {a, b}, {a, c}, {b, c}};
-  EXPECT_TRUE(channel_paths_acyclic(acyclic));
-  EXPECT_TRUE(channel_paths_acyclic({}));  // no routes, no deadlock
-}
-
 // ------------------------------------------------------------ conservation --
 
 TEST(Conservation, CleanOnARealMappingSession) {

@@ -467,9 +467,10 @@ int cmd_routes(int argc, const char* const* argv) {
     std::cout << "optimizer     : max channel load " << opt.max_load_before
               << " -> " << opt.max_load_after << " (" << opt.path_moves
               << " path moves, " << opt.cable_moves << " cable moves"
-              << (opt.reverted ? ", 1+ rounds reverted" : "") << ")\n";
+              << (opt.reverted ? ", reverted" : "") << ")\n";
   }
-  const auto analysis = routing::analyze_routes(t, routes);
+  const analysis::DeadlockCertificate certificate =
+      analysis::build_deadlock_certificate(t, routes);
   std::cout << "engine        : " << routing::to_string(routes.meta.engine)
             << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
@@ -478,8 +479,8 @@ int cmd_routes(int argc, const char* const* argv) {
             << common::fmt(routes.mean_hops(), 2) << " hops, max "
             << routes.max_hops() << ")\n";
   std::cout << "deadlock-free : "
-            << (analysis.deadlock_free ? "yes" : "NO — cycle found") << " ("
-            << analysis.dependencies << " channel dependencies)\n";
+            << (certificate.deadlock_free ? "yes" : "NO — cycle found")
+            << " (" << certificate.dependencies << " channel dependencies)\n";
   std::cout << "compliant     : "
             << (routing::updown_compliant(routes) ? "yes" : "NO") << "\n";
 
@@ -494,7 +495,7 @@ int cmd_routes(int argc, const char* const* argv) {
                     simnet::to_string(route.turns)});
   }
   std::cout << "\n" << sample;
-  return analysis.deadlock_free ? 0 : 1;
+  return certificate.deadlock_free ? 0 : 1;
 }
 
 // Parses a --faults spec: comma-separated timeline events over the input
