@@ -5,8 +5,9 @@
 // machine-checkable certificates: UP*/DOWN* legality per route and
 // deadlock freedom via an explicit channel-dependency graph (topological
 // order, or a concrete cycle as counterexample). It is the gate behind
-// `sanmap lint`, the MapCatalog publish path, and the fuzzer's
-// analysis_clean oracle — one analyzer, three enforcement layers.
+// `sanmap lint`, the MapCatalog publish path, federation's certification
+// and the fuzzer's analysis-clean oracle — one analyzer, four enforcement
+// layers.
 #pragma once
 
 #include <string>
