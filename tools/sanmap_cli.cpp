@@ -219,10 +219,12 @@ int cmd_info(int argc, const char* const* argv) {
   std::cout << "hosts        : " << t.num_hosts() << "\n";
   std::cout << "switches     : " << t.num_switches() << "\n";
   std::cout << "links        : " << t.num_wires() << "\n";
-  std::cout << "connected    : " << (topo::connected(t) ? "yes" : "no")
-            << "\n";
-  if (topo::connected(t) && t.num_nodes() > 0) {
-    std::cout << "diameter     : " << topo::diameter(t) << "\n";
+  const bool connected = topo::connected(t);
+  std::cout << "connected    : " << (connected ? "yes" : "no") << "\n";
+  int diameter = 0;
+  if (connected && t.num_nodes() > 0) {
+    diameter = topo::diameter(t);
+    std::cout << "diameter     : " << diameter << "\n";
   }
   std::cout << "bridges      : " << topo::bridges(t).size() << " ("
             << topo::switch_bridges(t).size() << " switch-bridges)\n";
@@ -230,13 +232,12 @@ int cmd_info(int argc, const char* const* argv) {
   const auto f_count = std::count(f.begin(), f.end(), true);
   std::cout << "|F|          : " << f_count
             << " (nodes behind switch-bridges; the mappable core is N-F)\n";
-  if (topo::connected(t) && t.num_hosts() >= 2 && t.num_switches() >= 1) {
+  if (connected && t.num_hosts() >= 2 && t.num_switches() >= 1) {
     const topo::NodeId mapper = pick_mapper(t, flags.get("mapper"));
     std::cout << "mapper       : " << t.name(mapper) << "\n";
     const int q = topo::q_value(t, mapper);
     std::cout << "Q            : " << q << "\n";
-    std::cout << "search depth : " << q + topo::diameter(t) + 1
-              << " (Q + D + 1)\n";
+    std::cout << "search depth : " << q + diameter + 1 << " (Q + D + 1)\n";
   }
   return 0;
 }
