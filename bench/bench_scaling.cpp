@@ -6,8 +6,8 @@
 // irregular meshes for shape variety — and records, per size, the probe
 // count, the wall-clock mapping time, and probes/m. Sessions use the
 // analytic generous_search_depth (3W + 3): depth overshoot sends no extra
-// probes, and the exact min-cost-flow Q / all-pairs-BFS D are quadratic-plus
-// at 5k switches.
+// probes, and the exact Q + D + 1 is O(V · E), ~5.6 s at 5k switches —
+// more than the map it would bound.
 //
 // Self-gating (nonzero exit on violation, so CI runs it as an acceptance
 // gate):

@@ -7,6 +7,11 @@
 //  * Q(v) and Q (paper Defs. 2–3) via min-cost flow, exactly mirroring the
 //    paper's Max-Flow/Min-Cut argument;
 //  * the exploration depth bound Q + D + 1 (§3.1.4).
+//
+// Q and Q + D + 1 solve one flow network, built once per call, from every
+// vertex with two shortest-path passes each; the first pass doubles as the
+// vertex's BFS for D. That is O(V · E) per call: ~0.17 s for a 960-switch
+// fat tree, ~0.7 s at 1,920 switches (RelWithDebInfo, 2.0 GHz Xeon).
 #pragma once
 
 #include <cstdint>

@@ -177,8 +177,8 @@ Topology dragonfly_ish(const DragonflyishOptions& options, common::Rng& rng);
 /// D <= wires, giving Q + D + 1 <= 3 * wires + 1. The depth bound only caps
 /// exploration — no probe is ever sent *because* the cap is generous — so
 /// sessions at megafabric scale use this O(1) bound instead of the exact
-/// min-cost-flow Q + all-pairs-BFS D, which are quadratic-plus at 5k
-/// switches.
+/// topo::search_depth. That one is O(V · E): ~0.17 s at 960 switches but
+/// ~5.6 s at 5k, longer than the 5k-switch map itself.
 int generous_search_depth(const Topology& topo);
 
 /// Random connected irregular network: `num_switches` switches in a random
