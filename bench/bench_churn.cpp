@@ -65,7 +65,7 @@ struct SoakResult {
   int budget_ticks = 0;
   int degraded_ticks = 0;
   std::uint64_t rejected_unsafe = 0;
-  // Stale intervals: virtual time from breakage detection to the publish
+  // Stale intervals: virtual time from the first finding to the publish
   // that restored kFresh.
   std::vector<double> stale_windows_ms;
   // Wall-clock per-query latencies (ns) and reader-visible outcomes.
@@ -150,14 +150,14 @@ SoakResult soak(const topo::Topology& t, const simnet::ChurnSpec& spec,
     result.degraded_ticks +=
         report.health == service::MapCatalog::HealthState::kDegraded ? 1 : 0;
 
-    // Stale interval bookkeeping: breakage is detected at the tick's check
+    // Stale interval bookkeeping: a change is detected at the tick's check
     // instant (one interval past the previous tick's end) and the interval
     // closes when a publish restores kFresh — usually within the same tick
     // (the remap duration), longer when backoff or degraded serving spans
     // ticks.
     const bool fresh =
         report.health == service::MapCatalog::HealthState::kFresh;
-    if (!in_stale && report.broken > 0) {
+    if (!in_stale && report.findings > 0) {
       in_stale = true;
       stale_start = prev_at + interval;
     }

@@ -7,9 +7,9 @@
 // wires that died under it); the robust session converges to the map of
 // the *surviving* network (Theorem 1's N - F with F taken at convergence
 // time), reporting the cut-off region by name. Two further sections show
-// flapping-link quarantine and the route-health repair loop driving
-// distributed UP*/DOWN* routes back to 100% delivery. Everything is
-// deterministic under the fixed seeds.
+// flapping-link quarantine and the service's refresh loop (map sweep,
+// remap, redistribute) bringing distributed UP*/DOWN* routes back to 100%
+// delivery. Everything is deterministic under the fixed seeds.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "mapper/robust_mapper.hpp"
 #include "routing/route_health.hpp"
-#include "routing/updown.hpp"
+#include "service/refresh_loop.hpp"
 #include "simnet/fault_schedule.hpp"
 
 namespace {
@@ -199,38 +199,37 @@ void route_health_section() {
   }
 
   simnet::FaultSchedule schedule;
-  schedule.link_down(victim, common::SimTime::ms(150));
   simnet::Network net(t);
   net.attach_faults(&schedule);
-  probe::ProbeEngine engine(net, mapper_host);
 
-  mapper::MapperConfig base;
-  base.search_depth = topo::search_depth(t, mapper_host);
-  const auto initial = mapper::BerkeleyMapper(engine, base).run();
-  std::cout << "initial map at " << initial.elapsed.str()
-            << " (link dies at 150 ms)\n";
+  service::MapCatalog catalog;
+  service::RefreshConfig config;
+  config.master_name = t.name(mapper_host);
+  service::RefreshLoop loop(net, catalog, config);
+  const service::TickReport boot = loop.bootstrap();
+  // The link dies 150 ms into service, after the routes went out.
+  schedule.link_down(victim, boot.at + common::SimTime::ms(150));
+  std::cout << "initial map at " << boot.at.str() << " (link dies at "
+            << (boot.at + common::SimTime::ms(150)).str() << ")\n";
 
-  routing::SelfHealConfig heal;
-  heal.master_name = t.name(mapper_host);
-  const routing::RemapFn remap = [&](common::SimTime& clock) {
-    engine.set_clock_base(clock);
-    engine.reset();
-    mapper::RobustConfig robust;
-    robust.base = base;
-    auto session = mapper::RobustMapper(engine, robust).run();
-    clock = session.elapsed;
-    return std::move(session.map);
-  };
-  const auto healed = routing::self_heal_routes(net, initial.map, heal,
-                                                remap, common::SimTime::ms(160));
+  // Tick until a republish lands, then once more to see the new map hold.
+  std::size_t findings = 0;
+  int ticks = 0;
+  bool healed = false;
+  bool quiet = false;
+  while (ticks < 20 && !quiet) {
+    const service::TickReport report = loop.tick();
+    ++ticks;
+    findings += report.findings;
+    quiet = healed && report.findings == 0;
+    healed = healed || report.swapped();
+  }
 
-  const auto routes = routing::compute_updown_routes(healed.map, heal.updown,
-                                                     heal.route_seed);
+  const service::SnapshotPtr served = catalog.current();
   const auto replay =
-      routing::check_routes(net, routes, healed.map, healed.elapsed);
-  std::cout << "broken routes seen: " << healed.total_broken << " over "
-            << healed.iterations << " iteration(s); "
-            << (healed.converged ? "converged" : "DID NOT CONVERGE")
+      routing::check_routes(net, served->routes, served->map, loop.now());
+  std::cout << "findings seen: " << findings << " over " << ticks
+            << " tick(s); " << (quiet ? "converged" : "DID NOT CONVERGE")
             << "; final delivery "
             << common::fmt_percent(replay.delivery_ratio(), 1) << " ("
             << replay.routes_checked << " routes on the surviving fabric)\n";

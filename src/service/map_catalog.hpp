@@ -26,12 +26,13 @@
 //
 // Degraded-mode serving: alongside the snapshot the catalog carries a
 // HealthStatus — how much the writer currently trusts `current()`. The
-// refresh loop downgrades it when check_routes finds breakage it has not
-// yet remapped (kStaleServing, with the dirty switches quarantined) and
-// when even a full remap failed (kDegraded). Queries keep being answered
-// from the last safe snapshot — an old safe table beats no table — but a
-// route through a quarantined switch is refused (see RouteQueryEngine), and
-// every reader can observe how stale its answer is. Publishing a new epoch
+// refresh loop downgrades it when its verification sweep finds the map
+// contradicted by the fabric and it has not yet remapped (kStaleServing,
+// with the dirty switches quarantined) and when even a full remap failed
+// (kDegraded). Queries keep being answered from the last safe snapshot — an
+// old safe table beats no table — but a route through a quarantined switch
+// is refused (see RouteQueryEngine), and every reader can observe how stale
+// its answer is. Publishing a new epoch
 // resets health to kFresh atomically with the swap. Health never weakens
 // the publish gates: an unsafe table is refused no matter the state.
 #pragma once

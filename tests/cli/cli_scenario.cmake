@@ -4,6 +4,11 @@
 #   sanmap gen ... | map | routes --sample 20 | lint --json
 #   sanmap lint --sabotage-turn          (must exit 2 naming an SL101 hop)
 #   sanmap routes / lint --engine dfs --optimize   (the route optimizer)
+#   sanmap serve --churn ... --snapshot-out   (a switch and a host go down
+#                                  and come back inside the tick window; the
+#                                  table shows the outage repair and then
+#                                  the repair after the revival)
+#   sanmap query --snapshot ... --sample 5
 #
 # Usage (ctest registers one run per scenario):
 #   cmake -DSANMAP=path/to/sanmap -DSCENARIO=NAME "-DGEN_ARGS=--topology now"
@@ -61,3 +66,8 @@ step(sabotage 2 lint --in fabric.map --sabotage-turn)
 step(routes-optimize 0 routes --in fabric.map --sample 20 --engine dfs
      --optimize)
 step(lint-optimize 0 lint --in fabric.map --json --engine dfs --optimize)
+# (\; keeps the churn spec's clause separator out of CMake's list splitting.)
+step(serve 0 serve --in fabric.topo --ticks 20 --interval-ms 500
+     --churn "rolling(start=200,every=20s,down=8s,count=1)\;hostchurn(start=400,every=20s,down=8s,count=1)"
+     --snapshot-out fabric.snap)
+step(query 0 query --snapshot fabric.snap --sample 5)

@@ -5,17 +5,16 @@
 //    NO SUCH WIRE, dead sources as kDropped, sampled at head-arrival time;
 //  * RobustMapper — convergence on quiet networks, severed subclusters
 //    (Theorem 1 against the surviving core), flapping-link quarantine,
-//    mid-mapping faults under cross-traffic;
-//  * route health — broken routes detected and repaired to convergence.
+//    mid-mapping faults under cross-traffic.
+// (Route health under a link death — detect, remap, redistribute, replay —
+// is RefreshLoop.LinkDeathTriggersRemapVerifySwap in service_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "mapper/berkeley_mapper.hpp"
 #include "mapper/robust_mapper.hpp"
 #include "probe/probe_engine.hpp"
-#include "routing/route_health.hpp"
 #include "simnet/fault_schedule.hpp"
 #include "simnet/network.hpp"
 #include "topology/algorithms.hpp"
@@ -437,75 +436,6 @@ TEST(RobustMapper, MidMappingLinkDeathsUnderCrossTraffic) {
       surviving_core(t, schedule, result.elapsed, mapper_host);
   EXPECT_TRUE(topo::isomorphic(result.map, oracle));
   EXPECT_TRUE(result.partial);
-}
-
-// ----------------------------------------------------------- route health --
-
-TEST(RouteHealth, BrokenRoutesAreDetectedAndRepairedToConvergence) {
-  // Map a redundant fabric, let a link die, and require the self-healing
-  // loop to notice the broken routes, remap, redistribute, and converge to
-  // 100% delivery on the surviving topology.
-  Topology t = topo::torus(3, 3, 1);
-  const NodeId mapper_host = t.hosts().front();
-  const std::string master = t.name(mapper_host);
-  // Victim: a switch-switch wire (the torus is redundant, so no host is
-  // cut off and every route stays computable on the surviving fabric).
-  WireId victim = t.wires().front();
-  for (const WireId w : t.wires()) {
-    const topo::Wire& wire = t.wire(w);
-    if (t.is_switch(wire.a.node) && t.is_switch(wire.b.node)) {
-      victim = w;
-      break;
-    }
-  }
-
-  simnet::FaultSchedule schedule;
-  schedule.link_down(victim, SimTime::ms(150));
-
-  simnet::Network net(t);
-  net.attach_faults(&schedule);
-  probe::ProbeEngine engine(net, mapper_host);
-
-  // Initial map, taken while the fabric is intact.
-  mapper::MapperConfig base;
-  base.search_depth = topo::search_depth(t, mapper_host);
-  const auto initial = mapper::BerkeleyMapper(engine, base).run();
-  ASSERT_TRUE(topo::isomorphic(initial.map, topo::core(t)));
-  ASSERT_LT(initial.elapsed, SimTime::ms(150));  // mapped before the fault
-
-  // The self-healing loop starts after the link died: the distributed
-  // routes must break and then heal.
-  routing::SelfHealConfig heal;
-  heal.master_name = master;
-  const routing::RemapFn remap = [&](SimTime& clock) {
-    engine.set_clock_base(clock);
-    engine.reset();
-    mapper::RobustConfig robust;
-    robust.base = base;
-    auto session = mapper::RobustMapper(engine, robust).run();
-    clock = session.elapsed;
-    return std::move(session.map);
-  };
-  const auto healed =
-      routing::self_heal_routes(net, initial.map, heal, remap,
-                                SimTime::ms(160));
-
-  EXPECT_TRUE(healed.converged);
-  EXPECT_GT(healed.total_broken, 0u);  // the dead link was actually seen
-  EXPECT_GT(healed.iterations, 1);
-  EXPECT_TRUE(healed.final_report.healthy());
-  EXPECT_EQ(healed.final_report.delivery_ratio(), 1.0);
-  EXPECT_TRUE(healed.final_distribution.complete);
-  const Topology oracle =
-      surviving_core(t, schedule, healed.elapsed, mapper_host);
-  EXPECT_TRUE(topo::isomorphic(healed.map, oracle));
-
-  // And the final routes replay at 100% on the surviving topology.
-  const auto routes = routing::compute_updown_routes(
-      healed.map, heal.updown, heal.route_seed);
-  const auto replay =
-      routing::check_routes(net, routes, healed.map, healed.elapsed);
-  EXPECT_TRUE(replay.healthy());
 }
 
 }  // namespace

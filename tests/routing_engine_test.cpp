@@ -1,9 +1,8 @@
 // The routing::Engine interface: the DFS-order load-aware engine next to
 // UP*/DOWN*, the deadlock certificate against its DFS cross-check, the
 // RouteOptimizer, and regressions — SL403 consuming the engine's cable
-// plan, self_heal_routes escalating on an unroutable partial remap, and
-// the snapshot codec carrying engine + optimizer provenance (v2, with v1
-// back-compat).
+// plan, and the snapshot codec carrying engine + optimizer provenance (v2,
+// with v1 back-compat).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,14 +19,11 @@
 #include "routing/deadlock.hpp"
 #include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
-#include "routing/route_health.hpp"
 #include "routing/routes.hpp"
 #include "service/map_catalog.hpp"
 #include "service/snapshot.hpp"
 #include "service/snapshot_codec.hpp"
-#include "simnet/network.hpp"
 #include "topology/generators.hpp"
-#include "verify/scenario_case.hpp"
 
 namespace {
 
@@ -286,56 +282,6 @@ TEST(Lints, Sl403ConsumesTheEngineCablePlan) {
   auto diverged = routes;
   diverged.meta.cable_plan[{w0, true}] += 3;
   EXPECT_GT(count_sl403(analysis::analyze(t, diverged)), 0u);
-}
-
-// Regression: self_heal_routes assumed every remap produced a map the
-// engines could accept. A partial remap of a quarantined region (here: the
-// severed s3 leaf of the quarantined-region corpus case, with the core —
-// master included — missing) used to crash through the orientation's
-// connectivity SANMAP_CHECK; it must escalate to a full recompute instead.
-TEST(SelfHeal, EscalatesAnUnroutablePartialRemap) {
-  const verify::ScenarioCase scenario = verify::read_case_file(
-      std::string(SANMAP_CORPUS_DIR) + "/quarantined-region.sancase");
-  const simnet::FaultSchedule schedule = scenario.schedule();
-  simnet::Network net(scenario.network, scenario.collision);
-  net.attach_faults(&schedule);
-
-  // The severed region alone: s3 + its hosts. No master, not even the
-  // core — exactly what a region-scoped remap would hand back.
-  topo::Topology region = scenario.network;
-  for (const topo::NodeId n : scenario.network.nodes()) {
-    const std::string& name = scenario.network.name(n);
-    if (name != "s3" && name != "h3" && name != "h4") {
-      region.remove_node(n);
-    }
-  }
-  // The full recompute: the core without the quarantined region (the
-  // fabric as a fresh master session would map it mid-outage).
-  topo::Topology core = scenario.network;
-  for (const topo::NodeId n : scenario.network.nodes()) {
-    const std::string& name = scenario.network.name(n);
-    if (name == "s3" || name == "h3" || name == "h4") {
-      core.remove_node(n);
-    }
-  }
-
-  routing::SelfHealConfig config;
-  config.master_name = "h0";
-  int remaps = 0;
-  const auto remap = [&](common::SimTime& clock) {
-    clock += common::SimTime::ms(1);
-    ++remaps;
-    return remaps == 1 ? region : core;
-  };
-  // Start mid-outage (the uplink dies at 5ms, returns at 500ms).
-  const auto result =
-      routing::self_heal_routes(net, scenario.network, config, remap,
-                                common::SimTime::ms(10));
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.escalated_remaps, 1u);
-  EXPECT_EQ(remaps, 2);
-  EXPECT_GT(result.total_broken, 0u);
-  EXPECT_FALSE(result.map.find_host("h3").has_value());
 }
 
 std::uint64_t fnv1a(const char* data, std::size_t size) {

@@ -10,10 +10,12 @@
 //    must only ever observe fully published epochs. These tests are the
 //    TSan CI job's primary target;
 //  * RefreshLoop — quiet ticks observe, a link death triggers remap +
-//    verify + redistribute + epoch swap;
+//    verify + redistribute + epoch swap, revived devices are re-discovered,
+//    and the bootstrap maps the whole fabric;
 //  * codec — round trip, checksum/truncation/magic failures, file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -29,6 +31,7 @@
 #include "service/snapshot_codec.hpp"
 #include "simnet/fault_schedule.hpp"
 #include "simnet/network.hpp"
+#include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 #include "topology/isomorphism.hpp"
 
@@ -602,8 +605,8 @@ TEST(RefreshLoop, QuietTicksObserveWithoutRepublishing) {
   for (const TickReport& report : loop.run(3)) {
     EXPECT_FALSE(report.swapped());
     EXPECT_FALSE(report.remapped);
-    EXPECT_EQ(report.routes_checked, 72u);
-    EXPECT_EQ(report.broken, 0u);
+    EXPECT_EQ(report.verify_probes, 198u);
+    EXPECT_EQ(report.findings, 0u);
     // An observation-only tick never tried to publish — and must not look
     // like a successful one (kNotAttempted, not a stale kPublished; no
     // phantom "distribution complete").
@@ -631,11 +634,6 @@ TEST(RefreshLoop, RejectsInvalidConfigAtConstruction) {
   {
     RefreshConfig bad = good;
     bad.check_interval = SimTime{};
-    EXPECT_THROW(RefreshLoop(net, catalog, bad), common::CheckFailure);
-  }
-  {
-    RefreshConfig bad = good;
-    bad.dirty_radius = -1;
     EXPECT_THROW(RefreshLoop(net, catalog, bad), common::CheckFailure);
   }
   {
@@ -670,10 +668,12 @@ TEST(RefreshLoop, LinkDeathTriggersRemapVerifySwap) {
   schedule.link_down(victim, loop.now() + SimTime::ms(1));
 
   bool healed = false;
+  TickReport last;
   for (int i = 0; i < 4 && !healed; ++i) {
     const TickReport report = loop.tick();
+    last = report;
     if (report.swapped()) {
-      EXPECT_GT(report.broken, 0u);
+      EXPECT_GT(report.findings, 0u);
       EXPECT_TRUE(report.remapped);
       EXPECT_EQ(report.publish_status, TickPublish::kPublished);
       healed = true;
@@ -689,16 +689,110 @@ TEST(RefreshLoop, LinkDeathTriggersRemapVerifySwap) {
   EXPECT_EQ(after->map.num_hosts(), before->map.num_hosts());
   EXPECT_EQ(after->map.num_wires() + 1, before->map.num_wires());
 
-  // Its routes actually work on the live (degraded) network.
+  EXPECT_TRUE(topo::isomorphic(
+      after->map, topo::core(schedule.surviving(t, loop.now()))));
+
+  // Its tables reached every switch, and its routes actually work on the
+  // live (degraded) network: the independent end-to-end replay.
+  EXPECT_TRUE(last.distribution_complete);
   const auto health =
       routing::check_routes(net, after->routes, after->map, loop.now());
   EXPECT_TRUE(health.healthy());
+  EXPECT_EQ(health.delivery_ratio(), 1.0);
 
   // The pre-fault epoch stays addressable for post-mortems.
   EXPECT_EQ(catalog.at_epoch(before->epoch), before);
 
   // Quiet again: no further republish.
   EXPECT_FALSE(loop.tick().swapped());
+}
+
+TEST(RefreshLoop, RevivedSwitchAndHostAreRediscovered) {
+  // A switch and a host go down and come back. A revived device breaks no
+  // route of the degraded map; only the sweep's free-port probes see it
+  // answer again. Once the fabric settles, the served map must be the
+  // whole fabric again.
+  const Topology t = topo::torus(3, 3, 1);
+  const NodeId master = t.hosts().front();
+  const NodeId master_switch = t.peer(master, 0)->node;
+  NodeId victim_switch = topo::kInvalidNode;
+  for (const NodeId s : t.switches()) {
+    bool adjacent = s == master_switch;
+    for (const topo::PortRef& ref : t.neighbors(s)) {
+      adjacent = adjacent || ref.node == master_switch;
+    }
+    if (!adjacent) {
+      victim_switch = s;
+      break;
+    }
+  }
+  ASSERT_NE(victim_switch, topo::kInvalidNode);
+  NodeId victim_host = topo::kInvalidNode;
+  for (const NodeId h : t.hosts()) {
+    const NodeId s = t.peer(h, 0)->node;
+    if (h != master && s != victim_switch && s != master_switch) {
+      victim_host = h;
+      break;
+    }
+  }
+  ASSERT_NE(victim_host, topo::kInvalidNode);
+
+  simnet::FaultSchedule schedule;
+  simnet::Network net(t);
+  net.attach_faults(&schedule);
+  MapCatalog catalog;
+  RefreshConfig config;
+  config.master_name = t.name(master);
+  RefreshLoop loop(net, catalog, config);
+  ASSERT_TRUE(loop.bootstrap().swapped());
+
+  const SimTime down_at = loop.now() + SimTime::ms(1);
+  const SimTime up_at = down_at + SimTime::seconds(2);
+  schedule.node_down(victim_switch, down_at);
+  schedule.node_down(victim_host, down_at);
+  schedule.node_up(victim_switch, up_at);
+  schedule.node_up(victim_host, up_at);
+
+  // Tick through the outage and one settle second past the revival.
+  std::size_t fewest_hosts = t.num_hosts();
+  bool rediscovered = false;
+  while (loop.now() < up_at + SimTime::seconds(1)) {
+    const TickReport report = loop.tick();
+    const std::size_t hosts = catalog.current()->map.num_hosts();
+    fewest_hosts = std::min(fewest_hosts, hosts);
+    rediscovered = rediscovered || (report.at > up_at && report.findings > 0 &&
+                                    report.swapped());
+  }
+  // The outage was served: both victims left the map, and came back.
+  EXPECT_EQ(fewest_hosts + 2, t.num_hosts());
+  EXPECT_TRUE(rediscovered);
+
+  const SnapshotPtr served = catalog.current();
+  EXPECT_TRUE(topo::isomorphic(
+      served->map, topo::core(schedule.surviving(t, loop.now()))));
+  EXPECT_EQ(served->map.num_hosts(), t.num_hosts());
+  EXPECT_EQ(loop.tick().findings, 0u);
+  EXPECT_EQ(catalog.health()->state, MapCatalog::HealthState::kFresh);
+}
+
+TEST(RefreshLoop, BootstrapMapsTheWholeFabric) {
+  // The session maps at the fabric's exact bound, so the bootstrap map is
+  // the whole fabric (MapperConfig's default depth of 16 reaches only 236
+  // of these 240 switches) and the next sweep finds nothing new.
+  topo::MegaFatTreeOptions options;
+  options.leaf_switches = 128;
+  const Topology t = topo::mega_fat_tree(options);
+  simnet::Network net(t);
+  MapCatalog catalog;
+  RefreshConfig config;
+  config.master_name = t.name(t.hosts().front());
+  RefreshLoop loop(net, catalog, config);
+
+  ASSERT_TRUE(loop.bootstrap().swapped());
+  EXPECT_TRUE(topo::isomorphic(catalog.current()->map, topo::core(t)));
+  const TickReport report = loop.tick();
+  EXPECT_EQ(report.findings, 0u);
+  EXPECT_FALSE(report.swapped());
 }
 
 // ------------------------------------------------------------------ codec --

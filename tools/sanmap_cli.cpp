@@ -674,7 +674,7 @@ int cmd_serve(int argc, const char* const* argv) {
   }
 
   common::Table table(
-      {"tick", "t", "checked", "broken", "action", "health", "epoch"});
+      {"tick", "t", "probes", "findings", "action", "health", "epoch"});
   const std::int64_t ticks = flags.get_int("ticks");
   for (std::int64_t i = 0; i < ticks; ++i) {
     const auto report = loop.tick();
@@ -689,8 +689,8 @@ int cmd_serve(int argc, const char* const* argv) {
                to_string(report.publish_status);
     }
     table.add_row({std::to_string(i), report.at.str(),
-                   std::to_string(report.routes_checked),
-                   std::to_string(report.broken), action,
+                   std::to_string(report.verify_probes),
+                   std::to_string(report.findings), action,
                    service::to_string(report.health),
                    std::to_string(report.epoch_after)});
   }
