@@ -62,7 +62,6 @@ struct SoakResult {
   std::uint64_t full_probes = 0;
   // Damper / degraded accounting.
   int backoff_ticks = 0;
-  int budget_ticks = 0;
   int degraded_ticks = 0;
   std::uint64_t rejected_unsafe = 0;
   // Stale intervals: virtual time from the first finding to the publish
@@ -146,7 +145,6 @@ SoakResult soak(const topo::Topology& t, const simnet::ChurnSpec& spec,
     }
     result.escalations += report.escalated ? 1 : 0;
     result.backoff_ticks += report.backoff_active ? 1 : 0;
-    result.budget_ticks += report.budget_exhausted ? 1 : 0;
     result.degraded_ticks +=
         report.health == service::MapCatalog::HealthState::kDegraded ? 1 : 0;
 
@@ -263,11 +261,8 @@ int main(int argc, char** argv) {
   table.add_row({"escalations to full remap",
                  std::to_string(inc.escalations),
                  std::to_string(full.escalations)});
-  table.add_row({"backoff / budget-damped ticks",
-                 std::to_string(inc.backoff_ticks) + " / " +
-                     std::to_string(inc.budget_ticks),
-                 std::to_string(full.backoff_ticks) + " / " +
-                     std::to_string(full.budget_ticks)});
+  table.add_row({"backoff-damped ticks", std::to_string(inc.backoff_ticks),
+                 std::to_string(full.backoff_ticks)});
   table.add_row({"degraded ticks", std::to_string(inc.degraded_ticks),
                  std::to_string(full.degraded_ticks)});
   table.add_row({"stale intervals (mean / max ms)",

@@ -54,14 +54,7 @@ AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options) {
   AnalysisResult result;
-  result.report.set_cap(options.diagnostics_cap);
-
-  if (options.fabric_lints) {
-    lint_fabric(view_of(map), result.report);
-  }
-  if (!options.route_lints && !options.certificates) {
-    return result;
-  }
+  lint_fabric(view_of(map), result.report);
 
   const topo::NodeId root = routes.orientation.root();
   if (root >= map.node_capacity() || !map.node_alive(root) ||
@@ -74,7 +67,6 @@ AnalysisResult analyze(const topo::Topology& map,
   }
 
   DiagnosticReport structure;
-  structure.set_cap(options.diagnostics_cap);
   const bool sound = lint_route_structure(map, routes, structure);
   result.report.merge(structure);
   if (!sound) {
@@ -86,38 +78,32 @@ AnalysisResult analyze(const topo::Topology& map,
   }
   result.analyzed_routes = true;
 
-  if (options.certificates) {
-    result.legality = build_legality_certificate(map, routes);
-    emit_legality_findings(map, result.legality, result.report);
-    std::vector<std::string> why;
-    if (!check_legality(map, routes, result.legality, &why)) {
-      result.report.add("SL202", "legality",
-                        why.empty() ? "legality certificate recheck failed"
-                                    : why.front(),
-                        "analyzer self-check: report this as a bug");
-    }
-
-    result.deadlock = build_deadlock_certificate(map, routes);
-    emit_deadlock_findings(result.deadlock, result.report);
-    why.clear();
-    if (!check_deadlock(map, routes, result.deadlock, &why)) {
-      result.report.add("SL202", "deadlock",
-                        why.empty() ? "deadlock certificate recheck failed"
-                                    : why.front(),
-                        "analyzer self-check: report this as a bug");
-    }
+  result.legality = build_legality_certificate(map, routes);
+  emit_legality_findings(map, result.legality, result.report);
+  std::vector<std::string> why;
+  if (!check_legality(map, routes, result.legality, &why)) {
+    result.report.add("SL202", "legality",
+                      why.empty() ? "legality certificate recheck failed"
+                                  : why.front(),
+                      "analyzer self-check: report this as a bug");
   }
 
-  if (options.route_lints) {
-    lint_route_quality(map, routes, options.lints, result.report);
+  result.deadlock = build_deadlock_certificate(map, routes);
+  emit_deadlock_findings(result.deadlock, result.report);
+  why.clear();
+  if (!check_deadlock(map, routes, result.deadlock, &why)) {
+    result.report.add("SL202", "deadlock",
+                      why.empty() ? "deadlock certificate recheck failed"
+                                  : why.front(),
+                      "analyzer self-check: report this as a bug");
   }
+
+  lint_route_quality(map, routes, options.lints, result.report);
   return result;
 }
 
-AnalysisResult analyze_map(const topo::Topology& map,
-                           const AnalyzerOptions& options) {
+AnalysisResult analyze_map(const topo::Topology& map) {
   AnalysisResult result;
-  result.report.set_cap(options.diagnostics_cap);
   lint_fabric(view_of(map), result.report);
   return result;
 }

@@ -22,12 +22,6 @@ namespace sanmap::analysis {
 
 struct AnalyzerOptions {
   LintOptions lints;
-  /// Per-code diagnostic storage cap.
-  std::size_t diagnostics_cap = 20;
-  bool fabric_lints = true;
-  bool route_lints = true;
-  /// Build + self-check the legality and deadlock certificates.
-  bool certificates = true;
 };
 
 struct AnalysisResult {
@@ -48,8 +42,7 @@ AnalysisResult analyze(const topo::Topology& map,
                        const AnalyzerOptions& options = {});
 
 /// Map-only analysis: fabric well-formedness lints, no route phase.
-AnalysisResult analyze_map(const topo::Topology& map,
-                           const AnalyzerOptions& options = {});
+AnalysisResult analyze_map(const topo::Topology& map);
 
 /// The whole result as JSON: diagnostics plus certificate summaries.
 std::string to_json(const AnalysisResult& result);

@@ -13,6 +13,13 @@
 
 namespace sanmap::federation {
 
+namespace {
+
+/// Outstanding-probe window of every region's mapper.
+constexpr int kPipelineWindow = 8;
+
+}  // namespace
+
 FederatedMapper::FederatedMapper(const topo::Topology& fabric,
                                  FederationConfig config)
     : fabric_(&fabric),
@@ -29,7 +36,7 @@ FederatedResult FederatedMapper::run() {
   // exception, so a throwing region can never leave the merge waiting on a
   // result that will not come.
   {
-    common::ThreadPool pool(config_.threads == 0 ? n : config_.threads);
+    common::ThreadPool pool(n);
     pool.parallel_for(n, [&](std::size_t i) {
       if (static_cast<int>(i) == config_.sabotage_region_throw) {
         throw std::runtime_error("federation: sabotaged region " +
@@ -41,12 +48,9 @@ FederatedResult FederatedMapper::run() {
         net.attach_faults(config_.faults);
       }
       probe::ProbeEngine engine(net, region.mapper);
-      engine.set_clock_base(config_.clock_base);
       mapper::MapperConfig mc;
       mc.search_depth = region.depth;
-      mc.pipeline_window = config_.pipeline_window;
-      mc.port_order_heuristic = config_.port_order_heuristic;
-      mc.skip_known_ports = config_.skip_known_ports;
+      mc.pipeline_window = kPipelineWindow;
       mc.max_explorations = config_.max_explorations;
       mc.sabotage_skip_merges = config_.sabotage_skip_merges;
       locals[i] = mapper::BerkeleyMapper(engine, mc).run();
@@ -79,7 +83,7 @@ FederatedResult FederatedMapper::run() {
   // Boundary resolution: the merge cascade in deterministic region order.
   result.map = mapper::merge_partial_maps(partials, &result.merge);
   result.boundary_conflicts = result.merge.merges;
-  result.elapsed += config_.merge_cost_per_vertex *
+  result.elapsed += mapper::kMergeCostPerVertex *
                     static_cast<std::int64_t>(result.merge.loaded_vertices);
 
   // Re-prove safety on the merged model before anyone may use it. Every

@@ -13,6 +13,13 @@
 
 namespace sanmap::mapper {
 
+namespace {
+
+/// Seed of a sampled sweep's per-port draw (deterministic across runs).
+constexpr std::uint64_t kSampleSeed = 0x5eed;
+
+}  // namespace
+
 const char* to_string(DiscrepancyKind kind) {
   switch (kind) {
     case DiscrepancyKind::kNewDevice:
@@ -103,7 +110,7 @@ IncrementalResult IncrementalMapper::run() {
 
   // Sampling draw for verify_fraction < 1 (full sweeps never consume it,
   // so full-sweep behaviour is bit-identical to before the knob existed).
-  common::Rng sample(config_.sample_seed);
+  common::Rng sample(kSampleSeed);
   const auto sampled = [&] {
     return config_.verify_fraction >= 1.0 ||
            sample.chance(config_.verify_fraction);

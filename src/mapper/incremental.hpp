@@ -85,8 +85,6 @@ struct IncrementalConfig {
   /// check — each port is probed independently with this probability — and
   /// is only legal with repair off (repair needs the full confirmed set).
   double verify_fraction = 1.0;
-  /// Seed for the sampling draw (deterministic given the seed).
-  std::uint64_t sample_seed = 0x5eed;
   /// Previous-map switch ids to sweep — the dirty region. Empty means sweep
   /// everything (the default; bit-identical to the pre-region behaviour).
   /// Switches outside the region are trusted wholesale: no probes are spent

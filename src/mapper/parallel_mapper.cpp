@@ -47,7 +47,7 @@ ParallelMapResult ParallelMapper::run() {
   }
 
   result.map = merge_partial_maps(partials, &result.merge);
-  result.elapsed += config_.merge_cost_per_vertex *
+  result.elapsed += kMergeCostPerVertex *
                     static_cast<std::int64_t>(result.merge.loaded_vertices);
   return result;
 }

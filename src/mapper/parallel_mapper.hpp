@@ -35,13 +35,12 @@ struct ParallelConfig {
   /// its own probe timeouts, on top of the across-mapper concurrency this
   /// class already models by max-taking.
   int pipeline_window = 1;
-  /// Charged per model vertex for shipping and fusing the partial maps.
-  common::SimTime merge_cost_per_vertex = common::SimTime::from_us(20.0);
 };
 
 struct ParallelMapResult {
   topo::Topology map;
-  /// Wall-clock of the parallel phase: max over the local mappers.
+  /// Wall-clock of the parallel phase: max over the local mappers plus the
+  /// merge charge.
   common::SimTime elapsed{};
   /// Total probes across all mappers (network load).
   std::uint64_t total_probes = 0;

@@ -21,9 +21,15 @@
 
 #include <vector>
 
+#include "common/sim_time.hpp"
 #include "topology/topology.hpp"
 
 namespace sanmap::mapper {
+
+/// Charged per loaded model vertex for shipping and fusing partial maps:
+/// the merge term of the max-plus-merge timing model ParallelMapper and
+/// FederatedMapper share.
+inline constexpr common::SimTime kMergeCostPerVertex = common::SimTime::us(20);
 
 struct PartialMergeStats {
   std::size_t loaded_vertices = 0;

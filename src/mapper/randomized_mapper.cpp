@@ -83,8 +83,7 @@ MapResult RandomizedMapper::run() {
 
     // Phase 1: coupon collecting. Fire wild probes of maximal depth in
     // random directions; every answer contributes its whole path.
-    const int depth = config_.wild_depth > 0 ? config_.wild_depth
-                                             : config_.base.search_depth;
+    const int depth = config_.base.search_depth;
     for (int p = 0; p < config_.wild_probes; ++p) {
       simnet::Route route;
       route.reserve(static_cast<std::size_t>(depth));

@@ -32,11 +32,9 @@ namespace sanmap::mapper {
 
 struct RandomizedConfig {
   MapperConfig base;
-  /// Wild probes fired in the coupon-collecting phase.
+  /// Wild probes fired in the coupon-collecting phase, each a random turn
+  /// string of base.search_depth turns ("maximal depth").
   int wild_probes = 200;
-  /// Length of each wild probe's random turn string ("maximal depth");
-  /// 0 = use base.search_depth.
-  int wild_depth = 0;
   std::uint64_t seed = 1;
 };
 

@@ -151,23 +151,22 @@ class Runner {
     // Phase 2b: comparison probes. A candidate that found no hosts is
     // host-free (the sweep covers all ports), so it can only replicate a
     // host-free explored switch — compare against those only, nearest BFS
-    // depth first, early exit on a match.
+    // depth first (replicates usually appear at similar depths), then most
+    // recent first, early exit on a match.
     std::vector<std::size_t> order;
     if (hosts_found.empty()) {
       for (std::size_t i = host_free_switches_.size(); i-- > 0;) {
         order.push_back(host_free_switches_[i]);  // most recent first
       }
     }
-    if (config_.order_comparisons_by_depth) {
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                       std::size_t b) {
-        const auto da = std::abs(static_cast<long>(switches_[a].prefix.size()) -
-                                 static_cast<long>(entry.prefix.size()));
-        const auto db = std::abs(static_cast<long>(switches_[b].prefix.size()) -
-                                 static_cast<long>(entry.prefix.size()));
-        return da < db;
-      });
-    }
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                     std::size_t b) {
+      const auto da = std::abs(static_cast<long>(switches_[a].prefix.size()) -
+                               static_cast<long>(entry.prefix.size()));
+      const auto db = std::abs(static_cast<long>(switches_[b].prefix.size()) -
+                               static_cast<long>(entry.prefix.size()));
+      return da < db;
+    });
     for (const std::size_t b : order) {
       for (const Turn x : TurnFeasibility::exploration_order(true)) {
         Route comparison = simnet::extended(entry.prefix, x);

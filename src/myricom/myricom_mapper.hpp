@@ -58,10 +58,6 @@ struct MyricomConfig {
   /// messages"). The host sweep always covers all 14 turns, which is what
   /// Figure 10's dominant host-probe counts imply.
   bool narrow_sweeps = true;
-
-  /// Order explored switches by |prefix length difference| (then recency)
-  /// when comparing — replicates usually appear at similar BFS depths.
-  bool order_comparisons_by_depth = true;
 };
 
 struct MyricomResult {

@@ -198,7 +198,7 @@ FuzzReport fuzz(const FuzzOptions& options) {
     const int mutations =
         1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(
                 std::max(1, options.max_mutations))));
-    const std::string trail = mutate_n(c, mutations, rng, options.mutation);
+    const std::string trail = mutate_n(c, mutations, rng);
     c.name = base_name + "-t" + std::to_string(trial);
 
     const OracleReport oracle_report = run_oracles(c, options.oracle);

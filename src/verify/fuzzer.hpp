@@ -40,7 +40,6 @@ struct FuzzOptions {
   std::uint64_t seed = 1;
   /// Mutations per trial are drawn uniformly from [1, max_mutations].
   int max_mutations = 4;
-  MutationOptions mutation;
   OracleOptions oracle;
   /// Shrink violating cases before reporting them.
   bool minimize_failures = true;

@@ -17,26 +17,13 @@
 
 namespace sanmap::verify {
 
-struct MutationOptions {
-  /// Allow fault-timeline mutations (link/node down events, flaps).
-  bool fault_events = true;
-  /// Allow collision-model toggling (cut-through <-> circuit).
-  bool collision_toggle = true;
-  /// Upper bound on nodes added by one graft mutation.
-  int max_graft_nodes = 10;
-  /// Fault instants are drawn uniformly from [0, horizon].
-  common::SimTime fault_horizon = common::SimTime::ms(20);
-};
-
 /// Applies one random mutation to the case, in place. Returns a short
 /// human-readable description of what was done ("" when the drawn mutation
 /// was inapplicable and the case is unchanged — callers simply draw again).
-std::string mutate(ScenarioCase& c, common::Rng& rng,
-                   const MutationOptions& options = {});
+std::string mutate(ScenarioCase& c, common::Rng& rng);
 
 /// Applies `count` effective mutations (re-drawing inapplicable ones, with
 /// a bounded number of attempts). Returns the "; "-joined trail.
-std::string mutate_n(ScenarioCase& c, int count, common::Rng& rng,
-                     const MutationOptions& options = {});
+std::string mutate_n(ScenarioCase& c, int count, common::Rng& rng);
 
 }  // namespace sanmap::verify

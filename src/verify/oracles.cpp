@@ -43,6 +43,10 @@ namespace {
 using topo::NodeId;
 using topo::Topology;
 
+/// federated-iso: regions to shard the mapper's component into (clamped to
+/// its host count).
+constexpr int kFederatedRegions = 3;
+
 std::string describe(const Topology& t) {
   std::ostringstream oss;
   oss << t.num_hosts() << "h/" << t.num_switches() << "s/" << t.num_wires()
@@ -86,12 +90,10 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
                            OracleReport& report) {
   bool have_berkeley = false;
   mapper::MapResult berkeley;
-  if (options.berkeley) {
+  {
     simnet::Network net(c.network, c.collision);
     ConservationChecker checker(c.network);
-    if (options.conservation) {
-      net.attach_hook(&checker);
-    }
+    net.attach_hook(&checker);
     probe::ProbeEngine engine(net, mapper);
     mapper::MapperConfig config;
     config.search_depth = depth;
@@ -103,9 +105,7 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
     } catch (const std::exception& e) {
       report.violations.push_back({"berkeley-crash", e.what()});
     }
-    if (options.conservation) {
-      drain_conservation(checker, report);
-    }
+    drain_conservation(checker, report);
     if (have_berkeley) {
       const Topology truth = topo::core(local);
       if (!topo::isomorphic(berkeley.map, truth)) {
@@ -115,14 +115,12 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
                                  describe(truth)});
       }
     }
-  } else {
-    report.skipped.push_back("berkeley-iso: disabled");
   }
 
   // Pipelined probing must be a pure re-timing of the serial engine: same
   // probe counters, an isomorphic map, elapsed() <= serial at window 8, and
   // elapsed() == serial exactly at window 1.
-  if (options.pipeline && have_berkeley) {
+  if (have_berkeley) {
     try {
       mapper::MapperConfig config;
       config.search_depth = depth;
@@ -165,13 +163,10 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
       report.violations.push_back({"pipeline-crash", e.what()});
     }
   } else {
-    report.skipped.push_back(options.pipeline
-                                 ? "pipeline-equiv: no usable Berkeley map"
-                                 : "pipeline-equiv: disabled");
+    report.skipped.push_back("pipeline-equiv: no usable Berkeley map");
   }
 
-  if (options.myricom &&
-      c.collision == simnet::CollisionModel::kCutThrough &&
+  if (c.collision == simnet::CollisionModel::kCutThrough &&
       local.num_switches() >= 1) {
     simnet::Network net(c.network, c.collision);
     bool have_myricom = false;
@@ -196,11 +191,9 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
       }
     }
   } else {
-    report.skipped.push_back(
-        options.myricom ? (local.num_switches() == 0
-                               ? "myricom-diff: switchless component"
-                               : "myricom-diff: requires cut-through")
-                        : "myricom-diff: disabled");
+    report.skipped.push_back(local.num_switches() == 0
+                                 ? "myricom-diff: switchless component"
+                                 : "myricom-diff: requires cut-through");
   }
 
   // The route safety oracle: route the Berkeley map once, require
@@ -208,8 +201,8 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
   // both certificates and re-checks them; a failed re-check is an SL202
   // error) and diff its deadlock certificate against the independent
   // three-color DFS.
-  if (options.analysis && have_berkeley &&
-      berkeley.map.num_switches() >= 1 && berkeley.map.num_hosts() >= 1) {
+  if (have_berkeley && berkeley.map.num_switches() >= 1 &&
+      berkeley.map.num_hosts() >= 1) {
     try {
       const routing::RoutingResult routes =
           routing::compute_updown_routes(berkeley.map, {}, options.route_seed);
@@ -240,25 +233,17 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
       report.violations.push_back({"analysis-crash", e.what()});
     }
   } else {
-    report.skipped.push_back(
-        options.analysis ? "analysis-clean: no usable Berkeley map"
-                         : "analysis-clean: disabled");
+    report.skipped.push_back("analysis-clean: no usable Berkeley map");
   }
 }
 
 void run_faulted_oracles(const ScenarioCase& c, const OracleOptions& options,
                          NodeId mapper, int depth, OracleReport& report) {
-  if (!options.robust) {
-    report.skipped.push_back("robust-iso: disabled");
-    return;
-  }
   simnet::Network net(c.network, c.collision);
   const simnet::FaultSchedule schedule = c.schedule();
   net.attach_faults(&schedule);
   ConservationChecker checker(c.network);
-  if (options.conservation) {
-    net.attach_hook(&checker);
-  }
+  net.attach_hook(&checker);
   probe::ProbeEngine engine(net, mapper);
   mapper::RobustConfig config;
   config.base.search_depth = depth;
@@ -272,9 +257,7 @@ void run_faulted_oracles(const ScenarioCase& c, const OracleOptions& options,
   } catch (const std::exception& e) {
     report.violations.push_back({"robust-crash", e.what()});
   }
-  if (options.conservation) {
-    drain_conservation(checker, report);
-  }
+  drain_conservation(checker, report);
   if (!have_result) {
     return;
   }
@@ -490,10 +473,6 @@ void run_incremental_oracle(const ScenarioCase& c, const OracleOptions& options,
 // is that fabric's core.
 void run_federated_oracle(const ScenarioCase& c, const OracleOptions& options,
                           NodeId mapper, OracleReport& report) {
-  if (!options.federated) {
-    report.skipped.push_back("federated-iso: disabled");
-    return;
-  }
   if (c.has_flap()) {
     report.skipped.push_back(
         "federated-iso: flapping timeline (no quiescent instant to shard at)");
@@ -521,7 +500,7 @@ void run_federated_oracle(const ScenarioCase& c, const OracleOptions& options,
 
   federation::FederationConfig config;
   config.spec.auto_regions =
-      std::max(1, std::min(options.federated_regions,
+      std::max(1, std::min(kFederatedRegions,
                            static_cast<int>(local.num_hosts())));
   config.spec.anchor_host = fabric.name(mapper);
   config.collision = c.collision;

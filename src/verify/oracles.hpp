@@ -39,9 +39,10 @@
 //                     session's blind window, where no mapper could have
 //                     observed the change.
 //  * federated-iso   — sharded mapping loses nothing: a FederatedMapper run
-//                     (auto-partitioned regions anchored at the mapper host,
-//                     concurrent per-region sessions, boundary resolution,
-//                     recomputed routes) produces a merged map Theorem-1
+//                     (three auto-partitioned regions, at most one per
+//                     host, anchored at the mapper host, concurrent
+//                     per-region sessions, boundary resolution, recomputed
+//                     routes) produces a merged map Theorem-1
 //                     isomorphic to the monolithic truth core(C) — and the
 //                     merged model is *certified* (analyzer-clean, both
 //                     certificates re-checked). On a flap-free faulted case
@@ -97,18 +98,8 @@ struct OracleReport {
 };
 
 struct OracleOptions {
-  bool berkeley = true;
-  bool myricom = true;
-  bool analysis = true;
-  bool conservation = true;
-  bool pipeline = true;
-  bool robust = true;
+  /// Run incremental-equiv (off: skipped as "incremental-equiv: disabled").
   bool incremental = true;
-  bool federated = true;
-
-  /// federated-iso: regions to shard the mapper's component into (clamped
-  /// to its host count).
-  int federated_regions = 3;
 
   /// incremental-equiv: BFS expansion around the event-touched switches
   /// when deriving the dirty region (the refresh loop expands by one hop).

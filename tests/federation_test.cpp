@@ -188,7 +188,7 @@ TEST(FederatedMapper, ElapsedIsMaxOverRegionsPlusMergeCharge) {
   }
   EXPECT_EQ(result.total_probes, probes);
   EXPECT_EQ(result.elapsed,
-            slowest + config.merge_cost_per_vertex *
+            slowest + mapper::kMergeCostPerVertex *
                           static_cast<std::int64_t>(
                               result.merge.loaded_vertices));
 }

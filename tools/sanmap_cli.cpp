@@ -681,8 +681,6 @@ int cmd_serve(int argc, const char* const* argv) {
     std::string action = "observe";
     if (report.backoff_active) {
       action = "backoff";
-    } else if (report.budget_exhausted) {
-      action = "budget";
     } else if (report.remapped) {
       action = std::string(to_string(report.remap)) +
                (report.escalated ? "(escalated)" : "") + " -> " +
@@ -897,17 +895,17 @@ int cmd_lint(int argc, const char* const* argv) {
       }
       result = analysis::analyze(local, routes, options);
     } else {
-      result = analysis::analyze_map(local, options);
+      result = analysis::analyze_map(local);
     }
     // Fabric lints over the FULL map too (dangling wires or port clashes
     // outside the mapped component still deserve diagnostics), deduped by
     // the report's own per-code cap.
     if (local.num_nodes() != fabric.num_nodes()) {
-      analysis::AnalysisResult whole = analysis::analyze_map(fabric, options);
+      analysis::AnalysisResult whole = analysis::analyze_map(fabric);
       result.report.merge(whole.report);
     }
   } else {
-    result = analysis::analyze_map(fabric, options);
+    result = analysis::analyze_map(fabric);
   }
 
   if (flags.get_bool("json")) {
