@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "routing/congestion.hpp"
 #include "topology/algorithms.hpp"
 
 namespace sanmap::analysis {
@@ -143,22 +144,6 @@ ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
     }
   }
   return parallel;
-}
-
-/// SL403's traffic oracle: route traversals per directed channel, indexed
-/// by the dense channel slot wire * 2 + a-to-b — ascending slots are
-/// ascending (wire, a-to-b) keys.
-std::vector<std::size_t> channel_loads(const topo::Topology& topo,
-                                       const routing::RoutingResult& routes) {
-  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      ++load[static_cast<std::size_t>(route.wires[i]) * 2 +
-             (wire.a.node == route.nodes[i] ? 1 : 0)];
-    }
-  }
-  return load;
 }
 
 }  // namespace
@@ -437,9 +422,10 @@ void lint_route_quality(const topo::Topology& topo,
   //  * skew across redundant parallel cables between the same two switches
   //    (the seed's tie-break exists precisely to spread those), and
   //  * a single channel funneling the majority of all routes.
-  const std::vector<std::size_t> loads = channel_loads(topo, routes);
+  // SL403's traffic oracle: route traversals per directed channel.
+  const std::vector<std::size_t> loads = routing::channel_loads(topo, routes);
   const auto channel_load = [&](topo::WireId w, bool a_to_b) {
-    return loads[static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0)];
+    return loads[routing::channel_slot(w, a_to_b)];
   };
   // Parallel-cable skew. When the engine (or the route optimizer) declared
   // a per-cable assignment for the whole group, the lint audits the table

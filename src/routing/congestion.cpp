@@ -5,19 +5,27 @@
 
 namespace sanmap::routing {
 
+std::vector<std::size_t> channel_loads(const topo::Topology& topo,
+                                       const RoutingResult& routes) {
+  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
+  for (const auto& [key, route] : routes.routes) {
+    for (std::size_t i = 0; i < route.wires.size(); ++i) {
+      const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
+      ++load[channel_slot(route.wires[i], a_to_b)];
+    }
+  }
+  return load;
+}
+
 CongestionStats channel_load(const topo::Topology& topo,
                              const RoutingResult& routes) {
-  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
+  const std::vector<std::size_t> load = channel_loads(topo, routes);
   std::size_t total_hops = 0;
   std::size_t root_hops = 0;
   const topo::NodeId root = routes.orientation.root();
   for (const auto& [key, route] : routes.routes) {
+    total_hops += route.wires.size();
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      const bool a_to_b = wire.a.node == route.nodes[i];
-      ++load[static_cast<std::size_t>(route.wires[i]) * 2 +
-             static_cast<std::size_t>(a_to_b)];
-      ++total_hops;
       if (route.nodes[i] == root || route.nodes[i + 1] == root) {
         ++root_hops;
       }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
@@ -26,6 +27,17 @@ struct CongestionStats {
   /// Fraction of all route-hops that touch the orientation's root switch.
   double root_traffic_share = 0.0;
 };
+
+/// Dense directed-channel slot of wire `w`: w * 2 + (a-to-b ? 1 : 0), so
+/// ascending slots are ascending (wire, a-to-b) keys.
+inline std::size_t channel_slot(topo::WireId w, bool a_to_b) {
+  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
+}
+
+/// Routes crossing each directed channel, indexed by channel_slot (sized
+/// 2 * topo.wire_capacity()).
+std::vector<std::size_t> channel_loads(const topo::Topology& topo,
+                                       const RoutingResult& routes);
 
 CongestionStats channel_load(const topo::Topology& topo,
                              const RoutingResult& routes);

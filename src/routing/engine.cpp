@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "routing/congestion.hpp"
 #include "routing/updown_paths.hpp"
 #include "topology/algorithms.hpp"
 
@@ -15,11 +16,6 @@ namespace {
 
 const UpDownEngine kUpDownEngine;
 const DfsEngine kDfsEngine;
-
-/// Dense directed-channel slot, same scheme as the deadlock analyzer.
-std::size_t channel_slot(topo::WireId w, bool a_to_b) {
-  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
 
 /// Deterministic DFS preorder over the fabric: neighbors are visited in
 /// ascending node-id order, multi-edges count once. Every node's DFS-tree

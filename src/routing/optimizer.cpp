@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/updown_paths.hpp"
 
@@ -14,22 +15,6 @@ namespace {
 /// Path-pass + cable-pass rounds. Two rounds settle the corpus and the
 /// paper figures; more rounds are legal but change little.
 constexpr int kMaxRounds = 2;
-
-std::size_t channel_slot(topo::WireId w, bool a_to_b) {
-  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
-
-std::vector<std::size_t> channel_loads_of(const topo::Topology& topo,
-                                          const RoutingResult& routes) {
-  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      ++load[channel_slot(route.wires[i], a_to_b)];
-    }
-  }
-  return load;
-}
 
 std::size_t max_load(const std::vector<std::size_t>& load) {
   std::size_t best = 0;
@@ -166,7 +151,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   OptimizerReport report;
   const detail::UpDownPaths paths(topo, routes.orientation);
   const std::vector<bool> trunk = trunk_groups(topo, paths);
-  std::vector<std::size_t> load = channel_loads_of(topo, routes);
+  std::vector<std::size_t> load = channel_loads(topo, routes);
   report.max_load_before = max_load(load);
 
   auto entry = routes.routes;
@@ -183,7 +168,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   }
   if (!updown_compliant(routes)) {
     routes.routes = std::move(entry);
-    load = channel_loads_of(topo, routes);
+    load = channel_loads(topo, routes);
     report.reverted = true;
   }
 

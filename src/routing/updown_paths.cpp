@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "routing/congestion.hpp"
+
 namespace sanmap::routing::detail {
 
 UpDownPaths::UpDownPaths(const topo::Topology& topo,
@@ -165,8 +167,7 @@ bool UpDownPaths::coldest_route(const topo::Topology& topo, std::size_t si,
       std::size_t pick_load = std::numeric_limits<std::size_t>::max();
       for (const topo::WireId w : candidates) {
         const bool a_to_b = topo.wire(w).a.node == from;
-        const std::size_t have =
-            load[static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0)];
+        const std::size_t have = load[channel_slot(w, a_to_b)];
         if (have < pick_load) {
           pick_load = have;
           pick = w;

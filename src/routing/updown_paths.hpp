@@ -79,8 +79,8 @@ class UpDownPaths {
   /// shared by the DFS engine and the route optimizer: each apex's path
   /// takes the coldest cable per hop (the first on ties), and a route
   /// scoring strictly lower than `best` in (max_load, total_load) replaces
-  /// it, apexes in order. `load` holds route counts per channel slot
-  /// wire * 2 + a-to-b; `scratch` is working storage. Returns whether
+  /// it, apexes in order. `load` holds route counts per channel_slot
+  /// (routing/congestion.hpp); `scratch` is working storage. Returns whether
   /// `best` was replaced.
   bool coldest_route(const topo::Topology& topo, std::size_t si,
                      std::size_t di, const std::vector<std::size_t>& apexes,
