@@ -88,9 +88,9 @@ int main(int argc, char** argv) {
   std::size_t table_bytes = 0;
   std::size_t validated = 0;
   for (const topo::NodeId src : result.map.hosts()) {
-    for (const auto* route : routes.table_for(src)) {
-      table_bytes += route->turns.size() + 2;  // turns + dest id + length
-      const auto replay = mapped_net.send(src, route->turns);
+    for (const auto& route : routes.table_for(src)) {
+      table_bytes += route.turns.size() + 2;  // turns + dest id + length
+      const auto replay = mapped_net.send(src, route.turns);
       if (!replay.delivered()) {
         std::cerr << "route replay failed\n";
         return 1;

@@ -37,62 +37,38 @@ RoutingResult compute_tree_routes(const topo::Topology& topo,
     }
   }
 
-  // Route src -> dst: climb both to the LCA, then splice.
-  const auto hosts = topo.hosts();
-  for (const topo::NodeId src : hosts) {
-    for (const topo::NodeId dst : hosts) {
-      if (src == dst) {
-        continue;
+  // Per destination: a switch on the tree path from the root down to the
+  // destination hands the message down toward it, any other switch hands
+  // it up to its parent; so every route climbs to the lowest common
+  // ancestor and descends. Each source's walk stops at the first state
+  // another source already filled.
+  RouteTable& table = result.routes;
+  table = RouteTable(topo, result.orientation);
+  std::vector<topo::WireId> down(topo.node_capacity(), topo::kInvalidWire);
+  const auto hosts = static_cast<std::uint32_t>(table.hosts().size());
+  for (std::uint32_t j = 0; j < hosts; ++j) {
+    const topo::NodeId dst = table.hosts()[j];
+    SANMAP_CHECK_MSG(depth[dst] >= 0,
+                     "tree routing requires a connected topology");
+    for (topo::NodeId n = dst; n != root; n = parent[n]) {
+      down[parent[n]] = parent_wire[n];
+    }
+    for (std::uint32_t i = 0; i < hosts; ++i) {
+      std::uint32_t x = table.start(i);
+      while (i != j && x != RouteTable::kNone &&
+             table.next(j, x) == topo::kInvalidWire) {
+        const topo::NodeId at = table.state_switch(x);
+        const topo::WireId w =
+            down[at] != topo::kInvalidWire ? down[at] : parent_wire[at];
+        table.set_entry(j, x, w);
+        x = table.hop(x, w).state;
       }
-      SANMAP_CHECK_MSG(depth[src] >= 0 && depth[dst] >= 0,
-                       "tree routing requires a connected topology");
-      // Wire chains from each endpoint up to the LCA.
-      std::vector<topo::WireId> up;      // src upward
-      std::vector<topo::WireId> down;    // dst upward (reversed later)
-      topo::NodeId a = src;
-      topo::NodeId b = dst;
-      while (depth[a] > depth[b]) {
-        up.push_back(parent_wire[a]);
-        a = parent[a];
-      }
-      while (depth[b] > depth[a]) {
-        down.push_back(parent_wire[b]);
-        b = parent[b];
-      }
-      while (a != b) {
-        up.push_back(parent_wire[a]);
-        a = parent[a];
-        down.push_back(parent_wire[b]);
-        b = parent[b];
-      }
-
-      HostRoute route;
-      route.nodes.push_back(src);
-      topo::NodeId at = src;
-      for (const topo::WireId w : up) {
-        at = topo.wire(w).opposite(at).node;
-        route.wires.push_back(w);
-        route.nodes.push_back(at);
-      }
-      for (auto it = down.rbegin(); it != down.rend(); ++it) {
-        at = topo.wire(*it).opposite(at).node;
-        route.wires.push_back(*it);
-        route.nodes.push_back(at);
-      }
-      SANMAP_CHECK(route.nodes.back() == dst);
-      // Emit the relative turn sequence (§2.2).
-      for (std::size_t h = 1; h < route.wires.size(); ++h) {
-        const topo::NodeId sw = route.nodes[h];
-        const topo::Port in_port =
-            topo.wire(route.wires[h - 1]).opposite(route.nodes[h - 1]).port;
-        const topo::Wire& out_wire = topo.wire(route.wires[h]);
-        const topo::Port out_port =
-            out_wire.a.node == sw ? out_wire.a.port : out_wire.b.port;
-        route.turns.push_back(out_port - in_port);
-      }
-      result.routes.emplace(std::make_pair(src, dst), std::move(route));
+    }
+    for (topo::NodeId n = dst; n != root; n = parent[n]) {
+      down[parent[n]] = topo::kInvalidWire;
     }
   }
+  table.recount();
   return result;
 }
 

@@ -93,16 +93,21 @@ void MapCatalog::lint_staleness(
       snapshot.created_at > health->checked_at) {
     return;
   }
+  // The switches some route crosses: those with a state on some tree.
+  const routing::RouteTable& table = snapshot.routes.routes;
+  std::vector<bool> crossed(table.num_switches(), false);
+  table.for_each_tree([&](const routing::RouteTable::Tree& tree) {
+    for (const std::uint32_t x : tree.order) {
+      crossed[x / 2] = true;
+    }
+  });
   std::vector<std::string> routed;
-  for (const auto& [key, route] : snapshot.routes.routes) {
-    for (const topo::NodeId n : route.nodes) {
-      if (snapshot.map.is_switch(n)) {
-        routed.push_back(snapshot.map.name(n));
-      }
+  for (std::uint32_t s = 0; s < crossed.size(); ++s) {
+    if (crossed[s]) {
+      routed.push_back(snapshot.map.name(table.state_switch(2 * s)));
     }
   }
   std::sort(routed.begin(), routed.end());
-  routed.erase(std::unique(routed.begin(), routed.end()), routed.end());
   for (const std::string& name : health->quarantined) {
     if (std::binary_search(routed.begin(), routed.end(), name)) {
       errors.push_back(analysis::Diagnostic{

@@ -35,14 +35,20 @@ RouteAnswer RouteQueryEngine::route_on(const MapSnapshot& snapshot,
   if (!s || !d || *s == *d) {
     return answer;
   }
-  const auto it = snapshot.routes.routes.find({*s, *d});
-  if (it == snapshot.routes.routes.end()) {
+  // The route is built on read by walking the table, into a buffer each
+  // reader thread reuses.
+  thread_local routing::HostRoute route;
+  const routing::RouteTable& table = snapshot.routes.routes;
+  const std::uint32_t i = table.host_index(*s);
+  const std::uint32_t j = table.host_index(*d);
+  if (i == routing::RouteTable::kNone || j == routing::RouteTable::kNone ||
+      !table.walk(i, j, route) || route.nodes.back() != *d) {
     return answer;
   }
   // Quarantine gate: a route whose path crosses the dirty region is
   // withheld — the service knows that region no longer matches the fabric.
   if (health && !health->quarantined.empty()) {
-    for (const topo::NodeId n : it->second.nodes) {
+    for (const topo::NodeId n : route.nodes) {
       if (snapshot.map.is_switch(n) &&
           health->quarantines(snapshot.map.name(n))) {
         answer.status = QueryStatus::kDegraded;
@@ -52,8 +58,8 @@ RouteAnswer RouteQueryEngine::route_on(const MapSnapshot& snapshot,
   }
   answer.found = true;
   answer.status = QueryStatus::kOk;
-  answer.hops = it->second.hops();
-  answer.turns = it->second.turns;
+  answer.hops = route.hops();
+  answer.turns = route.turns;
   return answer;
 }
 

@@ -231,13 +231,13 @@ void RefreshLoop::set_health(MapCatalog::HealthState state,
   catalog_->set_health(std::move(status));
 }
 
-topo::Topology RefreshLoop::full_remap(TickReport& report) {
+topo::Topology RefreshLoop::full_remap(std::uint64_t& probes) {
   engine_.set_clock_base(now_);
   engine_.reset();
   mapper::RobustResult session =
       mapper::RobustMapper(engine_, robust_).run();
   now_ = session.elapsed;
-  report.probes_used += session.probes_used;
+  probes += session.probes_used;
   return std::move(session.map);
 }
 
@@ -349,7 +349,17 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
     if (report.remap == RemapKind::kIncremental) {
       report.escalated = true;
     }
-    const topo::Topology map = full_remap(report);
+    std::uint64_t probes = 0;
+    const topo::Topology map = full_remap(probes);
+    if (previous && topo::isomorphic(map, previous->map)) {
+      // As on the incremental rung: the session re-derived the served map,
+      // so the findings name devices Theorem 1 leaves out of it. Nothing
+      // to publish; the session was part of this tick's check.
+      report.remapped = false;
+      report.verify_probes += probes;
+      return;
+    }
+    report.probes_used += probes;
     report.remap = RemapKind::kFull;
     published = try_publish(map, based_on_epoch,
                             based_on_epoch == 0 ? "bootstrap" : "remap",

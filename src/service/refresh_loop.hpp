@@ -19,7 +19,9 @@
 //     Theorem 1 leaves out of every map, bouncing probes on a free port;
 //  2. full remap — a mapper::RobustMapper session against the live network
 //     when the incremental attempt failed, produced a map the router
-//     refuses, or its sweep had findings;
+//     refuses, or its sweep had findings (or when the incremental rung is
+//     off). A session that re-derives the served map ends the tick fresh,
+//     as the incremental rung does;
 //  3. degraded — when even the full remap cannot produce a publishable
 //     snapshot, keep serving the last safe snapshot with the dirty region
 //     quarantined (MapCatalog health kDegraded) and try again next tick.
@@ -106,7 +108,8 @@ struct TickReport {
   std::uint64_t epoch_before = 0;
   std::uint64_t epoch_after = 0;
   /// Probes the tick's verification sweep of the served map spent, plus
-  /// those of an incremental repair that re-derived the served map.
+  /// those of a remap session (incremental or full) that re-derived the
+  /// served map.
   std::uint64_t verify_probes = 0;
   /// Ports whose probe contradicted the served map (0: still fresh).
   std::size_t findings = 0;
@@ -191,8 +194,9 @@ class RefreshLoop {
                          const std::vector<topo::NodeId>& dirty,
                          TickReport& report) SANMAP_REQUIRES(mutex_);
 
-  /// Full RobustMapper session against the live fabric.
-  [[nodiscard]] topo::Topology full_remap(TickReport& report)
+  /// Full RobustMapper session against the live fabric; adds the probes
+  /// it spent to `probes`.
+  [[nodiscard]] topo::Topology full_remap(std::uint64_t& probes)
       SANMAP_REQUIRES(mutex_);
 
   /// Verify, distribute, and publish one candidate map. Returns true when

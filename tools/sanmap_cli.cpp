@@ -435,6 +435,27 @@ int cmd_map(int argc, const char* const* argv) {
   return 0;
 }
 
+// The first `count` routes in key order, walked one by one.
+common::Table route_sample(const topo::Topology& t,
+                           const routing::RoutingResult& routes,
+                           std::int64_t count) {
+  common::Table sample({"source", "destination", "hops", "turns"});
+  const routing::RouteTable& table = routes.routes;
+  const auto hosts = static_cast<std::uint32_t>(table.hosts().size());
+  routing::HostRoute route;
+  for (std::uint32_t i = 0; i < hosts && count > 0; ++i) {
+    for (std::uint32_t j = 0; j < hosts && count > 0; ++j) {
+      if (i != j && table.walk(i, j, route)) {
+        sample.add_row({t.name(table.hosts()[i]), t.name(table.hosts()[j]),
+                        std::to_string(route.hops()),
+                        simnet::to_string(route.turns)});
+        --count;
+      }
+    }
+  }
+  return sample;
+}
+
 int cmd_routes(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input topology file (typically a mapped one)");
@@ -485,17 +506,7 @@ int cmd_routes(int argc, const char* const* argv) {
   std::cout << "compliant     : "
             << (routing::updown_compliant(routes) ? "yes" : "NO") << "\n";
 
-  common::Table sample({"source", "destination", "hops", "turns"});
-  std::int64_t remaining = flags.get_int("sample");
-  for (const auto& [key, route] : routes.routes) {
-    if (remaining-- <= 0) {
-      break;
-    }
-    sample.add_row({t.name(key.first), t.name(key.second),
-                    std::to_string(route.hops()),
-                    simnet::to_string(route.turns)});
-  }
-  std::cout << "\n" << sample;
+  std::cout << "\n" << route_sample(t, routes, flags.get_int("sample"));
   return certificate.deadlock_free ? 0 : 1;
 }
 
@@ -750,18 +761,8 @@ int cmd_query(int argc, const char* const* argv) {
               << simnet::to_string(answer.turns) << "\n";
   }
 
-  if (std::int64_t remaining = flags.get_int("sample"); remaining > 0) {
-    common::Table sample({"source", "destination", "hops", "turns"});
-    for (const auto& [key, route] : snapshot.routes.routes) {
-      if (remaining-- <= 0) {
-        break;
-      }
-      sample.add_row({snapshot.map.name(key.first),
-                      snapshot.map.name(key.second),
-                      std::to_string(route.hops()),
-                      simnet::to_string(route.turns)});
-    }
-    std::cout << "\n" << sample;
+  if (const std::int64_t count = flags.get_int("sample"); count > 0) {
+    std::cout << "\n" << route_sample(snapshot.map, snapshot.routes, count);
   }
   return 0;
 }
