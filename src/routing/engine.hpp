@@ -14,9 +14,17 @@
 // Simonov) whose grounding is Sancho's DFS variant of UP*/DOWN*: the order
 // is a depth-first preorder of the fabric (every node's DFS-tree parent
 // precedes it, so the climb-to-root guarantee holds), and among the legal
-// shortest alternatives — tied apexes, parallel cables — the emitter picks
-// deterministically by current channel load instead of at random, which is
-// what cuts parallel-cable skew and root funneling. Acyclicity of the
+// shortest alternatives — tied next hops, parallel cables — the emitter
+// picks deterministically by channel load instead of at random, which is
+// what cuts parallel-cable skew and root funneling.
+//
+// Both engines fill the same per-destination next-hop table
+// (routing/routes.hpp) from one reverse breadth-first search per
+// destination switch, O(H·(S + E)) for H hosts, S switches and E wires. A
+// choice is made once per table entry, for every source the entry routes:
+// the DFS engine sends an entry down the tied next hop whose coldest
+// continuation to the destination is coldest, in (hottest channel, total
+// load), and adds the entry's sources to that channel. Acyclicity of the
 // emitted table is proved by the analysis layer's DeadlockCertificate and
 // its independent checker; an engine does not get to assume its own
 // correctness argument.
@@ -64,8 +72,8 @@ class UpDownEngine final : public Engine {
 
 /// The DFS-preorder-ordered engine with load-aware deterministic selection
 /// (header comment above). `seed` is accepted for interface uniformity but
-/// unused: every choice is resolved by load and then by the smallest
-/// wire/apex, so the table is a pure function of (topology, options).
+/// unused: every choice is resolved by load and then by the smallest wire,
+/// so the table is a pure function of (topology, options).
 class DfsEngine final : public Engine {
  public:
   [[nodiscard]] EngineKind kind() const override { return EngineKind::kDfs; }

@@ -8,6 +8,13 @@
 // deadlock-free, but it ignores every redundant link, so path lengths and
 // especially channel congestion are worse; bench_routing's routing study
 // quantifies the gap.
+//
+// The result is the same per-destination next-hop table the engines emit
+// (routing/routes.hpp), filled from the tree's parent pointers: toward a
+// destination, a switch on the tree path down to it hands the message down
+// that path, and every other switch hands it up to its parent. Each
+// source's walk stops at the first entry already filled, so a table costs
+// O(H·S) for H hosts and S switches.
 #pragma once
 
 #include "routing/routes.hpp"
