@@ -34,6 +34,24 @@ inline std::size_t channel_slot(topo::WireId w, bool a_to_b) {
   return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
 }
 
+/// Calls visit(hop, routes) for every hop of one destination's tree with
+/// the number of routes that take it: each routed source's first hop once,
+/// and each tree entry once per source it routes. Summed over every tree,
+/// that is each channel's load.
+template <typename Visit>
+void for_each_loaded_hop(const RouteTable& table,
+                         const RouteTable::Tree& tree, Visit&& visit) {
+  for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
+    if (tree.routed[i] != 0) {
+      visit(table.first_hop(i), std::size_t{1});
+    }
+  }
+  for (const std::uint32_t x : tree.order) {
+    visit(table.entry_hop(tree.dst, x),
+          static_cast<std::size_t>(tree.weight[x]));
+  }
+}
+
 /// Routes crossing each directed channel, indexed by channel_slot (sized
 /// 2 * topo.wire_capacity()).
 std::vector<std::size_t> channel_loads(const topo::Topology& topo,
