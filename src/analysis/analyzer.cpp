@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/route_walk.hpp"
 
 namespace sanmap::analysis {
 
@@ -65,23 +66,29 @@ AnalysisResult analyze(const topo::Topology& map,
                       "the table was computed against a different map");
     return result;
   }
+  const std::size_t ordered = routes.orientation.raw_labels().size();
+  if (ordered < map.node_capacity()) {
+    result.report.add("SL106", "",
+                      "the table's UP*/DOWN* order covers " +
+                          std::to_string(ordered) + " nodes, this map has " +
+                          std::to_string(map.node_capacity()),
+                      "the table was computed against a different map");
+    return result;
+  }
 
-  // One walk of every route serves the structure lints and both
-  // certificates' independent checkers; the certificates themselves are
-  // built from the table's trees, and only for a structurally sound table.
+  // One walk of every route, split by source across the call's pool,
+  // serves the structure lints and both certificates' independent
+  // checkers; the certificates themselves are built from the table's
+  // trees, and only for a structurally sound table.
+  CallPool pool;
   DiagnosticReport structure;
-  LegalityWalk legality(map, legality_labels(map, routes));
+  LegalityWalk legality(map, routes.routes, legality_labels(map, routes));
   DependencyWalk dependencies(map);
-  bool sound = true;
-  routes.routes.for_each_route([&](topo::NodeId src, topo::NodeId dst,
-                                   const routing::HostRoute& route) {
-    if (!lint_route(map, src, dst, route, structure)) {
-      sound = false;
-    } else if (sound) {
-      legality.add(src, dst, route);
-      dependencies.add(route);
-    }
-  });
+  const bool sound = walk_routes(
+      map, routes.routes,
+      {.structure = &structure, .legality = &legality,
+       .dependencies = &dependencies},
+      pool);
   result.report.merge(structure);
   if (!sound) {
     result.report.add("SL001", "",
@@ -92,7 +99,7 @@ AnalysisResult analyze(const topo::Topology& map,
   }
   result.analyzed_routes = true;
 
-  result.legality = build_legality_certificate(map, routes);
+  result.legality = build_legality_certificate(map, routes, pool);
   emit_legality_findings(map, result.legality, result.report);
   std::vector<std::string> why;
   if (!legality.check(result.legality, &why)) {

@@ -36,7 +36,11 @@ struct AnalysisResult {
 
 /// Full static analysis of a map plus its route table. The table's
 /// orientation is re-derived from its root — the analyzer never trusts the
-/// RoutingResult's internal topology pointer.
+/// RoutingResult's internal topology pointer. A table whose root is not a
+/// live switch of the map, or whose order covers fewer nodes than the map,
+/// was computed against a different map: SL106, and nothing else runs.
+/// The route walk and the legality builder run on threads local to the
+/// call; the result is the same on any core count.
 AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options = {});

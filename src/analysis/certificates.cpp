@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/route_walk.hpp"
 #include "common/check.hpp"
 #include "routing/updown.hpp"
 
@@ -92,6 +93,13 @@ std::vector<int> legality_labels(const topo::Topology& topo,
 
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes) {
+  CallPool pool;
+  return build_legality_certificate(topo, routes, pool);
+}
+
+LegalityCertificate build_legality_certificate(
+    const topo::Topology& topo, const routing::RoutingResult& routes,
+    CallPool& pool) {
   LegalityCertificate cert;
   cert.root = routes.orientation.root();
   SANMAP_CHECK_MSG(
@@ -111,15 +119,13 @@ LegalityCertificate build_legality_certificate(
   // Per destination tree, successors first: the classification of every
   // suffix walk from each state, both for a walk that has not gone down yet
   // and for one that has (the route's first hop decides which applies).
-  // Trees are read in blocks of destinations, and each block's entries
-  // land at their (src, dst) key positions source by source, so the writes
-  // stay near each other.
+  // Trees are read in blocks of destinations, one block per pool task. A
+  // block writes its destinations' entries of every source, (src, dst)
+  // slots no other block writes; they span n short runs of the array,
+  // which stay in cache across the block's destinations.
   const routing::RouteTable& table = routes.routes;
   const auto n = static_cast<std::uint32_t>(table.hosts().size());
   cert.routes.assign(n < 2 ? 0 : std::size_t{n} * (n - 1), RouteLegality{});
-  std::vector<int> lead(table.num_states(), 0);
-  std::vector<int> offense_up(table.num_states(), -1);
-  std::vector<int> offense_down(table.num_states(), -1);
   const auto shifted = [](int offense) {
     return offense < 0 ? -1 : offense + 1;
   };
@@ -129,12 +135,13 @@ LegalityCertificate build_legality_certificate(
                               table.hosts()[i]);
   }
   constexpr std::uint32_t kBlock = 64;
-  constexpr int kUnrouted = -2;
-  // Per (destination in the block, source): apex hop and offending hop.
-  std::vector<std::pair<int, int>> staged(std::size_t{kBlock} * n);
-  routing::RouteTable::Tree tree;
-  for (std::uint32_t begin = 0; begin < n; begin += kBlock) {
+  pool.run((n + kBlock - 1) / kBlock, [&](std::size_t b) {
+    const auto begin = static_cast<std::uint32_t>(b) * kBlock;
     const std::uint32_t end = std::min(n, begin + kBlock);
+    std::vector<int> lead(table.num_states(), 0);
+    std::vector<int> offense_up(table.num_states(), -1);
+    std::vector<int> offense_down(table.num_states(), -1);
+    routing::RouteTable::Tree tree;
     for (std::uint32_t dst = begin; dst < end; ++dst) {
       table.tree(dst, tree);
       for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
@@ -153,31 +160,22 @@ LegalityCertificate build_legality_certificate(
           offense_down[x] = offense_up[x];
         }
       }
-      std::pair<int, int>* row = staged.data() + std::size_t{dst - begin} * n;
       for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t x = table.start(i);
-        row[i] = tree.routed[i] == 0 ? std::pair{kUnrouted, -1}
-                 : first_up[i] != 0
-                     ? std::pair{1 + lead[x], shifted(offense_up[x])}
-                     : std::pair{0, shifted(offense_down[x])};
-      }
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t dst = begin; dst < end; ++dst) {
-        const auto [apex, offense] = staged[std::size_t{dst - begin} * n + i];
-        if (apex == kUnrouted) {
+        if (tree.routed[i] == 0) {
           continue;
         }
+        const std::uint32_t x = table.start(i);
         RouteLegality& entry =
             cert.routes[std::size_t{i} * (n - 1) + dst - (dst > i ? 1 : 0)];
         entry.src = table.hosts()[i];
         entry.dst = table.hosts()[dst];
-        entry.apex_hop = apex;
-        entry.offending_hop = offense;
-        entry.legal = offense < 0;
+        entry.apex_hop = first_up[i] != 0 ? 1 + lead[x] : 0;
+        entry.offending_hop = shifted(first_up[i] != 0 ? offense_up[x]
+                                                       : offense_down[x]);
+        entry.legal = entry.offending_hop < 0;
       }
     }
-  }
+  });
   // Unrouted pairs kept their default (invalid) endpoints.
   std::erase_if(cert.routes, [](const RouteLegality& entry) {
     return entry.src == topo::kInvalidNode;
@@ -189,15 +187,22 @@ LegalityCertificate build_legality_certificate(
 }
 
 LegalityWalk::LegalityWalk(const topo::Topology& topo,
+                           const routing::RouteTable& table,
                            std::vector<int> labels)
-    : topo_(&topo), labels_(std::move(labels)) {
+    : topo_(&topo), table_(&table), labels_(std::move(labels)) {
   SANMAP_CHECK_MSG(labels_.size() >= topo.node_capacity(),
                    "legality labels cover fewer nodes than the map");
+  const std::size_t n = table.hosts().size();
+  derived_.assign(n < 2 ? 0 : n * (n - 1), -1);
 }
 
 void LegalityWalk::add(topo::NodeId src, topo::NodeId dst,
                        const routing::HostRoute& route) {
-  derived_.push_back(classify_route(*topo_, labels_, src, dst, route));
+  const std::size_t i = table_->host_index(src);
+  const std::size_t j = table_->host_index(dst);
+  const RouteLegality entry = classify_route(*topo_, labels_, src, dst, route);
+  derived_[i * (table_->hosts().size() - 1) + j - (j > i ? 1 : 0)] =
+      entry.legal ? entry.apex_hop : -2 - entry.offending_hop;
 }
 
 bool LegalityWalk::check(const LegalityCertificate& cert,
@@ -208,10 +213,12 @@ bool LegalityWalk::check(const LegalityCertificate& cert,
     return false;
   }
   bool ok = true;
-  if (cert.routes.size() != derived_.size()) {
+  const auto walked = static_cast<std::size_t>(
+      std::count_if(derived_.begin(), derived_.end(),
+                    [](int slot) { return slot != -1; }));
+  if (cert.routes.size() != walked) {
     explain(why, "certificate covers " + std::to_string(cert.routes.size()) +
-                     " routes but the table holds " +
-                     std::to_string(derived_.size()));
+                     " routes but the table holds " + std::to_string(walked));
     ok = false;
   }
   bool claims_all_legal = true;
@@ -222,7 +229,18 @@ bool LegalityWalk::check(const LegalityCertificate& cert,
   // against the next entry.
   std::size_t next = 0;
   bool unmatched = false;
-  for (const RouteLegality& derived : derived_) {
+  const std::vector<topo::NodeId>& hosts = table_->hosts();
+  for (std::size_t k = 0; k < derived_.size(); ++k) {
+    const int slot = derived_[k];
+    if (slot == -1) {
+      continue;
+    }
+    // Slot k holds source i's route to its (k mod (n - 1))-th other host.
+    const std::size_t i = k / (hosts.size() - 1);
+    const std::size_t j = k % (hosts.size() - 1);
+    const RouteLegality derived{hosts[i], hosts[j >= i ? j + 1 : j],
+                                std::max(slot, 0), slot >= 0,
+                                slot >= 0 ? -1 : -2 - slot};
     if (next == cert.routes.size() || cert.routes[next].src != derived.src ||
         cert.routes[next].dst != derived.dst) {
       unmatched = true;
@@ -267,11 +285,9 @@ bool check_legality(const topo::Topology& topo,
     explain(why, "certificate labels cover fewer nodes than the map");
     return false;
   }
-  LegalityWalk walk(topo, cert.labels);
-  routes.routes.for_each_route([&](topo::NodeId src, topo::NodeId dst,
-                                   const routing::HostRoute& route) {
-    walk.add(src, dst, route);
-  });
+  LegalityWalk walk(topo, routes.routes, cert.labels);
+  CallPool pool;
+  walk_routes(topo, routes.routes, {.legality = &walk}, pool);
   return walk.check(cert, why);
 }
 
@@ -533,6 +549,13 @@ void DependencyWalk::add(const routing::HostRoute& route) {
   }
 }
 
+void DependencyWalk::merge(const DependencyWalk& other) {
+  SANMAP_CHECK(other.out_ports_.size() == out_ports_.size());
+  for (std::size_t c = 0; c < out_ports_.size(); ++c) {
+    out_ports_[c] |= other.out_ports_[c];
+  }
+}
+
 bool DependencyWalk::check(const DeadlockCertificate& cert,
                            std::vector<std::string>* why) const {
   CheckedEdges edges;
@@ -584,10 +607,8 @@ bool check_deadlock(const topo::Topology& topo,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
   DependencyWalk walk(topo);
-  routes.routes.for_each_route(
-      [&](topo::NodeId, topo::NodeId, const routing::HostRoute& route) {
-        walk.add(route);
-      });
+  CallPool pool;
+  walk_routes(topo, routes.routes, {.dependencies = &walk}, pool);
   return walk.check(cert, why);
 }
 

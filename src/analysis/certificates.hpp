@@ -20,7 +20,11 @@
 // checkers walk every route (RouteTable::for_each_route), O(H²·L), and
 // derive their own verdict from the hops alone; LegalityWalk and
 // DependencyWalk take one walked route at a time so analyze() can serve
-// both checkers and the structure lints with a single walk.
+// both checkers and the structure lints with a single walk. That walk
+// (walk_routes, route_walk.hpp) is split by source across the cores; the
+// legality builder runs its blocks of destinations on the same call-local
+// pool. Both write disjoint slots or merge in a fixed order, so the
+// certificates and verdicts are the same bytes on any core count.
 //
 // The deadlock certificate is the one deadlock proof production code runs
 // (build_snapshot, the publish gate, federation, CLI routes and lint).
@@ -39,6 +43,8 @@
 #include "topology/topology.hpp"
 
 namespace sanmap::analysis {
+
+class CallPool;
 
 /// Legality of one route under the certificate's labels.
 struct RouteLegality {
@@ -81,6 +87,11 @@ struct DeadlockCertificate {
 /// suffix classified once, successors first. Entries are in key order.
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes);
+/// The same certificate, its blocks of 64 destinations run on `pool`; each
+/// block writes its own (src, dst) slots, so the bytes do not change.
+LegalityCertificate build_legality_certificate(
+    const topo::Topology& topo, const routing::RoutingResult& routes,
+    CallPool& pool);
 
 /// The labels a legality certificate for `routes` carries: the table's own
 /// orientation over `topo`'s live nodes (0 for dead slots).
@@ -90,12 +101,15 @@ std::vector<int> legality_labels(const topo::Topology& topo,
 /// The legality checker, fed one walked route at a time so that one walk of
 /// the table can serve several checkers (analyze() walks once for both
 /// certificates and the structure lints). Each route is classified under
-/// `labels` alone; check() then requires the certificate to carry exactly
-/// those labels and to agree with every classification, in key order.
+/// `labels` alone into its pair's slot of one array in key order, allocated
+/// up front, so routes of different sources may be added concurrently.
+/// check() then requires the certificate to carry exactly those labels and
+/// to agree with every classification, in key order.
 class LegalityWalk {
  public:
-  LegalityWalk(const topo::Topology& topo, std::vector<int> labels);
-  /// Adds the next route in key order; it must be structurally sound.
+  LegalityWalk(const topo::Topology& topo, const routing::RouteTable& table,
+               std::vector<int> labels);
+  /// Adds a structurally sound route of the table.
   void add(topo::NodeId src, topo::NodeId dst,
            const routing::HostRoute& route);
   bool check(const LegalityCertificate& cert,
@@ -103,8 +117,12 @@ class LegalityWalk {
 
  private:
   const topo::Topology* topo_;
+  const routing::RouteTable* table_;
   std::vector<int> labels_;
-  std::vector<RouteLegality> derived_;
+  /// One slot per ordered pair of the table's hosts, in key order: the
+  /// apex hop of a legal route, -2 - the offending hop of an illegal one,
+  /// or -1 while no route was added to the slot.
+  std::vector<int> derived_;
 };
 
 /// The deadlock checker's own derivation of the dependency edges, fed one
@@ -114,6 +132,8 @@ class DependencyWalk {
   explicit DependencyWalk(const topo::Topology& topo);
   /// Adds every consecutive channel pair of a structurally sound route.
   void add(const routing::HostRoute& route);
+  /// Adds every dependency another walk over the same topology derived.
+  void merge(const DependencyWalk& other);
   bool check(const DeadlockCertificate& cert,
              std::vector<std::string>* why = nullptr) const;
 
@@ -125,7 +145,7 @@ class DependencyWalk {
 };
 
 /// Validates a legality certificate against the topology and routes using
-/// only the labels it carries: a LegalityWalk over every route. Appends one
+/// only the labels it carries: a LegalityWalk fed by walk_routes. Appends one
 /// line per discrepancy to `why` (when non-null) and returns true when the
 /// certificate holds.
 bool check_legality(const topo::Topology& topo,
@@ -150,7 +170,7 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why = nullptr);
 /// The same check against a route table's own channel paths: a
-/// DependencyWalk over every route.
+/// DependencyWalk fed by walk_routes.
 bool check_deadlock(const topo::Topology& topo,
                     const routing::RoutingResult& routes,
                     const DeadlockCertificate& cert,

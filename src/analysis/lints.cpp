@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "analysis/route_walk.hpp"
 #include "routing/congestion.hpp"
 #include "topology/algorithms.hpp"
 
@@ -330,12 +331,8 @@ bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
 bool lint_route_structure(const topo::Topology& topo,
                           const routing::RoutingResult& routes,
                           DiagnosticReport& report) {
-  bool sound = true;
-  routes.routes.for_each_route([&](topo::NodeId src, topo::NodeId dst,
-                                   const routing::HostRoute& route) {
-    sound = lint_route(topo, src, dst, route, report) && sound;
-  });
-  return sound;
+  CallPool pool;
+  return walk_routes(topo, routes.routes, {.structure = &report}, pool);
 }
 
 void lint_route_quality(const topo::Topology& topo,

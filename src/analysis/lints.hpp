@@ -63,7 +63,8 @@ bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
                 const routing::HostRoute& route, DiagnosticReport& report);
 
 /// Structural route-table checks against the map: SL102..SL105 over every
-/// walked route (RouteTable::for_each_route). Returns true when the table
+/// walked route (walk_routes, split by source across the cores; the report
+/// receives the chunks' findings in key order). Returns true when the table
 /// is structurally sound (the certificate builders may then read its trees
 /// without tripping Topology access checks).
 bool lint_route_structure(const topo::Topology& topo,

@@ -4,9 +4,13 @@
 
 namespace sanmap::common {
 
+std::size_t ThreadPool::default_size() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+    threads = default_size();
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {

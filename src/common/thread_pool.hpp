@@ -1,8 +1,13 @@
 // A small fixed-size thread pool.
 //
-// The simulator itself is single-threaded for determinism; the pool is used by
-// benches and examples to fan independent seeded runs out across cores
-// (parameter sweeps, min/avg/max over many runs).
+// The simulator itself is single-threaded for determinism. The pool fans
+// independent work out across cores: seeded runs in benches and examples
+// (parameter sweeps, min/avg/max over many runs), federation's regions,
+// query batches, and the analyzer's walk of every route. Whoever uses it
+// merges the results in a fixed order, so the merged output never depends
+// on scheduling. A pool's jobs must not wait on the same pool (a nested
+// parallel_for can deadlock once every worker waits); the analyzer runs
+// inside federation's workers and therefore uses a pool of its own per call.
 #pragma once
 
 #include <condition_variable>
@@ -20,8 +25,11 @@ namespace sanmap::common {
 /// Fixed-size worker pool executing std::function<void()> jobs FIFO.
 class ThreadPool {
  public:
-  /// Creates `threads` workers (defaults to hardware concurrency, min 1).
+  /// Creates `threads` workers (0 means default_size()).
   explicit ThreadPool(std::size_t threads = 0);
+
+  /// The default worker count: hardware concurrency, at least 1.
+  [[nodiscard]] static std::size_t default_size();
 
   /// Drains outstanding work and joins all workers.
   ~ThreadPool();

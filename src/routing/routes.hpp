@@ -194,19 +194,27 @@ class RouteTable {
   /// got, so structural checks can name it.
   bool walk(std::uint32_t src, std::uint32_t dst, HostRoute& out) const;
 
-  /// Every routed pair, in ascending (src, dst) order, through one reused
-  /// buffer: visit(src, dst, const HostRoute&).
+  /// Every routed pair whose source has host index in [begin, end), in
+  /// ascending (src, dst) order, through one reused buffer:
+  /// visit(src, dst, const HostRoute&). Disjoint source ranges may be
+  /// walked concurrently.
   template <typename Visit>
-  void for_each_route(Visit&& visit) const {
+  void for_each_route(std::uint32_t begin, std::uint32_t end,
+                      Visit&& visit) const {
     HostRoute buffer;
     const auto n = static_cast<std::uint32_t>(hosts_.size());
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = begin; i < end && i < n; ++i) {
       for (std::uint32_t j = 0; j < n; ++j) {
         if (i != j && walk(i, j, buffer)) {
           visit(hosts_[i], hosts_[j], static_cast<const HostRoute&>(buffer));
         }
       }
     }
+  }
+  /// Every routed pair, in ascending (src, dst) order.
+  template <typename Visit>
+  void for_each_route(Visit&& visit) const {
+    for_each_route(0, kNone, std::forward<Visit>(visit));
   }
 
   /// Fills `out` with destination `dst`'s tree.
