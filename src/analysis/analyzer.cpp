@@ -80,7 +80,7 @@ AnalysisResult analyze(const topo::Topology& map,
   // serves the structure lints and both certificates' independent
   // checkers; the certificates themselves are built from the table's
   // trees, and only for a structurally sound table.
-  CallPool pool;
+  common::CallPool pool;
   DiagnosticReport structure;
   LegalityWalk legality(map, routes.routes, legality_labels(map, routes));
   DependencyWalk dependencies(map);

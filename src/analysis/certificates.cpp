@@ -93,13 +93,13 @@ std::vector<int> legality_labels(const topo::Topology& topo,
 
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes) {
-  CallPool pool;
+  common::CallPool pool;
   return build_legality_certificate(topo, routes, pool);
 }
 
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes,
-    CallPool& pool) {
+    common::CallPool& pool) {
   LegalityCertificate cert;
   cert.root = routes.orientation.root();
   SANMAP_CHECK_MSG(
@@ -286,7 +286,7 @@ bool check_legality(const topo::Topology& topo,
     return false;
   }
   LegalityWalk walk(topo, routes.routes, cert.labels);
-  CallPool pool;
+  common::CallPool pool;
   walk_routes(topo, routes.routes, {.legality = &walk}, pool);
   return walk.check(cert, why);
 }
@@ -607,7 +607,7 @@ bool check_deadlock(const topo::Topology& topo,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
   DependencyWalk walk(topo);
-  CallPool pool;
+  common::CallPool pool;
   walk_routes(topo, routes.routes, {.dependencies = &walk}, pool);
   return walk.check(cert, why);
 }

@@ -42,9 +42,11 @@
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
 
-namespace sanmap::analysis {
-
+namespace sanmap::common {
 class CallPool;
+}  // namespace sanmap::common
+
+namespace sanmap::analysis {
 
 /// Legality of one route under the certificate's labels.
 struct RouteLegality {
@@ -91,7 +93,7 @@ LegalityCertificate build_legality_certificate(
 /// block writes its own (src, dst) slots, so the bytes do not change.
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes,
-    CallPool& pool);
+    common::CallPool& pool);
 
 /// The labels a legality certificate for `routes` carries: the table's own
 /// orientation over `topo`'s live nodes (0 for dead slots).

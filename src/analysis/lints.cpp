@@ -331,7 +331,7 @@ bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
 bool lint_route_structure(const topo::Topology& topo,
                           const routing::RoutingResult& routes,
                           DiagnosticReport& report) {
-  CallPool pool;
+  common::CallPool pool;
   return walk_routes(topo, routes.routes, {.structure = &report}, pool);
 }
 

@@ -7,22 +7,8 @@
 
 namespace sanmap::analysis {
 
-void CallPool::run(std::size_t n,
-                   const std::function<void(std::size_t)>& fn) {
-  if (n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  if (!pool_) {
-    pool_.emplace();
-  }
-  pool_->parallel_for(n, fn);
-}
-
 bool walk_routes(const topo::Topology& topo, const routing::RouteTable& table,
-                 const RouteChecks& checks, CallPool& pool) {
+                 const RouteChecks& checks, common::CallPool& pool) {
   const auto n = static_cast<std::uint32_t>(table.hosts().size());
   struct Chunk {
     DiagnosticReport structure;

@@ -12,8 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "analysis/certificates.hpp"
 #include "analysis/diagnostics.hpp"
@@ -26,24 +24,6 @@ namespace sanmap::analysis {
 /// Sources per chunk of the walk. A constant, not the core count, so the
 /// chunks and their merge are the same on every machine.
 inline constexpr std::uint32_t kWalkChunk = 16;
-
-/// The worker threads of one analysis call. Local to the call, never
-/// process-wide: analyze() runs inside FederatedMapper's pool workers, and
-/// a nested parallel_for on a shared pool would deadlock. The pool starts
-/// on first use, so a call whose work fits in one piece starts no thread.
-class CallPool {
- public:
-  CallPool() = default;
-  CallPool(const CallPool&) = delete;
-  CallPool& operator=(const CallPool&) = delete;
-
-  /// Runs fn(i) for i in [0, n) and waits for all of them: inline when
-  /// n <= 1, otherwise on a pool of ThreadPool's default size.
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  std::optional<common::ThreadPool> pool_;
-};
 
 /// What one walk checks; a null member is not checked.
 struct RouteChecks {
@@ -63,6 +43,6 @@ struct RouteChecks {
 /// OR-ed into checks.dependencies. Returns true when every route is
 /// structurally sound (always, when checks.structure is null).
 bool walk_routes(const topo::Topology& topo, const routing::RouteTable& table,
-                 const RouteChecks& checks, CallPool& pool);
+                 const RouteChecks& checks, common::CallPool& pool);
 
 }  // namespace sanmap::analysis

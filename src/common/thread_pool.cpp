@@ -69,4 +69,18 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
+void CallPool::run(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) {
+  if (n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  if (!pool_) {
+    pool_.emplace();
+  }
+  pool_->parallel_for(n, fn);
+}
+
 }  // namespace sanmap::common

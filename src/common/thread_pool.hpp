@@ -1,13 +1,14 @@
-// A small fixed-size thread pool.
+// A small fixed-size thread pool, and the call-local pool built on it.
 //
 // The simulator itself is single-threaded for determinism. The pool fans
 // independent work out across cores: seeded runs in benches and examples
 // (parameter sweeps, min/avg/max over many runs), federation's regions,
-// query batches, and the analyzer's walk of every route. Whoever uses it
-// merges the results in a fixed order, so the merged output never depends
-// on scheduling. A pool's jobs must not wait on the same pool (a nested
-// parallel_for can deadlock once every worker waits); the analyzer runs
-// inside federation's workers and therefore uses a pool of its own per call.
+// query batches, the analyzer's walk of every route, and the depth bound's
+// per-vertex flow solves. Whoever uses it merges the results in a fixed
+// order, so the merged output never depends on scheduling. A pool's jobs
+// must not wait on the same pool (a nested parallel_for can deadlock once
+// every worker waits); the analyzer and the depth bound run inside
+// federation's workers and therefore use a CallPool of their own per call.
 #pragma once
 
 #include <condition_variable>
@@ -15,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,24 @@ class ThreadPool {
   std::condition_variable_any cv_;
   std::deque<std::function<void()>> queue_ SANMAP_GUARDED_BY(mutex_);
   bool stopping_ SANMAP_GUARDED_BY(mutex_) = false;
+};
+
+/// The worker threads of one call. Local to the call, never process-wide:
+/// its users run inside FederatedMapper's pool workers, and a nested
+/// parallel_for on a shared pool would deadlock. The pool starts on first
+/// use, so a call whose work fits in one piece starts no thread.
+class CallPool {
+ public:
+  CallPool() = default;
+  CallPool(const CallPool&) = delete;
+  CallPool& operator=(const CallPool&) = delete;
+
+  /// Runs fn(i) for i in [0, n) and waits for all of them: inline when
+  /// n <= 1, otherwise on a pool of ThreadPool's default size.
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+ private:
+  std::optional<ThreadPool> pool_;
 };
 
 }  // namespace sanmap::common

@@ -110,13 +110,15 @@ std::optional<simnet::DeliveryResult> ProbeEngine::send_with_retries(
 
 bool ProbeEngine::switch_probe(const simnet::Route& prefix) {
   const auto& cost = net_->cost();
-  const simnet::Route route = simnet::loopback_probe(prefix);
+  simnet::loopback_probe_into(prefix, loopback_);
   const auto result = send_with_retries(
-      route, counters_.switch_probes, [&](const simnet::DeliveryResult& r) {
+      loopback_, counters_.switch_probes,
+      [&](const simnet::DeliveryResult& r) {
         return r.delivered() && r.destination == mapper_host_;
       });
   if (options_.record_transcript) {
-    transcript_.push_back(TranscriptEntry{route, 's', result.has_value(), {}});
+    transcript_.push_back(
+        TranscriptEntry{loopback_, 's', result.has_value(), {}});
   }
   if (!result) {
     return false;
@@ -150,13 +152,15 @@ std::optional<topo::NodeId> ProbeEngine::identifying_switch_probe(
       "identifying_switch_probe needs self-identifying switch hardware "
       "(simnet::HardwareExtensions)");
   const auto& cost = net_->cost();
-  const simnet::Route route = simnet::loopback_probe(prefix);
+  simnet::loopback_probe_into(prefix, loopback_);
   const auto result = send_with_retries(
-      route, counters_.switch_probes, [&](const simnet::DeliveryResult& r) {
+      loopback_, counters_.switch_probes,
+      [&](const simnet::DeliveryResult& r) {
         return r.delivered() && r.destination == mapper_host_;
       });
   if (options_.record_transcript) {
-    transcript_.push_back(TranscriptEntry{route, 'i', result.has_value(), {}});
+    transcript_.push_back(
+        TranscriptEntry{loopback_, 'i', result.has_value(), {}});
   }
   if (!result) {
     return std::nullopt;

@@ -286,6 +286,9 @@ class ProbeEngine {
   common::Rng election_rng_;
   common::Rng jitter_rng_;
   std::vector<TranscriptEntry> transcript_;
+  /// The loopback route of the switch probe in flight, reused across
+  /// probes: once it has grown, only a recorded transcript copies it.
+  simnet::Route loopback_;
 };
 
 /// Re-sends every transcript probe into `net` (quiescent, all hosts

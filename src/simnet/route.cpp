@@ -34,11 +34,18 @@ Route extended(const Route& route, Turn turn) {
 }
 
 Route loopback_probe(const Route& prefix) {
-  Route out = prefix;
-  out.push_back(0);
-  const Route back = reversed(prefix);
-  out.insert(out.end(), back.begin(), back.end());
+  Route out;
+  out.reserve(2 * prefix.size() + 1);
+  loopback_probe_into(prefix, out);
   return out;
+}
+
+void loopback_probe_into(const Route& prefix, Route& out) {
+  out.assign(prefix.begin(), prefix.end());
+  out.push_back(0);
+  for (auto it = prefix.rbegin(); it != prefix.rend(); ++it) {
+    out.push_back(-*it);
+  }
 }
 
 bool turns_in_range(const Route& route) {

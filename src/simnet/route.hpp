@@ -35,6 +35,10 @@ Route extended(const Route& route, Turn turn);
 /// The loopback switch-probe route of §2.3: a1..ak 0 -ak..-a1.
 Route loopback_probe(const Route& prefix);
 
+/// The same route written into `out`, reusing its storage: the probe
+/// engine's per-probe form, which allocates only when `out` must grow.
+void loopback_probe_into(const Route& prefix, Route& out);
+
 /// True when every turn is within [-7, +7] (structural validity only; the
 /// network decides whether the route survives).
 bool turns_in_range(const Route& route);

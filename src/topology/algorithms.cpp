@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 
 namespace sanmap::topo {
 
@@ -243,32 +244,14 @@ namespace {
 /// T* with one unit, so one unit must return to the mapper host and one may
 /// end at any host. Q(v) is the cost of a 2-unit flow from v to T*.
 ///
-/// Arcs live in flat CSR arrays, each paired with its reverse. A source is
-/// solved by successive shortest paths with exactly two augmentations, each
-/// found by Dial's bucket queue (costs are small integers):
-///
-///  1. plain 0/1 costs give distances d₁ and the first path. Before any
-///     augmentation T and T* have no residual out-arc, so d₁ over real nodes
-///     is the BFS distance and its maximum is v's eccentricity;
-///  2. reduced costs c(u, w) + d₁(u) − d₁(w), which are non-negative in the
-///     residual network after the first augmentation, give the second path.
-///     Only nodes the first pass reached are reachable in the second.
-///
-/// The min cost of a 2-unit flow does not depend on how ties are broken, so
-/// Q(v) = d₁(T*) + (d₂'(T*) + d₁(T*) − d₁(v)) with d₁(v) = 0 is exact.
-class QNetwork {
- public:
-  QNetwork(const Topology& topo, NodeId mapper_host)
-      : num_nodes_(static_cast<std::uint32_t>(topo.node_capacity())),
-        t_any_(num_nodes_),
-        t_star_(num_nodes_ + 1),
-        first_(num_nodes_ + 4, 0),
-        dist_(num_nodes_ + 2),
-        potential_(num_nodes_ + 2, 0),
-        parent_(num_nodes_ + 2),
-        // A tentative distance is at most a simple path's cost (≤ 1 per arc,
-        // ≤ num_nodes_ + 1 arcs) plus one arc, less a non-negative potential.
-        bucket_(num_nodes_ + 3, kNone) {
+/// Arcs live in flat CSR arrays, each paired with its reverse. They are
+/// immutable once built, so any number of QSolvers share them.
+struct QArcs {
+  QArcs(const Topology& topo, NodeId mapper_host)
+      : num_nodes(static_cast<std::uint32_t>(topo.node_capacity())),
+        t_any(num_nodes),
+        t_star(num_nodes + 1),
+        first(num_nodes + 4, 0) {
     SANMAP_CHECK(topo.node_alive(mapper_host) && topo.is_host(mapper_host));
     struct Arc {
       std::uint32_t from;
@@ -286,41 +269,90 @@ class QNetwork {
       arcs.push_back({wire.b.node, wire.a.node, cap_ba, 1});
     }
     for (const NodeId h : topo.hosts()) {
-      arcs.push_back({h, t_any_, 1, 0});
+      arcs.push_back({h, t_any, 1, 0});
     }
-    arcs.push_back({t_any_, t_star_, 1, 0});
-    arcs.push_back({mapper_host, t_star_, 1, 0});
+    arcs.push_back({t_any, t_star, 1, 0});
+    arcs.push_back({mapper_host, t_star, 1, 0});
 
-    // Counting sort by tail: count u's arcs in first_[u + 2], prefix-sum,
-    // then fill through the cursor first_[u + 1], which leaves u's arcs in
-    // [first_[u], first_[u + 1]).
+    // Counting sort by tail: count u's arcs in first[u + 2], prefix-sum,
+    // then fill through the cursor first[u + 1], which leaves u's arcs in
+    // [first[u], first[u + 1]).
     for (const Arc& arc : arcs) {
-      ++first_[arc.from + 2];
-      ++first_[arc.to + 2];
+      ++first[arc.from + 2];
+      ++first[arc.to + 2];
     }
-    for (std::size_t u = 2; u < first_.size(); ++u) {
-      first_[u] += first_[u - 1];
+    for (std::size_t u = 2; u < first.size(); ++u) {
+      first[u] += first[u - 1];
     }
     const std::size_t slots = 2 * arcs.size();
-    head_.resize(slots);
-    reverse_.resize(slots);
-    cost_.resize(slots);
-    capacity_.resize(slots);
+    head.resize(slots);
+    reverse.resize(slots);
+    cost.resize(slots);
+    capacity.resize(slots);
     for (const Arc& arc : arcs) {
-      const std::uint32_t fwd = first_[arc.from + 1]++;
-      const std::uint32_t bwd = first_[arc.to + 1]++;
-      head_[fwd] = arc.to;
-      reverse_[fwd] = bwd;
-      cost_[fwd] = arc.cost;
-      capacity_[fwd] = arc.capacity;
-      head_[bwd] = arc.from;
-      reverse_[bwd] = fwd;
-      cost_[bwd] = -arc.cost;
-      capacity_[bwd] = 0;
+      const std::uint32_t fwd = first[arc.from + 1]++;
+      const std::uint32_t bwd = first[arc.to + 1]++;
+      head[fwd] = arc.to;
+      reverse[fwd] = bwd;
+      cost[fwd] = arc.cost;
+      capacity[fwd] = arc.capacity;
+      head[bwd] = arc.from;
+      reverse[bwd] = fwd;
+      cost[bwd] = -arc.cost;
+      capacity[bwd] = 0;
     }
+  }
+
+  const std::uint32_t num_nodes;
+  const std::uint32_t t_any;
+  const std::uint32_t t_star;
+  // u's arcs are [first[u], first[u + 1]); arc a runs to head[a] and its
+  // paired reverse arc is reverse[a].
+  std::vector<std::uint32_t> first;
+  std::vector<std::uint32_t> head;
+  std::vector<std::uint32_t> reverse;
+  std::vector<int> cost;
+  // Initial residual capacities; each QSolver works on its own copy.
+  std::vector<int> capacity;
+};
+
+/// Solves Q(v) over shared QArcs with scratch of its own. Everything a
+/// solve touches is allocated by the constructor, so solve() allocates
+/// nothing and a solver built on one thread can run on another.
+///
+/// A source is solved by successive shortest paths with exactly two
+/// augmentations, each found by Dial's bucket queue (costs are small
+/// integers):
+///
+///  1. plain 0/1 costs give distances d₁ and the first path. Before any
+///     augmentation T and T* have no residual out-arc, so d₁ over real nodes
+///     is the BFS distance and its maximum is v's eccentricity;
+///  2. reduced costs c(u, w) + d₁(u) − d₁(w), which are non-negative in the
+///     residual network after the first augmentation, give the second path.
+///     Only nodes the first pass reached are reachable in the second.
+///
+/// The min cost of a 2-unit flow does not depend on how ties are broken, so
+/// Q(v) = d₁(T*) + (d₂'(T*) + d₁(T*) − d₁(v)) with d₁(v) = 0 is exact.
+///
+/// Solvers of one call sit side by side and each rewrites its own members
+/// (vector ends, top_, farthest_) on every push, so each gets a cache line
+/// of its own.
+class alignas(64) QSolver {
+ public:
+  explicit QSolver(const QArcs& arcs)
+      : arcs_(&arcs),
+        capacity_(arcs.capacity),
+        dist_(arcs.num_nodes + 2),
+        potential_(arcs.num_nodes + 2, 0),
+        parent_(arcs.num_nodes + 2),
+        // A tentative distance is at most a simple path's cost (≤ 1 per arc,
+        // ≤ num_nodes + 1 arcs) plus one arc, less a non-negative potential.
+        bucket_(arcs.num_nodes + 3, kNone) {
     // Each settled vertex relaxes each of its arcs once, so a pass pushes
-    // at most one queue entry per arc, plus the source.
-    queue_.reserve(slots + 1);
+    // at most one queue entry per arc, plus the source; a shortest path
+    // visits each vertex at most once.
+    queue_.reserve(arcs.head.size() + 1);
+    path_.reserve(arcs.num_nodes + 2);
   }
 
   struct FromSource {
@@ -338,7 +370,8 @@ class QNetwork {
     // Augment one unit along the first path, remembering it so the
     // capacities can be restored for the next source.
     path_.clear();
-    for (std::uint32_t u = t_star_; u != v; u = head_[reverse_[parent_[u]]]) {
+    for (std::uint32_t u = arcs_->t_star; u != v;
+         u = arcs_->head[arcs_->reverse[parent_[u]]]) {
       path_.push_back(parent_[u]);
     }
     augment(+1);
@@ -361,7 +394,7 @@ class QNetwork {
   void augment(int units) {
     for (const std::uint32_t a : path_) {
       capacity_[a] -= units;
-      capacity_[reverse_[a]] += units;
+      capacity_[arcs_->reverse[a]] += units;
     }
   }
 
@@ -374,6 +407,7 @@ class QNetwork {
   /// drops, so it has at most one entry per distance, and an entry whose
   /// distance is no longer the vertex's is stale.
   int shortest_path(NodeId v, bool stop_at_sink) {
+    const QArcs& arcs = *arcs_;
     std::fill(dist_.begin(), dist_.end(), kInf);
     std::fill(bucket_.begin(), bucket_.begin() + top_ + 1, kNone);
     queue_.clear();
@@ -390,17 +424,17 @@ class QNetwork {
         if (dist_[u] != d) {
           continue;  // stale: u was settled at a smaller distance
         }
-        if (u < num_nodes_) {
+        if (u < arcs.num_nodes) {
           farthest_ = d;
-        } else if (u == t_star_ && stop_at_sink) {
+        } else if (u == arcs.t_star && stop_at_sink) {
           return d;
         }
-        for (std::uint32_t a = first_[u]; a < first_[u + 1]; ++a) {
-          const std::uint32_t w = head_[a];
+        for (std::uint32_t a = arcs.first[u]; a < arcs.first[u + 1]; ++a) {
+          const std::uint32_t w = arcs.head[a];
           if (capacity_[a] <= 0) {
             continue;
           }
-          const int next = d + cost_[a] + potential_[u] - potential_[w];
+          const int next = d + arcs.cost[a] + potential_[u] - potential_[w];
           SANMAP_DCHECK(next >= d);  // reduced costs are non-negative
           if (next < dist_[w]) {
             dist_[w] = next;
@@ -410,11 +444,12 @@ class QNetwork {
         }
       }
     }
-    return dist_[t_star_];
+    return dist_[arcs.t_star];
   }
 
   void push(std::uint32_t vertex, int d) {
     SANMAP_DCHECK(static_cast<std::size_t>(d) < bucket_.size());
+    SANMAP_DCHECK(queue_.size() < queue_.capacity());
     const auto slot = static_cast<std::size_t>(d);
     queue_.push_back(Entry{vertex, bucket_[slot]});
     bucket_[slot] = static_cast<std::uint32_t>(queue_.size() - 1);
@@ -426,15 +461,9 @@ class QNetwork {
     std::uint32_t next;  // next entry of the same bucket, or kNone
   };
 
-  const std::uint32_t num_nodes_;
-  const std::uint32_t t_any_;
-  const std::uint32_t t_star_;
-  // CSR arcs: u's arcs are [first_[u], first_[u + 1]); arc a runs to
-  // head_[a] and its paired reverse arc is reverse_[a].
-  std::vector<std::uint32_t> first_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> reverse_;
-  std::vector<int> cost_;
+  const QArcs* arcs_;
+  // Residual capacities: augment() changes them and restores them before
+  // solve() returns.
   std::vector<int> capacity_;
   // Per-source work arrays, reused across sources.
   std::vector<int> dist_;
@@ -447,32 +476,58 @@ class QNetwork {
   int farthest_ = 0;
 };
 
-struct QAndDiameter {
-  int q = 0;
-  int diameter = 0;
-};
+/// Vertices per chunk of the depth bound's solve. A constant, not the core
+/// count, so the chunks and their merge are the same on every machine, and
+/// a fabric of at most this many nodes is solved inline on the caller.
+constexpr std::size_t kSolveChunk = 64;
 
-/// Q (Definition 3) and, from the same first passes, the largest
-/// eccentricity — the diameter when the topology is connected.
+}  // namespace
+
 QAndDiameter q_and_diameter(const Topology& topo, NodeId mapper_host) {
   SANMAP_CHECK_MSG(topo.num_hosts() >= 2 && topo.num_switches() >= 1,
                    "the paper assumes >=1 switch and >=2 hosts");
-  QNetwork network(topo, mapper_host);
+  const QArcs arcs(topo, mapper_host);
+  const std::vector<NodeId> vertices = topo.nodes();
+  std::vector<QAndDiameter> chunks((vertices.size() + kSolveChunk - 1) /
+                                   kSolveChunk);
+  // One solver per worker, all built here on the calling thread: memory a
+  // worker thread allocates stays resident in its arena after the call.
+  const std::size_t workers =
+      std::min(chunks.size(), common::ThreadPool::default_size());
+  std::vector<QSolver> solvers;
+  solvers.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    solvers.emplace_back(arcs);
+  }
+  // Worker w solves chunks w, w + workers, ...; each chunk's result is its
+  // own, so the merge below does not depend on which worker solved it.
+  common::CallPool pool;
+  pool.run(workers, [&](std::size_t w) {
+    QSolver& solver = solvers[w];
+    for (std::size_t c = w; c < chunks.size(); c += workers) {
+      const std::size_t end =
+          std::min(vertices.size(), (c + 1) * kSolveChunk);
+      QAndDiameter chunk;
+      for (std::size_t i = c * kSolveChunk; i < end; ++i) {
+        const auto from_v = solver.solve(vertices[i]);
+        chunk.q = std::max(chunk.q, from_v.q.value_or(0));
+        chunk.diameter = std::max(chunk.diameter, from_v.eccentricity);
+      }
+      chunks[c] = chunk;
+    }
+  });
   QAndDiameter out;
-  for (const NodeId v : topo.nodes()) {
-    const auto from_v = network.solve(v);
-    out.q = std::max(out.q, from_v.q.value_or(0));
-    out.diameter = std::max(out.diameter, from_v.eccentricity);
+  for (const QAndDiameter& chunk : chunks) {
+    out.q = std::max(out.q, chunk.q);
+    out.diameter = std::max(out.diameter, chunk.diameter);
   }
   return out;
 }
 
-}  // namespace
-
 std::optional<int> q_of(const Topology& topo, NodeId mapper_host, NodeId v) {
-  QNetwork network(topo, mapper_host);
+  const QArcs arcs(topo, mapper_host);
   SANMAP_CHECK(topo.node_alive(v));
-  return network.solve(v).q;
+  return QSolver(arcs).solve(v).q;
 }
 
 int q_value(const Topology& topo, NodeId mapper_host) {

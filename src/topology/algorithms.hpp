@@ -10,8 +10,10 @@
 //
 // Q and Q + D + 1 solve one flow network, built once per call, from every
 // vertex with two shortest-path passes each; the first pass doubles as the
-// vertex's BFS for D. That is O(V · E) per call: ~0.17 s for a 960-switch
-// fat tree, ~0.7 s at 1,920 switches (RelWithDebInfo, 2.0 GHz Xeon).
+// vertex's BFS for D. That is O(V · E) per call, split in chunks of 64
+// vertices across a pool local to the call: ~45 ms for a 960-switch fat
+// tree and ~0.2 s at 1,920 switches on 4 vCPUs, against ~0.13 s and
+// ~0.57 s on one (RelWithDebInfo, 2.0 GHz Xeon KVM guest).
 #pragma once
 
 #include <cstdint>
@@ -59,6 +61,18 @@ Topology core(const Topology& topo);
 /// direction (the mapper host's own wire may be both first and last edge).
 /// nullopt when no such walk exists (v ∈ F).
 std::optional<int> q_of(const Topology& topo, NodeId mapper_host, NodeId v);
+
+/// Q (Definition 3) and, from the same solve, the largest eccentricity of
+/// any node: the diameter D when the topology is connected.
+struct QAndDiameter {
+  int q = 0;
+  int diameter = 0;
+};
+
+/// Q and D from one solve. Topology must have at least one switch and two
+/// hosts (the paper's standing assumption); D is the diameter only when it
+/// is connected.
+QAndDiameter q_and_diameter(const Topology& topo, NodeId mapper_host);
 
 /// Q of Definition 3: max of Q(v) over the core. Topology must be connected
 /// with at least one switch and two hosts (the paper's standing assumption).

@@ -116,28 +116,9 @@ void Topology::remove_node(NodeId n) {
   }
 }
 
-NodeKind Topology::kind(NodeId n) const {
-  check_node(n);
-  return nodes_[n].kind;
-}
-
 const std::string& Topology::name(NodeId n) const {
   check_node(n);
   return nodes_[n].name;
-}
-
-Port Topology::port_count(NodeId n) const {
-  check_node(n);
-  return static_cast<Port>(nodes_[n].ports.size());
-}
-
-std::optional<WireId> Topology::wire_at(NodeId n, Port p) const {
-  check_port(n, p);
-  const WireId w = nodes_[n].ports[static_cast<std::size_t>(p)];
-  if (w == kInvalidWire) {
-    return std::nullopt;
-  }
-  return w;
 }
 
 std::optional<PortRef> Topology::peer(NodeId n, Port p) const {

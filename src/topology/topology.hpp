@@ -53,8 +53,10 @@ class Topology {
 
   // -- queries --------------------------------------------------------------
 
-  // node_alive, wire_alive and wire are inline: route emission and
-  // analysis call them once or more per hop.
+  // node_alive, wire_alive, wire, kind, port_count and wire_at are inline:
+  // route emission, analysis and the simulator's hop walk call them once or
+  // more per hop. Each tests its ids inline and leaves the failure to the
+  // out-of-line check.
   [[nodiscard]] bool node_alive(NodeId n) const {
     return n < nodes_.size() && nodes_[n].alive;
   }
@@ -62,7 +64,12 @@ class Topology {
     return w < wires_.size() && wires_[w].alive;
   }
 
-  [[nodiscard]] NodeKind kind(NodeId n) const;
+  [[nodiscard]] NodeKind kind(NodeId n) const {
+    if (!node_alive(n)) [[unlikely]] {
+      check_node(n);
+    }
+    return nodes_[n].kind;
+  }
   [[nodiscard]] bool is_host(NodeId n) const {
     return kind(n) == NodeKind::kHost;
   }
@@ -70,10 +77,25 @@ class Topology {
     return kind(n) == NodeKind::kSwitch;
   }
   [[nodiscard]] const std::string& name(NodeId n) const;
-  [[nodiscard]] Port port_count(NodeId n) const;
+  [[nodiscard]] Port port_count(NodeId n) const {
+    if (!node_alive(n)) [[unlikely]] {
+      check_node(n);
+    }
+    return static_cast<Port>(nodes_[n].ports.size());
+  }
 
   /// The wire attached at (n, p), if any.
-  [[nodiscard]] std::optional<WireId> wire_at(NodeId n, Port p) const;
+  [[nodiscard]] std::optional<WireId> wire_at(NodeId n, Port p) const {
+    if (!node_alive(n) || p < 0 ||
+        static_cast<std::size_t>(p) >= nodes_[n].ports.size()) [[unlikely]] {
+      check_port(n, p);
+    }
+    const WireId w = nodes_[n].ports[static_cast<std::size_t>(p)];
+    if (w == kInvalidWire) {
+      return std::nullopt;
+    }
+    return w;
+  }
   /// The wire-end on the far side of the wire at (n, p), if any.
   [[nodiscard]] std::optional<PortRef> peer(NodeId n, Port p) const;
   [[nodiscard]] const Wire& wire(WireId w) const {

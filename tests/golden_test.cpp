@@ -10,6 +10,9 @@
 // probe, a reordered transcript line, a different port assignment in the
 // map — fails loudly.
 //
+// The same corpus also checks the probe engine's switch-probe routes,
+// which it builds in a reused buffer, against their §2.3 shape.
+//
 // Regenerating (only legitimate when a PR intentionally changes mapper
 // behavior, never for a "pure performance" change):
 //   SANMAP_UPDATE_GOLDEN=1 ./build/tests/golden_test
@@ -24,8 +27,10 @@
 #include <vector>
 
 #include "mapper/berkeley_mapper.hpp"
+#include "mapper/id_mapper.hpp"
 #include "probe/probe_engine.hpp"
 #include "simnet/network.hpp"
+#include "simnet/route.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 #include "topology/serialize.hpp"
@@ -173,6 +178,71 @@ TEST(Golden, Figure5NowClusterPipelined) {
   c.network = topo::now_cluster();
   c.mapper_host = "C.util";
   check_golden("fig5-window8", digest(c, /*window=*/8));
+}
+
+TEST(ProbeEngine, SwitchProbeRoutesAreLoopbacksOfTheirPrefix) {
+  // The engine builds each switch probe's loopback route in a buffer it
+  // reuses. Every recorded 's' and 'i' route must still be the §2.3
+  // loopback of its prefix, replay against the fabric, and leave the probe
+  // counters and clock exactly as an unrecorded session does.
+  const verify::ScenarioCase c = verify::read_case_file(
+      (fs::path(SANMAP_CORPUS_DIR) / "fat-tree-2level.sancase").string());
+  const topo::NodeId mapper_host = c.mapper_node();
+  simnet::HardwareExtensions extensions;
+  extensions.self_identifying_switches = true;
+  const auto check_routes = [](const std::vector<probe::TranscriptEntry>& t,
+                               char category) {
+    std::size_t seen = 0;
+    for (const probe::TranscriptEntry& entry : t) {
+      if (entry.category != category) {
+        continue;
+      }
+      ++seen;
+      // a1..ak 0 -ak..-a1: the pivot in the middle, each return turn the
+      // negation of its outbound mirror.
+      ASSERT_EQ(entry.route.size() % 2, 1u);
+      const std::size_t k = entry.route.size() / 2;
+      EXPECT_EQ(entry.route[k], 0);
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(entry.route[k + 1 + i], -entry.route[k - 1 - i]);
+      }
+      const simnet::Route prefix(
+          entry.route.begin(),
+          entry.route.begin() + static_cast<std::ptrdiff_t>(k));
+      EXPECT_EQ(entry.route, simnet::loopback_probe(prefix));
+    }
+    EXPECT_GT(seen, 0u) << category;
+  };
+
+  mapper::MapperConfig config;
+  config.search_depth = depth_for(c.network, mapper_host);
+  std::vector<mapper::MapResult> berkeley;
+  std::vector<mapper::IdMapResult> identified;
+  for (const bool record : {true, false}) {
+    probe::ProbeOptions options;
+    options.record_transcript = record;
+    simnet::Network net(c.network, c.collision, simnet::CostModel{},
+                        simnet::FaultModel{}, 1, extensions);
+    probe::ProbeEngine engine(net, mapper_host, options);
+    berkeley.push_back(mapper::BerkeleyMapper(engine, config).run());
+    if (record) {
+      check_routes(engine.transcript(), 's');
+      simnet::Network replay(c.network, c.collision);
+      EXPECT_TRUE(
+          probe::transcript_replays(engine.transcript(), replay, mapper_host));
+    }
+    probe::ProbeEngine id_engine(net, mapper_host, options);
+    identified.push_back(mapper::IdMapper(id_engine).run());
+    if (record) {
+      check_routes(id_engine.transcript(), 'i');
+      EXPECT_TRUE(probe::transcript_replays(id_engine.transcript(), net,
+                                            mapper_host));
+    }
+  }
+  EXPECT_EQ(berkeley[0].probes, berkeley[1].probes);
+  EXPECT_EQ(berkeley[0].elapsed, berkeley[1].elapsed);
+  EXPECT_EQ(identified[0].probes, identified[1].probes);
+  EXPECT_EQ(identified[0].elapsed, identified[1].elapsed);
 }
 
 }  // namespace

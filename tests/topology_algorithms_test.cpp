@@ -399,6 +399,42 @@ TEST(QOf, MatchesTheBellmanFordReferenceOnRandomFabrics) {
   EXPECT_GT(undefined, 0);  // the sweep covers v in F too
 }
 
+TEST(SearchDepth, PooledSolveMatchesReferenceAcrossChunks) {
+  // Fabrics of 100 to 250 nodes span two to four of the solve's 64-vertex
+  // chunks, so the pooled solve and its chunk-order merge are exercised;
+  // the fabrics of the sweep above fit in one chunk and run inline.
+  constexpr std::size_t kChunk = 64;
+  int max_beyond_first_chunk = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    common::Rng rng(seed);
+    const int switches = 70 + static_cast<int>(rng.below(60));
+    const int extra = static_cast<int>(rng.below(40));
+    const int hosts = 30 + static_cast<int>(rng.below(90));
+    const Topology t = random_irregular(switches, hosts, extra, rng);
+    ASSERT_GE(t.num_nodes(), 100u);
+    ASSERT_LE(t.num_nodes(), 250u);
+    const std::vector<NodeId> ids = t.hosts();
+    for (const NodeId mapper : {ids.front(), ids[ids.size() / 2], ids.back()}) {
+      int reference_q = 0;
+      int first_chunk_q = 0;
+      const std::vector<NodeId> vertices = t.nodes();
+      for (std::size_t i = 0; i < vertices.size(); ++i) {
+        const int q = reference_q_of(t, mapper, vertices[i]).value_or(0);
+        reference_q = std::max(reference_q, q);
+        if (i < kChunk) {
+          first_chunk_q = std::max(first_chunk_q, q);
+        }
+      }
+      max_beyond_first_chunk += first_chunk_q < reference_q ? 1 : 0;
+      EXPECT_EQ(q_value(t, mapper), reference_q)
+          << "seed " << seed << " mapper " << mapper;
+      EXPECT_EQ(search_depth(t, mapper), reference_q + diameter(t) + 1)
+          << "seed " << seed << " mapper " << mapper;
+    }
+  }
+  EXPECT_GT(max_beyond_first_chunk, 0);
+}
+
 TEST(QValue, RequiresPaperAssumptions) {
   Topology t;
   t.add_host("only");

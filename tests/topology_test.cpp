@@ -2,6 +2,8 @@
 // port bookkeeping, dynamic reconfiguration (tombstones), compaction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.hpp"
 #include "topology/topology.hpp"
 
@@ -198,6 +200,50 @@ TEST(Topology, AccessDeadNodeThrows) {
   t.remove_node(s);
   EXPECT_THROW((void)t.kind(s), CheckFailure);
   EXPECT_THROW((void)t.neighbors(s), CheckFailure);
+}
+
+/// The message of the CheckFailure `call` throws; empty when it throws none.
+template <typename Call>
+std::string check_message(Call&& call) {
+  try {
+    call();
+  } catch (const CheckFailure& failure) {
+    return failure.what();
+  }
+  return "";
+}
+
+TEST(Topology, InlineAccessorsStillCheckDeadAndOutOfRangeIds) {
+  // kind, port_count and wire_at test their ids inline and leave the
+  // failure to the out-of-line checks, whose messages callers rely on.
+  Topology t;
+  const NodeId s = t.add_switch();
+  const NodeId dead = t.add_switch();
+  t.connect(s, 0, dead, 0);
+  t.remove_node(dead);
+  const auto beyond = static_cast<NodeId>(t.node_capacity());
+  for (const NodeId bad : {dead, beyond}) {
+    const std::string node_message =
+        "invalid or dead node id " + std::to_string(bad);
+    EXPECT_NE(check_message([&] { (void)t.kind(bad); }).find(node_message),
+              std::string::npos);
+    EXPECT_NE(
+        check_message([&] { (void)t.port_count(bad); }).find(node_message),
+        std::string::npos);
+    EXPECT_NE(
+        check_message([&] { (void)t.wire_at(bad, 0); }).find(node_message),
+        std::string::npos);
+  }
+  const Port ports = t.port_count(s);
+  for (const Port bad : {Port{-1}, ports}) {
+    EXPECT_NE(check_message([&] { (void)t.wire_at(s, bad); })
+                  .find("port " + std::to_string(bad) +
+                        " out of range on node " + std::to_string(s)),
+              std::string::npos);
+  }
+  // The fast path still answers for live ids and ports in range.
+  EXPECT_EQ(t.wire_at(s, 0), std::nullopt);
+  EXPECT_EQ(t.kind(s), NodeKind::kSwitch);
 }
 
 TEST(Topology, LiveListsSkipTombstones) {

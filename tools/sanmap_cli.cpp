@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "analysis/analyzer.hpp"
@@ -221,10 +222,18 @@ int cmd_info(int argc, const char* const* argv) {
   std::cout << "links        : " << t.num_wires() << "\n";
   const bool connected = topo::connected(t);
   std::cout << "connected    : " << (connected ? "yes" : "no") << "\n";
-  int diameter = 0;
+  // Where Q is defined its solve yields D as well; diameter() covers the
+  // rest. A --mapper naming no host still fails after |F|, below.
+  const bool q_defined =
+      connected && t.num_hosts() >= 2 && t.num_switches() >= 1;
+  const std::string mapper_name = flags.get("mapper");
+  std::optional<topo::QAndDiameter> q_and_d;
+  if (q_defined && (mapper_name.empty() || t.find_host(mapper_name))) {
+    q_and_d = topo::q_and_diameter(t, pick_mapper(t, mapper_name));
+  }
   if (connected && t.num_nodes() > 0) {
-    diameter = topo::diameter(t);
-    std::cout << "diameter     : " << diameter << "\n";
+    std::cout << "diameter     : "
+              << (q_and_d ? q_and_d->diameter : topo::diameter(t)) << "\n";
   }
   std::cout << "bridges      : " << topo::bridges(t).size() << " ("
             << topo::switch_bridges(t).size() << " switch-bridges)\n";
@@ -232,12 +241,12 @@ int cmd_info(int argc, const char* const* argv) {
   const auto f_count = std::count(f.begin(), f.end(), true);
   std::cout << "|F|          : " << f_count
             << " (nodes behind switch-bridges; the mappable core is N-F)\n";
-  if (connected && t.num_hosts() >= 2 && t.num_switches() >= 1) {
-    const topo::NodeId mapper = pick_mapper(t, flags.get("mapper"));
+  if (q_defined) {
+    const topo::NodeId mapper = pick_mapper(t, mapper_name);
     std::cout << "mapper       : " << t.name(mapper) << "\n";
-    const int q = topo::q_value(t, mapper);
-    std::cout << "Q            : " << q << "\n";
-    std::cout << "search depth : " << q + diameter + 1 << " (Q + D + 1)\n";
+    std::cout << "Q            : " << q_and_d->q << "\n";
+    std::cout << "search depth : " << q_and_d->q + q_and_d->diameter + 1
+              << " (Q + D + 1)\n";
   }
   return 0;
 }
