@@ -9,9 +9,10 @@
 //
 // Section 2 is the torn-read hunt: readers hammer run_batch while a writer
 // republishes freshly recomputed route tables (a remap per round) and
-// periodically offers a deadlock-unsafe table. Every answer must come from a
-// published epoch with a complete route; the unsafe tables must all bounce
-// off the catalog's safety gate.
+// every third round offers a table tampered with a down-to-up turn. Every
+// answer must come from a published epoch with a complete route; every
+// tampered table must bounce off the catalog's safety gate, which analyzes
+// each candidate for real.
 //
 // Results also land in BENCH_bench_service.json (see JsonReport).
 #include <chrono>
@@ -19,6 +20,7 @@
 #include <set>
 #include <thread>
 
+#include "analysis/certificates.hpp"
 #include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -105,13 +107,14 @@ void churn_section(const topo::Topology& t,
                    std::int64_t rounds, bench::JsonReport& json) {
   std::cout << "== queries during epoch churn ==\n"
             << rounds << " republishes (fresh route recompute each), every "
-            << "3rd offered table corrupted to deadlock-unsafe\n\n";
+            << "3rd offered table given a down-to-up turn\n\n";
   service::MapCatalog catalog;
   catalog.publish(service::build_snapshot(t, {}, common::SimTime{}));
   const service::RouteQueryEngine engine(catalog);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> accepted{0};
+  std::uint64_t tampered = 0;
   std::thread writer([&] {
     for (std::int64_t round = 1; round <= rounds; ++round) {
       service::SnapshotOptions options;
@@ -120,8 +123,11 @@ void churn_section(const topo::Topology& t,
       service::MapSnapshot next = service::build_snapshot(
           t, options, common::SimTime::ms(round));
       if (round % 3 == 0) {
-        // A table that fails verification must never become current.
-        next.deadlock_free = false;
+        // A table that fails verification must never become current. (A
+        // table the turn could not be injected into publishes, and the
+        // count check below fails the run.)
+        analysis::inject_down_up_turn(next.map, next.routes);
+        ++tampered;
       }
       const auto result =
           catalog.publish_if_current(std::move(next), catalog.epoch());
@@ -182,6 +188,11 @@ void churn_section(const topo::Topology& t,
   if (stats.rejected_unsafe == 0 || epochs_seen.size() < 2) {
     // The run must demonstrate both the gate and at least one live swap.
     std::cerr << "CHURN SECTION DID NOT EXERCISE THE CATALOG\n";
+    std::exit(1);
+  }
+  if (stats.rejected_unsafe != tampered) {
+    std::cerr << "GATE MISCOUNT — " << stats.rejected_unsafe
+              << " tables refused, " << tampered << " tampered\n";
     std::exit(1);
   }
 }

@@ -27,7 +27,9 @@
 // certificates and verdicts are the same bytes on any core count.
 //
 // The deadlock certificate is the one deadlock proof production code runs
-// (build_snapshot, the publish gate, federation, CLI routes and lint).
+// (the publish gate and snapshot decode, both through service::certify
+// and analyze(); federation, CLI routes and lint). A publish builds it
+// once, in the gate.
 // Routing's three-color DFS (routing::analyze_routes) is a different
 // algorithm over the walked dependency stream and serves as its
 // cross-check: the fuzzer's analysis-deadlock-diff oracle and the tests

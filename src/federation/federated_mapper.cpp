@@ -105,11 +105,7 @@ FederatedResult FederatedMapper::run() {
   }
   routing::UpDownOptions route_options;
   if (!config_.root_name.empty()) {
-    for (const topo::NodeId s : result.map.switches()) {
-      if (result.map.name(s) == config_.root_name) {
-        route_options.root = s;
-      }
-    }
+    route_options.root = result.map.find_switch(config_.root_name);
     if (!route_options.root) {
       result.uncertified_reasons.push_back("no switch named " +
                                            config_.root_name +

@@ -39,9 +39,11 @@
 // cycle, so this is the optimizer's whole safety check; a table that fails
 // it is replaced by the entry table and `reverted` is set. Every caller
 // then certifies the table with the analysis layer's DeadlockCertificate
-// (build_snapshot and the publish gate, federation's analyze, CLI routes
-// and lint). All passes are deterministic, so an optimized table is still
-// a pure function of its inputs (the snapshot codec depends on that).
+// (the publish gate and snapshot decode through service::certify,
+// federation's analyze, CLI routes and lint). All passes are
+// deterministic, so an optimized table is still a pure function of its
+// inputs (the snapshot codec depends on that: decode recomputes the table
+// and compares it entry for entry).
 #pragma once
 
 #include <cstddef>

@@ -185,6 +185,10 @@ class RouteTable {
   }
   /// Clears every entry toward host index `dst`.
   void clear_entries(std::uint32_t dst);
+  /// The raw entries: the port at dst * num_states() + state, 0xff unset.
+  [[nodiscard]] std::span<const std::uint8_t> entries() const {
+    return next_;
+  }
   /// Recomputes size() after entries were written.
   void recount();
 

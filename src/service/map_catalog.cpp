@@ -123,25 +123,13 @@ void MapCatalog::lint_staleness(
 
 MapCatalog::PublishResult MapCatalog::publish_impl(
     MapSnapshot snapshot, bool check_stale, std::uint64_t based_on_epoch) {
-  // The safety gate needs no lock. The cheap check first: the build-time
-  // verdict travels inside the snapshot, and a snapshot that already knows
-  // it is unsafe is refused without re-deriving anything.
-  if (!snapshot.deadlock_free || !snapshot.compliant) {
-    rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-    SANMAP_LOG(kWarning, "map-catalog",
-               "refusing snapshot from " << snapshot.options.source
-                                         << ": not verified deadlock-free");
-    return PublishResult{PublishStatus::kRejectedUnsafe, epoch(), {}};
-  }
-
-  // The full static pass, before taking the writer lock (the analyzer is
-  // the expensive part; readers of at_epoch()/history should not queue
-  // behind it): legality + deadlock certificates, each re-validated by its
-  // independent checker, and the structural lints. This catches snapshots
-  // whose flags were set by a buggy (or bypassed) builder — the catalog
-  // re-derives the verdict from the map and routes themselves.
+  // The safety gate, before taking the writer lock (the analyzer is the
+  // expensive part; readers of at_epoch()/history should not queue behind
+  // it): legality + deadlock certificates, each re-validated by its
+  // independent checker, and the structural lints. It is the one proof a
+  // snapshot gets; certify() writes its verdict into the snapshot.
   std::vector<analysis::Diagnostic> errors =
-      gate_errors_of(analysis::analyze(snapshot.map, snapshot.routes));
+      gate_errors_of(certify(snapshot));
 
   common::MutexLock lock(writer_mutex_);
   ++gate_stats_.incremental_escalated;
@@ -150,7 +138,8 @@ MapCatalog::PublishResult MapCatalog::publish_impl(
   if (errors.empty()) {
     if (check_stale && current_epoch != based_on_epoch) {
       rejected_stale_.fetch_add(1, std::memory_order_relaxed);
-      return PublishResult{PublishStatus::kRejectedStale, current_epoch, {}};
+      return PublishResult{PublishStatus::kRejectedStale, current_epoch, {},
+                           nullptr};
     }
     // The SL5xx staleness lints depend on catalog state (quarantine,
     // history window), so they run under the lock.
@@ -167,9 +156,8 @@ MapCatalog::PublishResult MapCatalog::publish_impl(
                                          << " error(s), first: "
                                          << errors.front().code << " "
                                          << errors.front().message);
-    PublishResult result{PublishStatus::kRejectedUnsafe, current_epoch, {}};
-    result.gate_errors = std::move(errors);
-    return result;
+    return PublishResult{PublishStatus::kRejectedUnsafe, current_epoch,
+                         std::move(errors), nullptr};
   }
 
   snapshot.epoch = next_epoch_++;
@@ -189,7 +177,8 @@ MapCatalog::PublishResult MapCatalog::publish_impl(
     health_ = std::make_shared<const HealthStatus>(std::move(fresh));
   }
   published_.fetch_add(1, std::memory_order_relaxed);
-  return PublishResult{PublishStatus::kPublished, published->epoch, {}};
+  return PublishResult{PublishStatus::kPublished, published->epoch, {},
+                       published};
 }
 
 SnapshotPtr MapCatalog::at_epoch(std::uint64_t epoch) const {

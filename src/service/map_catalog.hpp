@@ -8,15 +8,16 @@
 // even after epoch N+1 lands; grace periods are implicit in shared_ptr.
 //
 // Publishing is gated twice:
-//  * safety — every candidate snapshot is re-analyzed by the full static
-//    analyzer (src/analysis): UP*/DOWN* legality per route, explicit
+//  * safety — certify() runs the full static analyzer (src/analysis) on
+//    every candidate: UP*/DOWN* legality per route, explicit
 //    channel-dependency deadlock certificate, model well-formedness and
-//    route-table structure lints. Any ERROR-level diagnostic (or a build
-//    verdict that already said unsafe) refuses the publish outright; an
-//    unsafe route table must never become current (Dally & Seitz; the
+//    route-table structure lints, and overwrites the candidate's verdict
+//    with its own. Any ERROR-level diagnostic refuses the publish outright;
+//    an unsafe route table must never become current (Dally & Seitz; the
 //    paper's §5.5 guarantee). The analyzer runs before the writer lock;
 //    the SL501/SL502 staleness lints, which read catalog state, run under
-//    it. The refusing diagnostics travel back in the PublishResult;
+//    it. The refusing diagnostics, or the published snapshot, travel back
+//    in the PublishResult;
 //  * staleness — publish_if_current(snapshot, based_on_epoch) refuses when
 //    the catalog moved past `based_on_epoch`, so a slow remap that raced a
 //    faster one cannot clobber fresher routes with older ones.
@@ -60,8 +61,7 @@ class MapCatalog {
 
   enum class PublishStatus : std::uint8_t {
     kPublished,
-    /// Refused: the static analyzer found an ERROR-level diagnostic (or
-    /// the snapshot's own build verdict said unsafe).
+    /// Refused: the static analyzer found an ERROR-level diagnostic.
     kRejectedUnsafe,
     /// Refused: the catalog advanced past the epoch the snapshot was
     /// computed against (a concurrent publisher won the race).
@@ -74,8 +74,11 @@ class MapCatalog {
     /// epoch at decision time when rejected.
     std::uint64_t epoch = 0;
     /// kRejectedUnsafe only: the ERROR-level diagnostics that refused the
-    /// snapshot (empty for the legacy unsafe-flag path).
+    /// snapshot.
     std::vector<analysis::Diagnostic> gate_errors;
+    /// kPublished only: the snapshot as it became current (current() may
+    /// already have moved on).
+    SnapshotPtr snapshot;
 
     [[nodiscard]] bool published() const {
       return status == PublishStatus::kPublished;

@@ -243,7 +243,7 @@ topo::Topology RefreshLoop::full_remap(std::uint64_t& probes) {
 
 bool RefreshLoop::try_publish(const topo::Topology& map,
                               std::uint64_t based_on_epoch, const char* source,
-                              bool record_rejection, TickReport& report) {
+                              TickReport& report) {
   SnapshotOptions options;
   options.root_name = config_.root_name;
   options.route_seed = config_.route_seed;
@@ -261,25 +261,13 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
                source << " candidate unusable: " << e.what());
     return false;
   }
-  MapSnapshot& snapshot = *built;
-
-  // The deadlock gate: an unverified table is never distributed, let alone
-  // published (the catalog would refuse it anyway; checking here spares the
-  // fabric the table traffic).
-  if (!snapshot.deadlock_free || !snapshot.compliant) {
-    if (record_rejection) {
-      report.publish_status = TickPublish::kRejectedUnsafe;
-      catalog_->publish_if_current(std::move(snapshot), based_on_epoch);
-    }
-    return false;
-  }
 
   // The incremental rung must prove its splice against the live fabric
   // before it may publish: one verification sweep of the candidate map. A
   // wrong splice shows up as a finding and escalates instead of serving a
   // map the fabric contradicts.
   if (report.remap == RemapKind::kIncremental && !report.escalated) {
-    const mapper::IncrementalResult validation = verify(snapshot.map);
+    const mapper::IncrementalResult validation = verify(built->map);
     report.probes_used += validation.verification_probes;
     if (!validation.unchanged) {
       SANMAP_LOG(kWarning, "refresh-loop",
@@ -290,18 +278,22 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
     }
   }
 
+  // Only a table the catalog's gate admitted is distributed.
+  const MapCatalog::PublishResult outcome =
+      catalog_->publish_if_current(std::move(*built), based_on_epoch);
+  report.publish_status = to_tick_publish(outcome.status);
+  if (!outcome.published()) {
+    return false;
+  }
   const routing::DistributionResult distribution = routing::distribute_tables(
-      *net_, snapshot.routes, snapshot.map, config_.master_name, now_);
+      *net_, outcome.snapshot->routes, outcome.snapshot->map,
+      config_.master_name, now_);
   now_ += distribution.elapsed;
   report.distribution_complete = distribution.complete;
-  // An incomplete distribution is not a reason to withhold the snapshot: the
-  // routes are verified safe, and the next tick's sweep will catch whatever
-  // the missed interfaces imply and remap again.
-
-  const MapCatalog::PublishResult outcome =
-      catalog_->publish_if_current(std::move(snapshot), based_on_epoch);
-  report.publish_status = to_tick_publish(outcome.status);
-  return outcome.published();
+  // An incomplete distribution does not withdraw the snapshot: the routes
+  // are proven safe, and the next tick's sweep will catch whatever the
+  // missed interfaces imply and remap again.
+  return true;
 }
 
 void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
@@ -335,8 +327,8 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
       }
       report.probes_used += result.probes.total();
       report.remap = RemapKind::kIncremental;
-      published = try_publish(result.map, based_on_epoch, "incremental",
-                              /*record_rejection=*/false, report);
+      published =
+          try_publish(result.map, based_on_epoch, "incremental", report);
     } catch (const std::exception& e) {
       now_ = engine_.now();
       SANMAP_LOG(kWarning, "refresh-loop",
@@ -363,7 +355,7 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
     report.remap = RemapKind::kFull;
     published = try_publish(map, based_on_epoch,
                             based_on_epoch == 0 ? "bootstrap" : "remap",
-                            /*record_rejection=*/true, report);
+                            report);
   }
 
   // Rung 3: keep serving the last safe snapshot, degraded.

@@ -26,10 +26,10 @@
 //     snapshot, keep serving the last safe snapshot with the dirty region
 //     quarantined (MapCatalog health kDegraded) and try again next tick.
 //
-// Every published snapshot — incremental or full — passes the same
-// channel-dependency deadlock gate and lands via publish_if_current, so a
+// Every candidate snapshot — incremental or full — passes the same catalog
+// gate via publish_if_current before its tables are distributed, so a
 // concurrent publisher's fresher routes are never clobbered and an unsafe
-// table is never served, no matter which rung produced it.
+// table is neither served nor pushed to a NIC, whichever rung built it.
 //
 // An exponential backoff keeps a flapping link from turning into a remap
 // storm: each consecutive tick with findings that remaps doubles the pause
@@ -132,7 +132,7 @@ struct TickReport {
   /// damped, and degraded ticks.
   TickPublish publish_status = TickPublish::kNotAttempted;
   /// Every table message of the redistribution was delivered (meaningful
-  /// only when a publish was attempted).
+  /// only when a publish succeeded: a refused snapshot is not distributed).
   bool distribution_complete = false;
   /// Catalog health after the tick.
   MapCatalog::HealthState health = MapCatalog::HealthState::kFresh;
@@ -156,7 +156,7 @@ class RefreshLoop {
   TickReport bootstrap() SANMAP_EXCLUDES(mutex_);
 
   /// One watch cycle: advance the clock, verify the current snapshot's map
-  /// against the live fabric, and remap + verify + distribute + publish
+  /// against the live fabric, and remap + verify + publish + distribute
   /// when the sweep had findings. Bootstraps if the catalog is empty.
   TickReport tick() SANMAP_EXCLUDES(mutex_);
 
@@ -199,13 +199,12 @@ class RefreshLoop {
   [[nodiscard]] topo::Topology full_remap(std::uint64_t& probes)
       SANMAP_REQUIRES(mutex_);
 
-  /// Verify, distribute, and publish one candidate map. Returns true when
-  /// it became current. `record_rejection` feeds refused snapshots to the
-  /// catalog so its stats count them (the final rung does; the incremental
-  /// rung escalates silently instead).
+  /// Build, verify (the incremental rung's live sweep), publish, then
+  /// distribute the published snapshot. Returns true when it became
+  /// current.
   bool try_publish(const topo::Topology& map, std::uint64_t based_on_epoch,
-                   const char* source, bool record_rejection,
-                   TickReport& report) SANMAP_REQUIRES(mutex_);
+                   const char* source, TickReport& report)
+      SANMAP_REQUIRES(mutex_);
 
   /// Downgrade catalog health, quarantining `dirty` (snapshot-map ids of
   /// `snapshot`'s map).

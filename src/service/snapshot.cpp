@@ -2,9 +2,8 @@
 
 #include <utility>
 
-#include "analysis/certificates.hpp"
+#include "analysis/analyzer.hpp"
 #include "common/check.hpp"
-#include "routing/deadlock.hpp"
 #include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 
@@ -17,11 +16,7 @@ MapSnapshot build_snapshot(const topo::Topology& map,
 
   routing::UpDownOptions updown;
   if (!options.root_name.empty()) {
-    for (const topo::NodeId s : compacted.switches()) {
-      if (compacted.name(s) == options.root_name) {
-        updown.root = s;
-      }
-    }
+    updown.root = compacted.find_switch(options.root_name);
     SANMAP_CHECK_MSG(updown.root.has_value(),
                      "snapshot root " << options.root_name
                                       << " names no switch of the map");
@@ -32,22 +27,24 @@ MapSnapshot build_snapshot(const topo::Topology& map,
     routing::optimize_routes(compacted, routes);
   }
 
-  const analysis::DeadlockCertificate certificate =
-      analysis::build_deadlock_certificate(compacted, routes);
-  const bool compliant = routing::updown_compliant(routes);
   const double mean_hops = routes.mean_hops();
   const int max_hops = routes.max_hops();
-  return MapSnapshot{/*epoch=*/0,
-                     created_at,
-                     std::move(compacted),
-                     std::move(routes),
-                     options,
-                     certificate.deadlock_free,
-                     compliant,
-                     certificate.channels,
-                     certificate.dependencies,
-                     mean_hops,
-                     max_hops};
+  return MapSnapshot{.created_at = created_at,
+                     .map = std::move(compacted),
+                     .routes = std::move(routes),
+                     .options = options,
+                     .mean_hops = mean_hops,
+                     .max_hops = max_hops};
+}
+
+analysis::AnalysisResult certify(MapSnapshot& snapshot) {
+  analysis::AnalysisResult verdict =
+      analysis::analyze(snapshot.map, snapshot.routes);
+  snapshot.deadlock_free = verdict.deadlock.deadlock_free;
+  snapshot.compliant = verdict.analyzed_routes && verdict.legality.all_legal;
+  snapshot.channels = verdict.deadlock.channels;
+  snapshot.dependencies = verdict.deadlock.dependencies;
+  return verdict;
 }
 
 }  // namespace sanmap::service

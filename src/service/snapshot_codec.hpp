@@ -1,26 +1,28 @@
 // Binary snapshot persistence: the catalog's at-rest format.
 //
-// Layout ("sanmap snapshot v1", little-endian):
+// Layout ("sanmap snapshot v3", little-endian):
 //
 //   magic   8 bytes  "SANMSNAP"
-//   version u32      1
+//   version u32      3
 //   size    u64      payload byte count
 //   check   u64      FNV-1a 64 of the payload bytes
 //   payload:
 //     epoch u64 | created_at_ns i64 | route_seed u64
-//     root_name str | source str | map_text str
-//     route_count u32
-//     per route: src_name str, dst_name str, turn_count u32, turns i8...
+//     root_name str | source str | engine u32 | optimize u8
+//     map_text str
+//     entry_count u64
+//     entries u8 x entry_count
 //   (str = u32 length + raw bytes)
 //
 // The map travels as its v1 text serialization (one format to maintain);
-// the routes travel as the actual per-pair turn sequences — the bytes a
-// NIC would be handed. Decoding recomputes the routes from (map, root,
-// seed) with the deterministic router and cross-checks every stored turn
-// sequence against the recomputation: the checksum catches bit rot, the
-// cross-check catches a snapshot produced by a router that disagrees with
-// this build (version skew), and a decoded snapshot always carries a
-// freshly verified deadlock analysis rather than a stored claim.
+// the routes as the next-hop table §5.5 distributes, RouteTable::entries():
+// one out-port byte per (destination host, switch state), 0xff where
+// unset, H·2·S bytes in all. Decoding recomputes the table from the map and
+// options with the deterministic router and refuses any entry count or
+// entry that differs: the checksum catches bit rot, the comparison a
+// router that disagrees with this build (version skew). No verdict is
+// stored; decode derives it afresh with certify(). v1 and v2 files, which
+// spelled out every route, are refused as unsupported.
 #pragma once
 
 #include <iosfwd>
@@ -33,10 +35,11 @@ namespace sanmap::service {
 /// Serializes a snapshot to the binary format.
 std::string encode_snapshot(const MapSnapshot& snapshot);
 
-/// Parses and verifies a binary snapshot. Throws std::runtime_error on a
-/// bad magic/version, truncation, checksum mismatch, or a route set that
-/// disagrees with this build's router. The returned snapshot keeps its
-/// recorded epoch (a catalog re-publish assigns a fresh one).
+/// Parses and verifies a binary snapshot, then certifies it. Throws
+/// std::runtime_error on a bad magic/version, truncation, checksum
+/// mismatch, or a table that disagrees with this build's router. The
+/// returned snapshot keeps its recorded epoch (a catalog re-publish assigns
+/// a fresh one).
 MapSnapshot decode_snapshot(const std::string& bytes);
 
 /// File convenience wrappers (binary mode). Throw std::runtime_error on

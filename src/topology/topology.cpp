@@ -215,6 +215,17 @@ std::optional<NodeId> Topology::find_host(const std::string& host_name) const {
   return it->second;
 }
 
+std::optional<NodeId> Topology::find_switch(
+    const std::string& switch_name) const {
+  for (NodeId n = static_cast<NodeId>(nodes_.size()); n-- > 0;) {
+    if (nodes_[n].alive && nodes_[n].kind == NodeKind::kSwitch &&
+        nodes_[n].name == switch_name) {
+      return n;
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<Port> Topology::free_port(NodeId n) const {
   check_node(n);
   const auto& ports = nodes_[n].ports;

@@ -137,6 +137,10 @@ class Topology {
 
   /// Finds a host by its unique name.
   [[nodiscard]] std::optional<NodeId> find_host(const std::string& name) const;
+  /// Finds a switch by name. Switch names need not be unique: the live
+  /// switch with the highest id wins.
+  [[nodiscard]] std::optional<NodeId> find_switch(
+      const std::string& name) const;
 
   /// Lowest free port on n, if any.
   [[nodiscard]] std::optional<Port> free_port(NodeId n) const;

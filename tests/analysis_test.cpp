@@ -958,15 +958,19 @@ TEST(CatalogGate, PublishesCleanSnapshots) {
   const auto result = catalog.publish(std::move(snapshot));
   EXPECT_TRUE(result.published());
   EXPECT_TRUE(result.gate_errors.empty());
+  ASSERT_NE(result.snapshot, nullptr);
+  EXPECT_TRUE(result.snapshot->deadlock_free);
+  EXPECT_TRUE(result.snapshot->compliant);
 }
 
 TEST(CatalogGate, RejectsTamperedRoutesDespiteHealthyFlags) {
-  // A snapshot whose build-time verdict says safe but whose route table was
-  // corrupted afterwards: the old flag-only gate would wave it through; the
-  // full-analyzer gate re-derives the verdict and refuses, naming SL101.
+  // A snapshot certified safe whose route table was corrupted afterwards:
+  // a flag-only gate would wave it through; the gate re-derives the verdict
+  // and refuses, naming SL101.
   service::MapCatalog catalog;
   const topo::Topology t = topo::ring(4, 2);
   auto snapshot = service::build_snapshot(t, {}, common::SimTime{});
+  ASSERT_TRUE(service::certify(snapshot).clean());
   ASSERT_TRUE(snapshot.deadlock_free);
   ASSERT_TRUE(snapshot.compliant);
   ASSERT_FALSE(
@@ -995,6 +999,7 @@ TEST(CatalogGate, RefusesATableFromASmallerMapInsteadOfThrowing) {
   grown.connect_any(extra, small.switches().front());
   grown.connect_any(grown.add_host("extra-host"), extra);
   auto snapshot = service::build_snapshot(grown, {}, common::SimTime{});
+  service::certify(snapshot);
   ASSERT_TRUE(snapshot.deadlock_free);
   snapshot.routes = routing::compute_updown_routes(small, {}, 1);
   service::MapCatalog::PublishResult result;
@@ -1004,6 +1009,12 @@ TEST(CatalogGate, RefusesATableFromASmallerMapInsteadOfThrowing) {
   ASSERT_FALSE(result.gate_errors.empty());
   EXPECT_EQ(result.gate_errors.front().code, "SL106");
   EXPECT_EQ(catalog.current(), nullptr);
+  // certify() marks a table the analyzer could not reach as unproven.
+  snapshot = service::build_snapshot(grown, {}, common::SimTime{});
+  snapshot.routes = routing::compute_updown_routes(small, {}, 1);
+  EXPECT_FALSE(service::certify(snapshot).analyzed_routes);
+  EXPECT_FALSE(snapshot.deadlock_free);
+  EXPECT_FALSE(snapshot.compliant);
 }
 
 }  // namespace

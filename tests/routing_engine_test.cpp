@@ -1,8 +1,8 @@
 // The routing::Engine interface: the DFS-order load-aware engine next to
 // UP*/DOWN*, the deadlock certificate against its DFS cross-check, the
 // RouteOptimizer, and regressions — SL403 consuming the engine's cable
-// plan, and the snapshot codec carrying engine + optimizer provenance (v2,
-// with v1 back-compat).
+// plan, and the snapshot codec carrying engine + optimizer provenance (and
+// refusing v1 files, which lacked it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -311,8 +311,9 @@ TEST(SnapshotCodec, V2CarriesEngineAndOptimizerProvenance) {
   options.engine = routing::EngineKind::kDfs;
   options.optimize = true;
   options.source = "test";
-  const service::MapSnapshot snapshot =
+  service::MapSnapshot snapshot =
       service::build_snapshot(t, options, common::SimTime::ms(7));
+  EXPECT_TRUE(service::certify(snapshot).clean());
   EXPECT_TRUE(snapshot.deadlock_free);
   EXPECT_TRUE(snapshot.compliant);
   EXPECT_EQ(snapshot.routes.meta.engine, routing::EngineKind::kDfs);
@@ -324,12 +325,15 @@ TEST(SnapshotCodec, V2CarriesEngineAndOptimizerProvenance) {
   EXPECT_TRUE(decoded.options.optimize);
   EXPECT_EQ(decoded.routes.routes.size(), snapshot.routes.routes.size());
   EXPECT_EQ(decoded.routes.meta.engine, routing::EngineKind::kDfs);
+  EXPECT_TRUE(decoded.deadlock_free);
+  EXPECT_EQ(decoded.dependencies, snapshot.dependencies);
 }
 
-TEST(SnapshotCodec, DecodesV1PayloadsWithDefaultProvenance) {
-  // A v1 payload is the v2 payload minus the engine (u32) + optimize (u8)
-  // bytes after `source`; splice them out of a default-options encoding and
-  // rewrite the header so version, size, and checksum agree.
+TEST(SnapshotCodec, RefusesV1PayloadsAsUnsupported) {
+  // A v1 payload lacked the engine (u32) + optimize (u8) bytes after
+  // `source`; splice them out of a default-options encoding and rewrite
+  // the header so version, size, and checksum agree. Provenance defaults
+  // are no longer guessed: the file is refused by version.
   const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
   const service::MapSnapshot snapshot =
       service::build_snapshot(t, {}, common::SimTime::ms(3));
@@ -369,10 +373,12 @@ TEST(SnapshotCodec, DecodesV1PayloadsWithDefaultProvenance) {
   put_u64(12, bytes.size() - kHeader);
   put_u64(20, fnv1a(bytes.data() + kHeader, bytes.size() - kHeader));
 
-  const service::MapSnapshot decoded = service::decode_snapshot(bytes);
-  EXPECT_EQ(decoded.options.engine, routing::EngineKind::kUpDown);
-  EXPECT_FALSE(decoded.options.optimize);
-  EXPECT_EQ(decoded.routes.routes.size(), snapshot.routes.routes.size());
+  try {
+    service::decode_snapshot(bytes);
+    ADD_FAILURE() << "a v1 snapshot decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "snapshot: unsupported version 1");
+  }
 }
 
 }  // namespace

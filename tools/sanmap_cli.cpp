@@ -481,11 +481,7 @@ int cmd_routes(int argc, const char* const* argv) {
   const topo::Topology t = read_input(flags.get("in"));
   routing::UpDownOptions options;
   if (const std::string root = flags.get("root"); !root.empty()) {
-    for (const topo::NodeId s : t.switches()) {
-      if (t.name(s) == root) {
-        options.root = s;
-      }
-    }
+    options.root = t.find_switch(root);
     if (!options.root) {
       throw std::runtime_error("no switch named " + root);
     }
@@ -877,11 +873,7 @@ int cmd_lint(int argc, const char* const* argv) {
     local = local.compacted();
     routing::UpDownOptions route_options;
     if (const std::string root = flags.get("root"); !root.empty()) {
-      for (const topo::NodeId s : local.switches()) {
-        if (local.name(s) == root) {
-          route_options.root = s;
-        }
-      }
+      route_options.root = local.find_switch(root);
       if (!route_options.root) {
         throw std::runtime_error("no switch named " + root +
                                  " in the mapper's component");
