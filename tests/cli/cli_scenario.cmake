@@ -9,6 +9,8 @@
 #                                  table shows the outage repair and then
 #                                  the repair after the revival)
 #   sanmap query --snapshot ... --sample 5
+#   sanmap serve / query --engine dfs --optimize   (the same churn; decode
+#                                  of an optimized DFS-engine snapshot)
 #
 # Usage (ctest registers one run per scenario):
 #   cmake -DSANMAP=path/to/sanmap -DSCENARIO=NAME "-DGEN_ARGS=--topology now"
@@ -71,3 +73,7 @@ step(serve 0 serve --in fabric.topo --ticks 20 --interval-ms 500
      --churn "rolling(start=200,every=20s,down=8s,count=1)\;hostchurn(start=400,every=20s,down=8s,count=1)"
      --snapshot-out fabric.snap)
 step(query 0 query --snapshot fabric.snap --sample 5)
+step(serve-dfs 0 serve --in fabric.topo --ticks 20 --interval-ms 500
+     --churn "rolling(start=200,every=20s,down=8s,count=1)\;hostchurn(start=400,every=20s,down=8s,count=1)"
+     --engine dfs --optimize --snapshot-out fabric-dfs.snap)
+step(query-dfs 0 query --snapshot fabric-dfs.snap --sample 5)
