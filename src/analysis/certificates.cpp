@@ -112,9 +112,7 @@ LegalityCertificate build_legality_certificate(
   // legality is relative to whatever total order the engine routed against
   // (BFS for updown, DFS preorder for the dfs engine — byte-identical to
   // the old recomputation for updown tables under default options), and
-  // check_legality re-validates purely from the recorded labels. Read via
-  // raw_labels(): the orientation's topology pointer dangles once a
-  // RoutingResult has moved across snapshots, but the label array is owned.
+  // check_legality re-validates purely from the recorded labels.
   cert.labels = legality_labels(topo, routes);
   // Per destination tree, successors first: the classification of every
   // suffix walk from each state, both for a walk that has not gone down yet
@@ -641,7 +639,6 @@ std::string inject_down_up_turn(const topo::Topology& topo,
                                 routing::RoutingResult& routes) {
   // Sabotage must be relative to the table's own order, or a "down-up"
   // detour picked via fresh BFS labels could be legal under a DFS table.
-  // raw_labels(): see build_legality_certificate.
   const std::vector<int>& order = routes.orientation.raw_labels();
   SANMAP_CHECK_MSG(order.size() >= topo.node_capacity(),
                    "sabotage: the table's orientation does not cover this map");

@@ -85,10 +85,9 @@ struct DeadlockCertificate {
 };
 
 /// Builds the legality certificate: takes the labels from the table's own
-/// orientation (legality_labels; never its internal topology pointer,
-/// which dangles once a RoutingResult is moved across snapshots) and
-/// classifies every route from the trees: per destination, each state's
-/// suffix classified once, successors first. Entries are in key order.
+/// orientation (legality_labels) and classifies every route from the
+/// trees: per destination, each state's suffix classified once, successors
+/// first. Entries are in key order.
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes);
 /// The same certificate, its blocks of 64 destinations run on `pool`; each

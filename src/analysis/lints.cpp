@@ -31,23 +31,22 @@ bool end_in_range(const FabricView& view, const topo::PortRef& end) {
   return end.node < view.nodes.size() && view.nodes[end.node].alive;
 }
 
-/// SL403's parallel-cable index: directed switch-to-switch channels grouped
-/// by (from, to) node pair, ascending by wire id within a group. The bool is
-/// channel direction — true when the wire's `a` end is the group's `from`.
-using ParallelCableGroups =
-    std::map<std::pair<topo::NodeId, topo::NodeId>,
-             std::vector<std::pair<topo::WireId, bool>>>;
+/// SL403's parallel trunks: the cables joining each pair of distinct
+/// switches (pair ascending), ascending by wire id. Pairs joined by one
+/// cable are kept; the lint skips them.
+using ParallelTrunks =
+    std::map<std::pair<topo::NodeId, topo::NodeId>, std::vector<topo::WireId>>;
 
-ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
-  ParallelCableGroups parallel;
+ParallelTrunks parallel_trunks(const topo::Topology& topo) {
+  ParallelTrunks trunks;
   for (const topo::WireId w : topo.wires()) {
     const topo::Wire& wire = topo.wire(w);
-    if (topo.is_switch(wire.a.node) && topo.is_switch(wire.b.node)) {
-      parallel[{wire.a.node, wire.b.node}].emplace_back(w, true);
-      parallel[{wire.b.node, wire.a.node}].emplace_back(w, false);
+    if (wire.a.node != wire.b.node && topo.is_switch(wire.a.node) &&
+        topo.is_switch(wire.b.node)) {
+      trunks[std::minmax(wire.a.node, wire.b.node)].push_back(w);
     }
   }
-  return parallel;
+  return trunks;
 }
 
 }  // namespace
@@ -446,103 +445,41 @@ void lint_route_quality(const topo::Topology& topo,
   // the load-balance seed), so "max >> mean" is a property of UP*/DOWN*,
   // not a defect. What IS actionable:
   //  * skew across redundant parallel cables between the same two switches
-  //    (the seed's tie-break exists precisely to spread those), and
+  //    (the seeded tie-break and the optimizer's cable pass exist to spread
+  //    those), and
   //  * a single channel funneling the majority of all routes.
-  const auto channel_load = [&](topo::WireId w, bool a_to_b) {
-    return loads[routing::channel_slot(w, a_to_b)];
-  };
-  // Parallel-cable skew. When the engine (or the route optimizer) declared
-  // a per-cable assignment for the whole group, the lint audits the table
-  // against that declaration — the plan is the engine's balancing *intent*,
-  // and a deliberately direction-split assignment (all A->B traffic on one
-  // cable, all B->A on its sibling) is jointly balanced even though each
-  // directed channel looks skewed in isolation. Re-deriving a
-  // per-direction uniformity expectation here used to flag exactly those
-  // optimizer-balanced tables. Without a covering plan, the historical
-  // heuristic applies: the seeded tie-break should keep per-direction
-  // loads within a constant factor.
-  const auto& plan = routes.meta.cable_plan;
-  const auto declared = [&](topo::WireId w,
-                            bool a_to_b) -> const std::size_t* {
-    const auto it = plan.find({w, a_to_b});
-    return it == plan.end() ? nullptr : &it->second;
-  };
-  for (const auto& [endpoints, channels] : parallel_cable_groups(topo)) {
-    if (channels.size() < 2) {
+  // Parallel-cable skew is judged on each cable's joint (both-direction)
+  // load. One table entry can carry a trunk direction whole, so
+  // per-direction counts cannot always be even, and a direction-split deal
+  // (all a->b traffic on one cable, all b->a on its sibling) is balanced.
+  for (const auto& [endpoints, cables] : parallel_trunks(topo)) {
+    if (cables.size() < 2) {
       continue;
     }
-    bool planned = !plan.empty();
-    for (const auto& [w, a_to_b] : channels) {
-      planned = planned && declared(w, a_to_b) != nullptr;
-    }
-    if (planned) {
-      // (a) The table must match the declaration channel by channel.
-      for (const auto& [w, a_to_b] : channels) {
-        const std::size_t actual = channel_load(w, a_to_b);
-        const std::size_t want = *declared(w, a_to_b);
-        if (actual != want) {
-          std::ostringstream oss;
-          oss << "parallel cables " << topo.name(endpoints.first) << "->"
-              << topo.name(endpoints.second) << ": wire " << w << " carries "
-              << actual << " routes but the engine declared " << want;
-          report.add("SL403", "", oss.str(),
-                     "the table diverged from the engine's cable plan; "
-                     "recompute the table");
-        }
-      }
-      // (b) The declared plan itself must be jointly balanced. Joint loads
-      // are direction-agnostic, so emit once per unordered switch pair.
-      if (endpoints.first < endpoints.second) {
-        std::size_t joint_max = 0;
-        std::size_t joint_min = std::numeric_limits<std::size_t>::max();
-        topo::WireId hottest = topo::kInvalidWire;
-        for (const auto& [w, a_to_b] : channels) {
-          const auto* fwd = declared(w, true);
-          const auto* rev = declared(w, false);
-          const std::size_t joint = (fwd ? *fwd : 0) + (rev ? *rev : 0);
-          if (joint > joint_max) {
-            joint_max = joint;
-            hottest = w;
-          }
-          joint_min = std::min(joint_min, joint);
-        }
-        if (static_cast<double>(joint_max) >
-            options.load_imbalance_threshold *
-                static_cast<double>(std::max<std::size_t>(joint_min, 1))) {
-          std::ostringstream oss;
-          oss << "parallel cables " << topo.name(endpoints.first) << "<->"
-              << topo.name(endpoints.second) << ": wire " << hottest
-              << " is planned for " << joint_max
-              << " routes (both directions) while a sibling is planned for "
-              << joint_min;
-          report.add("SL403", "", oss.str(),
-                     "the engine's cable plan concentrates a parallel "
-                     "trunk; rebalance the assignment");
-        }
-      }
-      continue;
-    }
-    std::size_t group_max = 0;
-    std::size_t group_min = std::numeric_limits<std::size_t>::max();
+    std::size_t joint_max = 0;
+    std::size_t joint_min = std::numeric_limits<std::size_t>::max();
     topo::WireId hottest = topo::kInvalidWire;
-    for (const auto& [w, a_to_b] : channels) {
-      const std::size_t n = channel_load(w, a_to_b);
-      if (n > group_max) {
-        group_max = n;
+    for (const topo::WireId w : cables) {
+      const std::size_t joint = loads[routing::channel_slot(w, true)] +
+                                loads[routing::channel_slot(w, false)];
+      if (joint > joint_max) {
+        joint_max = joint;
         hottest = w;
       }
-      group_min = std::min(group_min, n);
+      joint_min = std::min(joint_min, joint);
     }
-    if (static_cast<double>(group_max) >
+    if (static_cast<double>(joint_max) >
         options.load_imbalance_threshold *
-            static_cast<double>(std::max<std::size_t>(group_min, 1))) {
+            static_cast<double>(std::max<std::size_t>(joint_min, 1))) {
       std::ostringstream oss;
-      oss << "parallel cables " << topo.name(endpoints.first) << "->"
+      oss << "parallel cables " << topo.name(endpoints.first) << "<->"
           << topo.name(endpoints.second) << ": wire " << hottest
-          << " carries " << group_max << " routes while a sibling carries "
-          << group_min;
+          << " carries " << joint_max
+          << " routes (both directions) while a sibling carries "
+          << joint_min;
       report.add("SL403", "", oss.str(),
-                 "reseed the load-balance choice to spread parallel cables");
+                 "reseed the load-balance choice or optimize the table to "
+                 "spread the trunk");
     }
   }
   // Funneling: one channel on the majority of all routes means the

@@ -43,8 +43,8 @@ FabricView view_of(const topo::Topology& topo);
 
 struct LintOptions {
   /// SL403 fires when, among redundant parallel cables between the same
-  /// two switches, the hottest directed channel exceeds this multiple of
-  /// the coldest sibling's load (root-channel concentration on
+  /// two switches, the hottest cable's joint (both-direction) load exceeds
+  /// this multiple of the coldest sibling's (root-channel concentration on
   /// hierarchical fabrics is structural to UP*/DOWN* and deliberately NOT
   /// flagged; a majority-of-all-routes funnel still is).
   double load_imbalance_threshold = 6.0;

@@ -37,6 +37,7 @@
 #include "common/sim_time.hpp"
 #include "federation/partition.hpp"
 #include "mapper/partial_merge.hpp"
+#include "routing/engine.hpp"
 #include "routing/routes.hpp"
 #include "simnet/network.hpp"
 #include "topology/topology.hpp"

@@ -12,9 +12,6 @@ namespace sanmap::routing {
 
 namespace {
 
-const UpDownEngine kUpDownEngine;
-const DfsEngine kDfsEngine;
-
 /// Deterministic DFS preorder over the fabric: neighbors are visited in
 /// ascending node-id order, multi-edges count once. Every node's DFS-tree
 /// parent gets a smaller preorder number, so every node reaches the root
@@ -50,37 +47,14 @@ std::vector<int> dfs_preorder_labels(const topo::Topology& topo,
   return labels;
 }
 
-}  // namespace
-
-RoutingResult UpDownEngine::compute(const topo::Topology& topo,
-                                    const UpDownOptions& options,
-                                    std::uint64_t seed) const {
-  return compute_updown_routes(topo, options, seed);
-}
-
-RoutingResult DfsEngine::compute(const topo::Topology& topo,
-                                 const UpDownOptions& options,
-                                 std::uint64_t /*seed*/) const {
-  SANMAP_CHECK_MSG(topo.num_switches() >= 1,
-                   "routing needs at least one switch");
-  SANMAP_CHECK_MSG(topo::connected(topo), "routing needs a connected map");
-  topo::NodeId root;
-  if (options.root.has_value()) {
-    root = *options.root;
-    SANMAP_CHECK(topo.node_alive(root) && topo.is_switch(root));
-  } else {
-    root = topo::switch_farthest_from_hosts(topo, options.ignore_hosts);
-  }
-
-  RoutingResult result{
-      UpDownOrientation(topo, root, dfs_preorder_labels(topo, root)), {}, {}};
-  result.meta.engine = EngineKind::kDfs;
+/// The DFS engine: every tie (next hop or parallel cable) broken toward
+/// the coldest alternative, Angara-style, once per table entry, weighted
+/// by the sources the entry routes.
+RoutingResult compute_dfs_routes(const topo::Topology& topo,
+                                 const UpDownOptions& options) {
+  RoutingResult result{orient(topo, EngineKind::kDfs, options), {}};
   result.routes = RouteTable(topo, result.orientation);
-
-  // Per-channel route counts, updated as entries are committed. This is the
-  // engine's load-aware selection state: Angara-style, every tie (next hop
-  // or parallel cable) is broken toward the coldest alternative, once per
-  // table entry, weighted by the sources the entry routes.
+  // Per-channel route counts, updated as entries are committed.
   std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
   std::vector<std::uint32_t> weight;
   detail::for_each_destination(
@@ -89,28 +63,19 @@ RoutingResult DfsEngine::compute(const topo::Topology& topo,
         detail::grow_coldest_tree(result.routes, distances, dst, weight, load);
       });
   result.routes.recount();
-
-  // Declare the parallel-cable assignment the selection just made, so
-  // SL403 audits the table against intent instead of re-deriving a
-  // per-direction uniformity expectation the engine never promised.
-  detail::declare_cable_plan(detail::parallel_trunks(topo), load, result.meta);
   return result;
 }
 
-const Engine& engine_for(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kUpDown:
-      return kUpDownEngine;
-    case EngineKind::kDfs:
-      return kDfsEngine;
-  }
-  SANMAP_CHECK_MSG(false,
-                   "unknown engine kind " << static_cast<int>(kind));
-  return kUpDownEngine;  // unreachable
-}
+}  // namespace
 
 const char* to_string(EngineKind kind) {
-  return engine_for(kind).name();
+  switch (kind) {
+    case EngineKind::kUpDown:
+      return "updown";
+    case EngineKind::kDfs:
+      return "dfs";
+  }
+  return "unknown";
 }
 
 std::optional<EngineKind> parse_engine(std::string_view name) {
@@ -123,10 +88,31 @@ std::optional<EngineKind> parse_engine(std::string_view name) {
   return std::nullopt;
 }
 
+UpDownOrientation orient(const topo::Topology& topo, EngineKind kind,
+                         const UpDownOptions& options) {
+  if (kind == EngineKind::kUpDown) {
+    return UpDownOrientation(topo, options);
+  }
+  SANMAP_CHECK_MSG(topo.num_switches() >= 1,
+                   "routing needs at least one switch");
+  SANMAP_CHECK_MSG(topo::connected(topo), "routing needs a connected map");
+  const topo::NodeId root =
+      options.root.has_value()
+          ? *options.root
+          : topo::switch_farthest_from_hosts(topo, options.ignore_hosts);
+  SANMAP_CHECK(topo.node_alive(root) && topo.is_switch(root));
+  return UpDownOrientation(topo, root, dfs_preorder_labels(topo, root));
+}
+
 RoutingResult compute_routes(const topo::Topology& topo, EngineKind kind,
                              const UpDownOptions& options,
                              std::uint64_t seed) {
-  return engine_for(kind).compute(topo, options, seed);
+  if (kind == EngineKind::kDfs) {
+    return compute_dfs_routes(topo, options);
+  }
+  SANMAP_CHECK_MSG(kind == EngineKind::kUpDown,
+                   "unknown engine kind " << static_cast<int>(kind));
+  return compute_updown_routes(topo, options, seed);
 }
 
 }  // namespace sanmap::routing

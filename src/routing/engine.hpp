@@ -1,5 +1,5 @@
-// The routing engine registry: every deadlock-free route computation the
-// service can publish, behind one interface.
+// The routing engines: every deadlock-free route computation the service
+// can publish, selected by EngineKind.
 //
 // UP*/DOWN* (§5.5) is one point in the design space. Its deadlock-freedom
 // argument never actually uses "BFS" — it only needs a *total order* on the
@@ -28,6 +28,10 @@
 // emitted table is proved by the analysis layer's DeadlockCertificate and
 // its independent checker; an engine does not get to assume its own
 // correctness argument.
+//
+// An engine's orientation is a function of the map, the root and the
+// engine alone (orient()), so a reader holding a stored table rebuilds the
+// orientation it was routed under without routing again.
 #pragma once
 
 #include <cstdint>
@@ -35,63 +39,38 @@
 #include <string_view>
 
 #include "routing/routes.hpp"
+#include "routing/updown.hpp"
 #include "topology/topology.hpp"
 
 namespace sanmap::routing {
 
-/// One deadlock-free route computation. Implementations must be
-/// deterministic in (topology, options, seed): the snapshot codec decodes
-/// by recomputing and byte-comparing.
-class Engine {
- public:
-  Engine() = default;
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
-  virtual ~Engine() = default;
-
-  [[nodiscard]] virtual EngineKind kind() const = 0;
-  /// Stable CLI/config name ("updown", "dfs").
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Computes the full host-pair table. The topology must be connected
-  /// with at least one switch and one host.
-  [[nodiscard]] virtual RoutingResult compute(const topo::Topology& topo,
-                                              const UpDownOptions& options,
-                                              std::uint64_t seed) const = 0;
+/// Which engine computes a route table. Values are stable across releases:
+/// the snapshot codec serializes them.
+enum class EngineKind : std::uint8_t {
+  /// BFS-labeled UP*/DOWN* (§5.5) with seeded-random tie-breaks.
+  kUpDown = 0,
+  /// DFS-preorder-ordered graph routing with deterministic load-aware
+  /// selection (header comment above).
+  kDfs = 1,
 };
 
-/// The classic engine: BFS labels, seeded-random tie-breaks — a thin
-/// wrapper over compute_updown_routes, byte-identical to calling it.
-class UpDownEngine final : public Engine {
- public:
-  [[nodiscard]] EngineKind kind() const override { return EngineKind::kUpDown; }
-  [[nodiscard]] const char* name() const override { return "updown"; }
-  [[nodiscard]] RoutingResult compute(const topo::Topology& topo,
-                                      const UpDownOptions& options,
-                                      std::uint64_t seed) const override;
-};
-
-/// The DFS-preorder-ordered engine with load-aware deterministic selection
-/// (header comment above). `seed` is accepted for interface uniformity but
-/// unused: every choice is resolved by load and then by the smallest wire,
-/// so the table is a pure function of (topology, options).
-class DfsEngine final : public Engine {
- public:
-  [[nodiscard]] EngineKind kind() const override { return EngineKind::kDfs; }
-  [[nodiscard]] const char* name() const override { return "dfs"; }
-  [[nodiscard]] RoutingResult compute(const topo::Topology& topo,
-                                      const UpDownOptions& options,
-                                      std::uint64_t seed) const override;
-};
-
-/// The process-wide engine instances (engines are stateless).
-const Engine& engine_for(EngineKind kind);
-
+/// Stable CLI/config name ("updown", "dfs").
 const char* to_string(EngineKind kind);
 
 /// Parses a stable engine name ("updown", "dfs"); nullopt on anything else.
 std::optional<EngineKind> parse_engine(std::string_view name);
 
-/// Convenience dispatch: engine_for(kind).compute(...).
+/// The orientation `kind` routes under: BFS labels with the dominant-switch
+/// fix for kUpDown, DFS preorder labels for kDfs, rooted at options.root or
+/// else at the switch farthest from the hosts. The topology must be
+/// connected with at least one switch.
+UpDownOrientation orient(const topo::Topology& topo, EngineKind kind,
+                         const UpDownOptions& options = {});
+
+/// Computes the full host-pair table with engine `kind`. The topology must
+/// be connected with at least one switch and one host. Deterministic in
+/// (topology, kind, options, seed); the DFS engine ignores `seed`, since it
+/// resolves every choice by load and then by the smallest wire.
 RoutingResult compute_routes(const topo::Topology& topo, EngineKind kind,
                              const UpDownOptions& options = {},
                              std::uint64_t seed = 1);

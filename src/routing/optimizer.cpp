@@ -271,10 +271,6 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   }
 
   report.max_load_after = max_load(load);
-  routes.meta.optimized = true;
-  // Declare the final parallel-cable assignment (replacing any engine
-  // plan): SL403 audits against this instead of re-deriving expectations.
-  detail::declare_cable_plan(trunks, load, routes.meta);
   return report;
 }
 

@@ -21,8 +21,7 @@
 //     deals whole entries, per-cable totals end within the largest entry
 //     weight of each other (not within one route, as dealing single routes
 //     would). A trunk whose hottest directed channel the deal would raise
-//     keeps its old assignment. The final assignment is recorded in
-//     TableMeta::cable_plan.
+//     keeps its old assignment.
 //
 // Neither pass can raise the maximum channel load: max_load_after <=
 // max_load_before always holds.
@@ -42,8 +41,7 @@
 // (the publish gate and snapshot decode through service::certify,
 // federation's analyze, CLI routes and lint). All passes are
 // deterministic, so an optimized table is still a pure function of its
-// inputs (the snapshot codec depends on that: decode recomputes the table
-// and compares it entry for entry).
+// inputs.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +67,7 @@ struct OptimizerReport {
 
 /// Rebalances `routes` (computed on `topo`) in place. The table must route
 /// every pair along a shortest compliant path on entry, as every engine's
-/// does; hop counts are preserved. Updates routes.meta (optimized flag +
-/// cable_plan).
+/// does; hop counts are preserved.
 OptimizerReport optimize_routes(const topo::Topology& topo,
                                 RoutingResult& routes);
 

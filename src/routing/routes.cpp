@@ -33,7 +33,7 @@ RouteTable::RouteTable(const topo::Topology& topo,
                    switch_index_[to.node],
                    to.port,
                    static_cast<std::uint32_t>(channel_slot(w, a_to_b)),
-                   orientation.goes_up(w, from.node)};
+                   orientation.goes_up(topo, w, from.node)};
   };
   // Each switch's ports, then its switch-to-switch links by ascending wire
   // (the candidate order every seeded and load-aware choice sees).
@@ -334,7 +334,7 @@ int RoutingResult::max_hops() const {
 RoutingResult compute_updown_routes(const topo::Topology& topo,
                                     const UpDownOptions& options,
                                     std::uint64_t seed) {
-  RoutingResult result{UpDownOrientation(topo, options), {}, {}};
+  RoutingResult result{UpDownOrientation(topo, options), {}};
   result.routes = RouteTable(topo, result.orientation);
   const RouteTable& table = result.routes;
   common::Rng rng(seed);
@@ -374,10 +374,6 @@ RoutingResult compute_updown_routes(const topo::Topology& topo,
             });
       });
   result.routes.recount();
-  // A single entry can carry a trunk direction whole, so per-direction
-  // counts cannot always be even; the table declares the trunks' joint
-  // dealing instead, which SL403 then audits.
-  detail::declare_cable_plan(detail::parallel_trunks(topo), load, result.meta);
   return result;
 }
 

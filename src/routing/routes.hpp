@@ -19,10 +19,10 @@
 // chosen. The UP*/DOWN* emitter's choice is seeded: the less loaded of two
 // random picks among the tied next hops, then of the parallel cables to
 // that switch the one with the fewest routes in both directions, which
-// keeps every trunk's joint counts within one entry's weight of even; it
-// declares that dealing in TableMeta::cable_plan, as the other emitters
-// do. Emission is O(H·(S + E)); the table is H·2·S bytes (one port per
-// entry).
+// keeps every trunk's joint counts within one entry's weight of even.
+// Emission is O(H·(S + E)); the table is H·2·S bytes (one port per entry).
+// The entries are the whole table: what each cable of a trunk carries is
+// read from them (channel_loads).
 //
 // Host routes are built on read: RoutingResult::route() and table_for(),
 // and RouteTable::for_each_route(), walk the entries from the source
@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -183,6 +182,13 @@ class RouteTable {
   void set_port(std::uint32_t dst, std::uint32_t state, std::uint8_t port) {
     next_[dst * num_states() + state] = port;
   }
+  /// Whether an entry of `state` may name `port`: a port of the state's
+  /// switch that carries a wire other than a loopback cable.
+  [[nodiscard]] bool usable_port(std::uint32_t state,
+                                 std::uint8_t port) const {
+    return port < topo::kSwitchPorts &&
+           ports_[port_slot(state / 2, port)].wire != topo::kInvalidWire;
+  }
   /// Clears every entry toward host index `dst`.
   void clear_entries(std::uint32_t dst);
   /// The raw entries: the port at dst * num_states() + state, 0xff unset.
@@ -296,37 +302,10 @@ class RouteTable {
   std::size_t size_ = 0;
 };
 
-/// Which engine computed a route table. Values are stable across releases:
-/// the snapshot codec serializes them.
-enum class EngineKind : std::uint8_t {
-  /// BFS-labeled UP*/DOWN* (§5.5) with seeded-random tie-breaks.
-  kUpDown = 0,
-  /// DFS-preorder-ordered graph routing with deterministic load-aware
-  /// selection (see routing/engine.hpp).
-  kDfs = 1,
-};
-
-/// Engine-declared facts about a table, carried alongside the routes so the
-/// analysis layer can audit what the engine *meant* instead of re-deriving
-/// expectations it cannot know.
-struct TableMeta {
-  EngineKind engine = EngineKind::kUpDown;
-  /// A RouteOptimizer pass rewrote the table after emission.
-  bool optimized = false;
-  /// Deliberate per-channel route counts for parallel-cable groups, keyed
-  /// by (wire, a-to-b). Every emitter and the optimizer fill this in, as
-  /// each assigns cables on purpose; when present for a whole group, SL403
-  /// audits the table against the plan (and the plan's joint balance)
-  /// instead of assuming a per-direction uniform spread.
-  std::map<std::pair<topo::WireId, bool>, std::size_t> cable_plan;
-};
-
 struct RoutingResult {
   UpDownOrientation orientation;
   /// Routes for every ordered pair of distinct hosts.
   RouteTable routes;
-  /// Which engine produced the table, and what it declared about it.
-  TableMeta meta;
 
   /// The route src -> dst, built by walking the table. Throws CheckFailure
   /// when the table does not route the pair.

@@ -3,8 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "routing/congestion.hpp"
-
 namespace sanmap::routing {
 
 namespace detail {
@@ -125,17 +123,6 @@ std::vector<std::vector<topo::WireId>> parallel_trunks(
   }
   std::sort(trunks.begin(), trunks.end());
   return trunks;
-}
-
-void declare_cable_plan(const std::vector<std::vector<topo::WireId>>& trunks,
-                        const std::vector<std::size_t>& load, TableMeta& meta) {
-  meta.cable_plan.clear();
-  for (const auto& trunk : trunks) {
-    for (const topo::WireId w : trunk) {
-      meta.cable_plan[{w, false}] = load[channel_slot(w, false)];
-      meta.cable_plan[{w, true}] = load[channel_slot(w, true)];
-    }
-  }
 }
 
 }  // namespace detail

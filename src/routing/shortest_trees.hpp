@@ -92,17 +92,12 @@ void grow_coldest_tree(RouteTable& table, const PhaseDistances& distances,
                        std::uint32_t dst, std::vector<std::uint32_t>& weight,
                        std::vector<std::size_t>& load);
 
-/// The parallel switch-to-switch trunks of `topo`: every group of two or
-/// more cables joining the same two switches, ascending by wire id, groups
-/// ascending by their first wire.
+/// The parallel switch-to-switch trunks of `topo`, which the optimizer's
+/// cable pass re-deals: every group of two or more cables joining the same
+/// two switches, ascending by wire id, groups ascending by their first
+/// wire.
 std::vector<std::vector<topo::WireId>> parallel_trunks(
     const topo::Topology& topo);
-
-/// Replaces meta.cable_plan by the per-channel counts `load` (indexed by
-/// channel_slot) holds for every cable of `trunks`: the assignment an
-/// emitter made on purpose, which SL403 audits the table against.
-void declare_cable_plan(const std::vector<std::vector<topo::WireId>>& trunks,
-                        const std::vector<std::size_t>& load, TableMeta& meta);
 
 /// Runs `per_destination(dst, distances)` for every destination host
 /// index, grouped by destination switch (switches ascending, hosts

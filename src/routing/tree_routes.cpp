@@ -9,7 +9,7 @@ namespace sanmap::routing {
 
 RoutingResult compute_tree_routes(const topo::Topology& topo,
                                   const UpDownOptions& options) {
-  RoutingResult result{UpDownOrientation(topo, options), {}, {}};
+  RoutingResult result{UpDownOrientation(topo, options), {}};
   const topo::NodeId root = result.orientation.root();
 
   // BFS tree: parent wire per node.

@@ -9,8 +9,7 @@
 namespace sanmap::routing {
 
 UpDownOrientation::UpDownOrientation(const topo::Topology& topo,
-                                     const UpDownOptions& options)
-    : topo_(&topo) {
+                                     const UpDownOptions& options) {
   SANMAP_CHECK_MSG(topo.num_switches() >= 1,
                    "UP*/DOWN* needs at least one switch");
   SANMAP_CHECK_MSG(topo::connected(topo), "UP*/DOWN* needs a connected map");
@@ -87,7 +86,7 @@ UpDownOrientation::UpDownOrientation(const topo::Topology& topo,
 UpDownOrientation::UpDownOrientation(const topo::Topology& topo,
                                      topo::NodeId root,
                                      std::vector<int> labels)
-    : topo_(&topo), root_(root), labels_(std::move(labels)) {
+    : root_(root), labels_(std::move(labels)) {
   SANMAP_CHECK_MSG(topo.num_switches() >= 1,
                    "UP*/DOWN* needs at least one switch");
   SANMAP_CHECK_MSG(topo::connected(topo), "UP*/DOWN* needs a connected map");
@@ -107,9 +106,9 @@ bool UpDownOrientation::less(topo::NodeId a, topo::NodeId b) const {
   return a < b;
 }
 
-bool UpDownOrientation::goes_up(topo::WireId wire,
-                                topo::NodeId from) const {
-  const topo::Wire& w = topo_->wire(wire);
+bool UpDownOrientation::goes_up(const topo::Topology& topo,
+                                topo::WireId wire, topo::NodeId from) const {
+  const topo::Wire& w = topo.wire(wire);
   const topo::NodeId to = (w.a.node == from && w.b.node == from)
                               ? from  // self-loop: direction is moot
                               : w.opposite(from).node;
@@ -117,11 +116,6 @@ bool UpDownOrientation::goes_up(topo::WireId wire,
     return false;  // self-loops are never "up"; routes should not use them
   }
   return less(to, from);
-}
-
-int UpDownOrientation::label(topo::NodeId node) const {
-  SANMAP_CHECK(topo_->node_alive(node));
-  return labels_[node];
 }
 
 }  // namespace sanmap::routing

@@ -29,7 +29,8 @@ struct UpDownOptions {
   bool fix_dominant_switches = true;
 };
 
-/// The oriented network: per-wire up direction plus the labels behind it.
+/// The oriented network: the root and the labels behind each wire's up
+/// direction. It holds no reference to the topology it was built over.
 class UpDownOrientation {
  public:
   UpDownOrientation(const topo::Topology& topo, const UpDownOptions& options);
@@ -46,29 +47,22 @@ class UpDownOrientation {
 
   [[nodiscard]] topo::NodeId root() const { return root_; }
 
-  /// True when traversing `wire` out of `from` moves up (toward the root).
-  [[nodiscard]] bool goes_up(topo::WireId wire, topo::NodeId from) const;
+  /// True when traversing `wire` of `topo` (the map the orientation was
+  /// built over) out of `from` moves up (toward the root).
+  [[nodiscard]] bool goes_up(const topo::Topology& topo, topo::WireId wire,
+                             topo::NodeId from) const;
 
-  /// The label used for ordering (distance component; after dominant-switch
-  /// fixes it may be negative).
-  [[nodiscard]] int label(topo::NodeId node) const;
-
-  /// The full label array, indexed by NodeId. Unlike label(), never touches
-  /// the internal topology pointer — which dangles once a RoutingResult is
-  /// moved across snapshots — so readers that carry their own map (the
-  /// certificate builders) use this.
+  /// The labels used for ordering, indexed by NodeId (the distance
+  /// component; after dominant-switch fixes a label may be negative).
   [[nodiscard]] const std::vector<int>& raw_labels() const { return labels_; }
 
   /// Number of dominant-switch relabelings that were applied.
   [[nodiscard]] int relabeled_switches() const { return relabeled_; }
 
-  [[nodiscard]] const topo::Topology& topology() const { return *topo_; }
-
  private:
   /// Total order: (label, id) lexicographic; smaller is nearer the root.
   [[nodiscard]] bool less(topo::NodeId a, topo::NodeId b) const;
 
-  const topo::Topology* topo_;
   topo::NodeId root_;
   std::vector<int> labels_;
   int relabeled_ = 0;

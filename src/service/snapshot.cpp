@@ -4,7 +4,6 @@
 
 #include "analysis/analyzer.hpp"
 #include "common/check.hpp"
-#include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 
 namespace sanmap::service {

@@ -9,7 +9,8 @@
 //
 // build_snapshot() only computes; certify() writes the verdict from one
 // analysis::analyze run. Its callers are the MapCatalog publish gate and
-// decode_snapshot(), so a built snapshot carries no verdict yet.
+// decode_snapshot(), which takes the table from the file instead of
+// routing again; a built snapshot carries no verdict yet.
 //
 // Snapshots are immutable after publication and shared by reference count;
 // MapCatalog publishes them under monotonically increasing epochs and
@@ -23,15 +24,16 @@
 
 #include "analysis/analyzer.hpp"
 #include "common/sim_time.hpp"
+#include "routing/engine.hpp"
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
 
 namespace sanmap::service {
 
-/// How a snapshot's routes were parameterized — enough to recompute them
-/// bit-for-bit on the snapshot's map (the router is deterministic given
-/// map and options). The codec persists these and holds the stored table
-/// against the recomputation instead of trusting it.
+/// How a snapshot's routes were parameterized. The codec persists these
+/// with the table: decode rebuilds the orientation from the map, the root
+/// name and the engine, and keeps the seed and the optimizer flag as
+/// provenance.
 struct SnapshotOptions {
   /// UP*/DOWN* root override by switch name; empty picks the natural root
   /// (the switch farthest from all hosts). Names survive compaction and

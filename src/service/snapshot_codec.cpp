@@ -1,6 +1,5 @@
 #include "service/snapshot_codec.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -8,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "routing/engine.hpp"
+#include "topology/algorithms.hpp"
 #include "topology/serialize.hpp"
 
 namespace sanmap::service {
@@ -182,33 +183,72 @@ MapSnapshot decode_snapshot(const std::string& bytes) {
   options.optimize = payload.i8() != 0;
   const std::string map_text = payload.str();
 
-  // Rebuild the snapshot from first principles (the router is deterministic
-  // given map and options), then hold the stored entries against it.
-  const topo::Topology map = topo::from_text(map_text);
-  MapSnapshot snapshot =
-      build_snapshot(map, options, common::SimTime::ns(created_ns));
-  snapshot.epoch = epoch;
-
-  const routing::RouteTable& table = snapshot.routes.routes;
-  const std::span<const std::uint8_t> entries = table.entries();
-  if (payload.u64() != entries.size()) {
-    throw std::runtime_error(
-        "snapshot: stored entry count disagrees with recomputation");
+  // The map, refused up front where the router's preconditions would fail.
+  topo::Topology map = topo::from_text(map_text);
+  if (map.num_switches() == 0 || map.num_hosts() == 0) {
+    throw std::runtime_error("snapshot: map needs a switch and a host");
   }
-  const std::uint8_t* stored = payload.bytes(entries.size());
-  const auto differs = std::mismatch(entries.begin(), entries.end(), stored);
-  if (differs.first != entries.end()) {
-    const auto at = static_cast<std::size_t>(differs.first - entries.begin());
-    const std::size_t dst = at / table.num_states();
-    throw std::runtime_error("snapshot: stored entry toward " +
-                             snapshot.map.name(table.hosts()[dst]) +
-                             " disagrees with this build's router");
+  if (!topo::connected(map)) {
+    throw std::runtime_error("snapshot: map is not connected");
   }
+  routing::UpDownOptions updown;
+  if (!options.root_name.empty()) {
+    updown.root = map.find_switch(options.root_name);
+    if (!updown.root.has_value()) {
+      throw std::runtime_error("snapshot: root " + options.root_name +
+                               " names no switch of the map");
+    }
+  }
+  const std::uint64_t count = payload.u64();
+  const std::uint64_t want =
+      std::uint64_t{map.num_hosts()} * 2 * map.num_switches();
+  if (count != want) {
+    throw std::runtime_error("snapshot: stored entry count " +
+                             std::to_string(count) + " is not the map's " +
+                             std::to_string(want));
+  }
+  const std::uint8_t* stored = payload.bytes(count);
   if (!payload.exhausted()) {
     throw std::runtime_error("snapshot: trailing bytes after the table");
   }
-  // The file stores no verdict; derive it here.
-  certify(snapshot);
+
+  // The orientation the engine routed under, then the stored entries.
+  routing::RoutingResult routes{routing::orient(map, options.engine, updown),
+                                {}};
+  routes.routes = routing::RouteTable(map, routes.orientation);
+  routing::RouteTable& table = routes.routes;
+  const std::size_t states = table.num_states();
+  for (std::size_t at = 0; at < count; ++at) {
+    const auto dst = static_cast<std::uint32_t>(at / states);
+    const auto state = static_cast<std::uint32_t>(at % states);
+    if (stored[at] != 0xff && !table.usable_port(state, stored[at])) {
+      throw std::runtime_error(
+          "snapshot: entry toward " + map.name(table.hosts()[dst]) + " at " +
+          map.name(table.state_switch(state)) + " names port " +
+          std::to_string(stored[at]) + ", which carries no usable wire");
+    }
+    table.set_port(dst, state, stored[at]);
+  }
+  table.recount();
+
+  const double mean_hops = routes.mean_hops();
+  const int max_hops = routes.max_hops();
+  MapSnapshot snapshot{.epoch = epoch,
+                       .created_at = common::SimTime::ns(created_ns),
+                       .map = std::move(map),
+                       .routes = std::move(routes),
+                       .options = std::move(options),
+                       .mean_hops = mean_hops,
+                       .max_hops = max_hops};
+  // The file stores no verdict; derive it, and refuse what the publish
+  // gate would refuse.
+  const analysis::AnalysisResult verdict = certify(snapshot);
+  for (const analysis::Diagnostic& d : verdict.report.diagnostics()) {
+    if (d.severity == analysis::Severity::kError) {
+      throw std::runtime_error("snapshot: the stored table fails " + d.code +
+                               ": " + d.message);
+    }
+  }
   return snapshot;
 }
 

@@ -17,12 +17,14 @@
 // The map travels as its v1 text serialization (one format to maintain);
 // the routes as the next-hop table §5.5 distributes, RouteTable::entries():
 // one out-port byte per (destination host, switch state), 0xff where
-// unset, H·2·S bytes in all. Decoding recomputes the table from the map and
-// options with the deterministic router and refuses any entry count or
-// entry that differs: the checksum catches bit rot, the comparison a
-// router that disagrees with this build (version skew). No verdict is
-// stored; decode derives it afresh with certify(). v1 and v2 files, which
-// spelled out every route, are refused as unsupported.
+// unset, H·2·S bytes in all. The stored entries are the table. Decode
+// parses the map, rebuilds the orientation from the map, the root name and
+// the engine (routing::orient), checks that every entry is unset or names
+// a wired, non-loopback port of its switch, and certifies the result; a
+// table with an ERROR diagnostic is refused, as the publish gate refuses
+// it. Decode never routes: the seed and the optimizer flag are provenance.
+// No verdict is stored; certify() derives it afresh. v1 and v2 files,
+// which spelled out every route, are refused as unsupported.
 #pragma once
 
 #include <iosfwd>
@@ -37,9 +39,11 @@ std::string encode_snapshot(const MapSnapshot& snapshot);
 
 /// Parses and verifies a binary snapshot, then certifies it. Throws
 /// std::runtime_error on a bad magic/version, truncation, checksum
-/// mismatch, or a table that disagrees with this build's router. The
-/// returned snapshot keeps its recorded epoch (a catalog re-publish assigns
-/// a fresh one).
+/// mismatch, a map the router could not have routed (no switch or host,
+/// disconnected, an unknown root name), an entry count other than H·2·S,
+/// an entry naming no usable port, or a table whose certification has an
+/// ERROR diagnostic (the message names the first). The returned snapshot
+/// keeps its recorded epoch (a catalog re-publish assigns a fresh one).
 MapSnapshot decode_snapshot(const std::string& bytes);
 
 /// File convenience wrappers (binary mode). Throw std::runtime_error on

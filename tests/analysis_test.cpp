@@ -440,8 +440,6 @@ TEST(RouteLints, ParallelCableSkewFires) {
     }
   }
   table.recount();
-  // Without a cable plan, SL403 applies its per-direction check.
-  routes.meta.cable_plan.clear();
   analysis::DiagnosticReport report;
   analysis::lint_route_quality(t, routes, {}, report);
   EXPECT_GE(report.count("SL403"), 1u) << report.text();
@@ -896,8 +894,8 @@ TEST(RouteLints, TiedHottestChannelsNameTheFirstInKeyOrder) {
 }
 
 TEST(RouteLints, TiedParallelCablesNameTheLowestWire) {
-  // Three parallel cables: per direction, the first two carry the same
-  // load and the third none. The skew finding names the first of the tie.
+  // Three parallel cables: the first two carry the same joint load and the
+  // third none. The one skew finding names the first of the tie.
   topo::Topology t;
   const auto s1 = t.add_switch("s1");
   const auto s2 = t.add_switch("s2");
@@ -926,7 +924,6 @@ TEST(RouteLints, TiedParallelCablesNameTheLowestWire) {
     }
   }
   table.recount();
-  routes.meta.cable_plan.clear();  // SL403's per-direction check
   ASSERT_EQ(dealt[0], 4u);
   ASSERT_EQ(dealt[1], 4u);
   const auto loads = routing::channel_loads(t, routes);
@@ -940,13 +937,13 @@ TEST(RouteLints, TiedParallelCablesNameTheLowestWire) {
   std::size_t skew = 0;
   for (const auto& d : report.diagnostics()) {
     if (d.code == "SL403" && d.message.rfind("parallel cables", 0) == 0) {
-      EXPECT_NE(d.message.find("wire " + std::to_string(w1) + " carries 8"),
+      EXPECT_NE(d.message.find("wire " + std::to_string(w1) + " carries 16"),
                 std::string::npos)
           << d.message;
       ++skew;
     }
   }
-  EXPECT_EQ(skew, 2u) << report.text();
+  EXPECT_EQ(skew, 1u) << report.text();
 }
 
 // ------------------------------------------------------------ catalog gate

@@ -6,7 +6,8 @@
 // optimize_routes. A variant's digest records what a consumer could see:
 //   * every route's node path, wire choice and turn word (hashed per
 //     source host, so a divergence names the source it starts at);
-//   * the optimizer report and meta.cable_plan;
+//   * the optimizer report and the table's load on every cable of a
+//     parallel trunk (the "cable_plan" lines);
 //   * the DeadlockAnalysis counts and both certificates (the Kahn order,
 //     the witness cycle, and every route's apex/offense entry);
 //   * analysis::to_json(analyze(...)) verbatim;
@@ -30,13 +31,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/certificates.hpp"
 #include "common/rng.hpp"
+#include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/distribute.hpp"
 #include "routing/engine.hpp"
@@ -96,6 +100,28 @@ constexpr Variant kVariants[] = {
     {"dfs raw", routing::EngineKind::kDfs, 1, false},
     {"dfs optimized", routing::EngineKind::kDfs, 1, true},
 };
+
+/// Every cable joining two distinct switches that more cables join,
+/// ascending by wire id.
+std::vector<topo::WireId> parallel_trunk_cables(const topo::Topology& t) {
+  std::map<std::pair<topo::NodeId, topo::NodeId>, std::vector<topo::WireId>>
+      trunks;
+  for (const topo::WireId w : t.wires()) {
+    const topo::Wire& wire = t.wire(w);
+    if (wire.a.node != wire.b.node && t.is_switch(wire.a.node) &&
+        t.is_switch(wire.b.node)) {
+      trunks[std::minmax(wire.a.node, wire.b.node)].push_back(w);
+    }
+  }
+  std::vector<topo::WireId> cables;
+  for (const auto& [pair, trunk] : trunks) {
+    if (trunk.size() >= 2) {
+      cables.insert(cables.end(), trunk.begin(), trunk.end());
+    }
+  }
+  std::sort(cables.begin(), cables.end());
+  return cables;
+}
 
 /// The component a mapper on the first host would discover, compacted —
 /// what `sanmap lint` routes over.
@@ -167,10 +193,14 @@ void digest_variant(const topo::Topology& t, const Variant& v,
   flush();
   os << "table " << table.hex() << "\n";
 
-  os << "cable_plan " << routes.meta.cable_plan.size() << "\n";
-  for (const auto& [channel, load] : routes.meta.cable_plan) {
-    os << "  wire " << channel.first << (channel.second ? " a->b " : " b->a ")
-       << load << "\n";
+  const std::vector<topo::WireId> trunk_cables = parallel_trunk_cables(t);
+  const std::vector<std::size_t> loads = routing::channel_loads(t, routes);
+  os << "cable_plan " << 2 * trunk_cables.size() << "\n";
+  for (const topo::WireId w : trunk_cables) {
+    for (const bool a_to_b : {false, true}) {
+      os << "  wire " << w << (a_to_b ? " a->b " : " b->a ")
+         << loads[routing::channel_slot(w, a_to_b)] << "\n";
+    }
   }
 
   const routing::DeadlockAnalysis deadlock =

@@ -70,7 +70,7 @@ std::vector<std::vector<int>> reference_hops(
     }
     const std::size_t a = index[wire.a.node];
     const std::size_t b = index[wire.b.node];
-    if (orientation.goes_up(w, wire.a.node)) {
+    if (orientation.goes_up(t, w, wire.a.node)) {
       up[a * n + b] = 1;
     } else {
       up[b * n + a] = 1;
@@ -120,7 +120,7 @@ void expect_matches_reference(const topo::Topology& t,
     std::set<std::pair<topo::NodeId, bool>> states;
     bool down = false;
     for (std::size_t h = 0; h + 1 < route.wires.size(); ++h) {
-      down = down || !routes.orientation.goes_up(route.wires[h],
+      down = down || !routes.orientation.goes_up(t, route.wires[h],
                                                  route.nodes[h]);
       EXPECT_TRUE(states.insert({route.nodes[h + 1], down}).second)
           << label << ": " << t.name(src) << " -> " << t.name(dst)

@@ -25,7 +25,7 @@ TEST(UpDown, RootIsFarthestSwitchFromHosts) {
   const Topology t = topo::star(4, 2);
   const UpDownOrientation o(t, {});
   EXPECT_EQ(t.name(o.root()), "center");
-  EXPECT_EQ(o.label(o.root()), 0);
+  EXPECT_EQ(o.raw_labels()[o.root()], 0);
 }
 
 TEST(UpDown, ExplicitRootHonored) {
@@ -43,11 +43,12 @@ TEST(UpDown, EdgesPointTowardRoot) {
   for (const topo::WireId w : t.wires()) {
     const topo::Wire& wire = t.wire(w);
     // For each wire, exactly one direction is up.
-    EXPECT_NE(o.goes_up(w, wire.a.node), o.goes_up(w, wire.b.node));
+    EXPECT_NE(o.goes_up(t, w, wire.a.node), o.goes_up(t, w, wire.b.node));
     // The up move decreases the label (or ties broken by id).
-    const NodeId from = o.goes_up(w, wire.a.node) ? wire.a.node : wire.b.node;
+    const NodeId from =
+        o.goes_up(t, w, wire.a.node) ? wire.a.node : wire.b.node;
     const NodeId to = wire.opposite(from).node;
-    EXPECT_LE(o.label(to), o.label(from));
+    EXPECT_LE(o.raw_labels()[to], o.raw_labels()[from]);
   }
 }
 
@@ -57,7 +58,7 @@ TEST(UpDown, HostsAreAlwaysBelowTheirSwitch) {
   for (const NodeId h : t.hosts()) {
     const auto w = t.wire_at(h, 0);
     ASSERT_TRUE(w.has_value());
-    EXPECT_TRUE(o.goes_up(*w, h));
+    EXPECT_TRUE(o.goes_up(t, *w, h));
   }
 }
 
@@ -110,8 +111,8 @@ TEST(UpDown, DominantSwitchGetsRelabeled) {
     }
     return std::nullopt;
   }();
-  EXPECT_LT(fixed.label(m), 1);
-  EXPECT_EQ(unfixed.label(m), 2);
+  EXPECT_LT(fixed.raw_labels()[m], 1);
+  EXPECT_EQ(unfixed.raw_labels()[m], 2);
   // Routes are valid either way; with the fix, some cross route may use m.
   for (const bool use_fix : {true, false}) {
     UpDownOptions options = fix;

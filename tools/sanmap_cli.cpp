@@ -486,9 +486,9 @@ int cmd_routes(int argc, const char* const* argv) {
       throw std::runtime_error("no switch named " + root);
     }
   }
+  const routing::EngineKind engine = parse_engine_flag(flags.get("engine"));
   routing::RoutingResult routes = routing::compute_routes(
-      t, parse_engine_flag(flags.get("engine")), options,
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+      t, engine, options, static_cast<std::uint64_t>(flags.get_int("seed")));
   if (flags.get_bool("optimize")) {
     const routing::OptimizerReport opt = routing::optimize_routes(t, routes);
     std::cout << "optimizer     : max channel load " << opt.max_load_before
@@ -498,8 +498,7 @@ int cmd_routes(int argc, const char* const* argv) {
   }
   const analysis::DeadlockCertificate certificate =
       analysis::build_deadlock_certificate(t, routes);
-  std::cout << "engine        : " << routing::to_string(routes.meta.engine)
-            << "\n";
+  std::cout << "engine        : " << routing::to_string(engine) << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
   std::cout << "routes        : " << routes.routes.size() << " (mean "
