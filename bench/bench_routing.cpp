@@ -28,9 +28,11 @@
 //    and 1,920 switches (120 under --smoke), and both certificates built
 //    from the per-destination table. Wall time per stage, the table's
 //    bytes, the legality certificate's bytes and the process's peak RSS.
-//    "check s" times the independent checkers (check_legality +
-//    check_deadlock), which walk every route across the analysis thread
-//    count printed above the table; it is reported, not gated.
+//    "check s" times the independent checker (analysis::TableCheck, which
+//    proves the table's structure, legality and dependency order entry by
+//    entry in blocks of 64 destinations across the analysis thread count
+//    printed above the table) and its two certificate checks; it is
+//    reported, not gated.
 //
 // Self-gating (exit 1 on regression):
 //  * every engine variant must certify (a deadlock-free certificate that
@@ -60,6 +62,7 @@
 #include <vector>
 
 #include "analysis/certificates.hpp"
+#include "analysis/table_check.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -122,8 +125,9 @@ Measured measure(const topo::Topology& t, const Variant& v) {
   }
   Measured m;
   m.load = routing::channel_load(t, routes);
-  m.mean_hops = routes.mean_hops();
-  m.max_hops = routes.max_hops();
+  const routing::HopSummary hops = routes.hop_summary();
+  m.mean_hops = hops.mean;
+  m.max_hops = hops.max;
   routes.routes.for_each_route(
       [&](topo::NodeId, topo::NodeId, const routing::HostRoute& route) {
         ++m.histogram[route.hops()];
@@ -329,11 +333,11 @@ bool updown_routes() {
     const bool ok = analysis.deadlock_free && compliant &&
                     replayed == routes.routes.size();
     all_ok = all_ok && ok;
+    const routing::HopSummary hops = routes.hop_summary();
     table.add_row({c.name, std::to_string(mapped.map.num_hosts()),
                    std::to_string(mapped.map.num_switches()),
                    std::to_string(routes.routes.size()),
-                   common::fmt(routes.mean_hops(), 2),
-                   std::to_string(routes.max_hops()),
+                   common::fmt(hops.mean, 2), std::to_string(hops.max),
                    std::to_string(routes.orientation.relabeled_switches()),
                    std::to_string(analysis.dependencies),
                    analysis.deadlock_free ? "yes" : "NO",
@@ -394,8 +398,9 @@ bool routing_strategies() {
                          const routing::RoutingResult& routes) {
       const auto stats = routing::channel_load(c.network, routes);
       const auto analysis = routing::analyze_routes(c.network, routes);
-      table.add_row({c.name, label, common::fmt(routes.mean_hops(), 2),
-                     std::to_string(routes.max_hops()),
+      const routing::HopSummary hops = routes.hop_summary();
+      table.add_row({c.name, label, common::fmt(hops.mean, 2),
+                     std::to_string(hops.max),
                      std::to_string(stats.max_channel_load),
                      common::fmt_percent(stats.root_traffic_share),
                      analysis.deadlock_free ? "yes" : "NO"});
@@ -484,8 +489,9 @@ bool scale(bool smoke) {
     const double deadlock_s = seconds_since(deadlock_start);
     const double total_s = seconds_since(start);
     const Clock::time_point check_start = Clock::now();
-    const bool checked = analysis::check_legality(t, routes, legality) &&
-                         analysis::check_deadlock(t, routes, deadlock);
+    common::CallPool pool;
+    const analysis::TableCheck check(t, routes.routes, legality.labels, pool);
+    const bool checked = check.check(legality) && check.check(deadlock);
     const double check_s = seconds_since(check_start);
 
     rusage usage{};
@@ -494,12 +500,13 @@ bool scale(bool smoke) {
     const double table_mib =
         static_cast<double>(routes.routes.bytes()) / (1024.0 * 1024.0);
     const double legality_mib =
-        static_cast<double>(legality.routes.capacity() *
-                            sizeof(analysis::RouteLegality)) /
+        static_cast<double>(
+            legality.labels.capacity() * sizeof(int) +
+            legality.illegal.capacity() * sizeof(analysis::IllegalRoute)) /
         (1024.0 * 1024.0);
     const std::size_t hosts = t.num_hosts();
     const bool certified = routes.routes.size() == hosts * (hosts - 1) &&
-                           legality.all_legal && deadlock.deadlock_free;
+                           legality.all_legal() && deadlock.deadlock_free;
     const bool in_budget =
         smoke || leaf_switches != leaves.back() || total_s < kBudgetS;
     ok = ok && certified && in_budget;

@@ -62,11 +62,11 @@ int main(int argc, char** argv) {
     updown.ignore_hosts = {*util};  // §5.5 ignores the utility host
   }
   const auto routes = routing::compute_updown_routes(result.map, updown);
+  const routing::HopSummary hops = routes.hop_summary();
   std::cout << "routing  : root switch label 0 = map node "
             << routes.orientation.root() << ", "
             << routes.routes.size() << " host-pair routes, mean "
-            << routes.mean_hops() << " hops, max " << routes.max_hops()
-            << "\n";
+            << hops.mean << " hops, max " << hops.max << "\n";
 
   // -- 3. deadlock freedom ----------------------------------------------------
   const auto certificate =

@@ -2,7 +2,8 @@
 
 #include <sstream>
 
-#include "analysis/route_walk.hpp"
+#include "analysis/table_check.hpp"
+#include "common/thread_pool.hpp"
 
 namespace sanmap::analysis {
 
@@ -12,15 +13,12 @@ namespace {
 void emit_legality_findings(const topo::Topology& map,
                             const LegalityCertificate& cert,
                             DiagnosticReport& report) {
-  for (const RouteLegality& entry : cert.routes) {
-    if (entry.legal) {
-      continue;
-    }
+  for (const IllegalRoute& route : cert.illegal) {
     // Name the exact offending hop: the wire traversed at offending_hop
     // goes up after the route already went down.
     std::ostringstream loc;
-    loc << "route " << map.name(entry.src) << "->" << map.name(entry.dst)
-        << " hop " << entry.offending_hop;
+    loc << "route " << map.name(route.src) << "->" << map.name(route.dst)
+        << " hop " << route.offending_hop;
     report.add("SL101", loc.str(),
                "down-to-up turn w.r.t. the spanning order rooted at " +
                    cert.root_name,
@@ -76,21 +74,15 @@ AnalysisResult analyze(const topo::Topology& map,
     return result;
   }
 
-  // One walk of every route, split by source across the call's pool,
-  // serves the structure lints and both certificates' independent
-  // checkers; the certificates themselves are built from the table's
-  // trees, and only for a structurally sound table.
+  // The entry-local checker serves the structure lints and both
+  // certificates' checks; the certificates themselves are built from the
+  // table's trees, and only for a structurally sound table. Both run their
+  // blocks of destinations on the call's pool.
   common::CallPool pool;
-  DiagnosticReport structure;
-  LegalityWalk legality(map, routes.routes, legality_labels(map, routes));
-  DependencyWalk dependencies(map);
-  const bool sound = walk_routes(
-      map, routes.routes,
-      {.structure = &structure, .legality = &legality,
-       .dependencies = &dependencies},
-      pool);
-  result.report.merge(structure);
-  if (!sound) {
+  const TableCheck check(map, routes.routes, legality_labels(map, routes),
+                         pool);
+  result.report.merge(check.structure());
+  if (!check.sound()) {
     result.report.add("SL001", "",
                       "certificates and quality lints skipped: the route "
                       "table is structurally broken",
@@ -98,11 +90,12 @@ AnalysisResult analyze(const topo::Topology& map,
     return result;
   }
   result.analyzed_routes = true;
+  result.routes = check.routes();
 
   result.legality = build_legality_certificate(map, routes, pool);
   emit_legality_findings(map, result.legality, result.report);
   std::vector<std::string> why;
-  if (!legality.check(result.legality, &why)) {
+  if (!check.check(result.legality, &why)) {
     result.report.add("SL202", "legality",
                       why.empty() ? "legality certificate recheck failed"
                                   : why.front(),
@@ -112,14 +105,14 @@ AnalysisResult analyze(const topo::Topology& map,
   result.deadlock = build_deadlock_certificate(map, routes);
   emit_deadlock_findings(result.deadlock, result.report);
   why.clear();
-  if (!dependencies.check(result.deadlock, &why)) {
+  if (!check.check(result.deadlock, &why)) {
     result.report.add("SL202", "deadlock",
                       why.empty() ? "deadlock certificate recheck failed"
                                   : why.front(),
                       "analyzer self-check: report this as a bug");
   }
 
-  lint_route_quality(map, routes, options.lints, result.report);
+  lint_route_quality(map, routes, options.lints, result.report, pool);
   return result;
 }
 
@@ -138,8 +131,8 @@ std::string to_json(const AnalysisResult& result) {
   if (result.analyzed_routes) {
     oss << ",\"legality\":{\"root\":\""
         << json_escape(result.legality.root_name)
-        << "\",\"routes\":" << result.legality.routes.size()
-        << ",\"all_legal\":" << (result.legality.all_legal ? "true" : "false")
+        << "\",\"routes\":" << result.routes
+        << ",\"all_legal\":" << (result.legality.all_legal() ? "true" : "false")
         << "},\"deadlock\":{\"deadlock_free\":"
         << (result.deadlock.deadlock_free ? "true" : "false")
         << ",\"channels\":" << result.deadlock.channels

@@ -2,14 +2,18 @@
 //
 // analyze() takes a map and the route table computed over it and, without
 // ever running the simulator, produces structured diagnostics plus two
-// machine-checkable certificates: UP*/DOWN* legality per route and
-// deadlock freedom via an explicit channel-dependency graph (topological
-// order, or a concrete cycle as counterexample). It is the gate behind
+// machine-checkable certificates: UP*/DOWN* legality (the labels and every
+// illegal route) and deadlock freedom via an explicit channel-dependency
+// graph (topological order, or a concrete cycle as counterexample). The
+// certificate builders read the table's trees; one entry-local checker
+// (TableCheck, table_check.hpp) proves the table's structure and re-checks
+// both certificates in time linear in the table. It is the gate behind
 // `sanmap lint`, the MapCatalog publish path, federation's certification
 // and the fuzzer's analysis-clean oracle — one analyzer, four enforcement
 // layers.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "analysis/certificates.hpp"
@@ -28,6 +32,8 @@ struct AnalysisResult {
   DiagnosticReport report;
   /// True when the route phase ran (structurally sound table present).
   bool analyzed_routes = false;
+  /// Routed host pairs of the table, as the checker counted them.
+  std::size_t routes = 0;
   LegalityCertificate legality;
   DeadlockCertificate deadlock;
 
@@ -39,8 +45,9 @@ struct AnalysisResult {
 /// RoutingResult's internal topology pointer. A table whose root is not a
 /// live switch of the map, or whose order covers fewer nodes than the map,
 /// was computed against a different map: SL106, and nothing else runs.
-/// The route walk and the legality builder run on threads local to the
-/// call; the result is the same on any core count.
+/// The checker, the legality builder and the quality lints run their
+/// blocks of destinations on threads local to the call; the result is the
+/// same on any core count.
 AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options = {});

@@ -7,26 +7,26 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/route_walk.hpp"
+#include "analysis/table_check.hpp"
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "routing/updown.hpp"
 
 namespace sanmap::analysis {
 
 namespace {
 
-/// The (label, id) lexicographic order all certificate checks share. This is
-/// the only ordering fact a checker needs — it never consults an
-/// UpDownOrientation, so a certificate stays checkable after the routing
-/// result that produced it has been moved or serialized.
+/// The (label, id) lexicographic order the builders and the sabotage helper
+/// share. It never consults an UpDownOrientation, so a certificate stays
+/// checkable after the routing result that produced it has been moved or
+/// serialized.
 bool lex_less(const std::vector<int>& labels, topo::NodeId a, topo::NodeId b) {
   return labels[a] < labels[b] || (labels[a] == labels[b] && a < b);
 }
 
 /// Whether traversing `wire` out of `from` moves toward the root under
 /// `labels`. Self-loops never move up (mirrors UpDownOrientation::goes_up):
-/// their far end is `from` itself, never below it. Branch-free in the
-/// direction, which is data: checkers call this once per hop.
+/// their far end is `from` itself, never below it.
 bool hop_goes_up(const topo::Topology& topo, const std::vector<int>& labels,
                  topo::WireId wire, topo::NodeId from) {
   const topo::Wire& w = topo.wire(wire);
@@ -47,33 +47,6 @@ std::size_t channel_id(const routing::Channel& c) {
 
 routing::Channel channel_from_id(std::size_t id) {
   return routing::Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
-}
-
-/// Classifies one route against `labels`: leading up moves, then the down
-/// suffix; the first up move after a down move is the offense. The builder
-/// and the checker share this classifier.
-RouteLegality classify_route(const topo::Topology& topo,
-                             const std::vector<int>& labels, topo::NodeId src,
-                             topo::NodeId dst,
-                             const routing::HostRoute& route) {
-  RouteLegality entry;
-  entry.src = src;
-  entry.dst = dst;
-  bool went_down = false;
-  for (std::size_t i = 0; i < route.wires.size(); ++i) {
-    const bool up = hop_goes_up(topo, labels, route.wires[i], route.nodes[i]);
-    if (up && !went_down) {
-      entry.apex_hop = static_cast<int>(i) + 1;
-    }
-    if (!up) {
-      went_down = true;
-    }
-    if (up && went_down && entry.legal) {
-      entry.legal = false;
-      entry.offending_hop = static_cast<int>(i);
-    }
-  }
-  return entry;
 }
 
 }  // namespace
@@ -112,18 +85,15 @@ LegalityCertificate build_legality_certificate(
   // legality is relative to whatever total order the engine routed against
   // (BFS for updown, DFS preorder for the dfs engine — byte-identical to
   // the old recomputation for updown tables under default options), and
-  // check_legality re-validates purely from the recorded labels.
+  // the checker re-validates purely from the recorded labels.
   cert.labels = legality_labels(topo, routes);
-  // Per destination tree, successors first: the classification of every
+  // Per destination tree, successors first: the first offense of every
   // suffix walk from each state, both for a walk that has not gone down yet
   // and for one that has (the route's first hop decides which applies).
-  // Trees are read in blocks of destinations, one block per pool task. A
-  // block writes its destinations' entries of every source, (src, dst)
-  // slots no other block writes; they span n short runs of the array,
-  // which stay in cache across the block's destinations.
+  // Trees are read in blocks of destinations, one block per pool task; each
+  // block lists its own illegal routes, and the lists are put in key order.
   const routing::RouteTable& table = routes.routes;
   const auto n = static_cast<std::uint32_t>(table.hosts().size());
-  cert.routes.assign(n < 2 ? 0 : std::size_t{n} * (n - 1), RouteLegality{});
   const auto shifted = [](int offense) {
     return offense < 0 ? -1 : offense + 1;
   };
@@ -133,10 +103,10 @@ LegalityCertificate build_legality_certificate(
                               table.hosts()[i]);
   }
   constexpr std::uint32_t kBlock = 64;
-  pool.run((n + kBlock - 1) / kBlock, [&](std::size_t b) {
+  std::vector<std::vector<IllegalRoute>> blocks((n + kBlock - 1) / kBlock);
+  pool.run(blocks.size(), [&](std::size_t b) {
     const auto begin = static_cast<std::uint32_t>(b) * kBlock;
     const std::uint32_t end = std::min(n, begin + kBlock);
-    std::vector<int> lead(table.num_states(), 0);
     std::vector<int> offense_up(table.num_states(), -1);
     std::vector<int> offense_down(table.num_states(), -1);
     routing::RouteTable::Tree tree;
@@ -149,11 +119,9 @@ LegalityCertificate build_legality_certificate(
                                     table.state_switch(x));
         const bool last = s == routing::RouteTable::kNone;
         if (up) {
-          lead[x] = 1 + (last ? 0 : lead[s]);
           offense_up[x] = last ? -1 : shifted(offense_up[s]);
           offense_down[x] = 0;
         } else {
-          lead[x] = 0;
           offense_up[x] = last ? -1 : shifted(offense_down[s]);
           offense_down[x] = offense_up[x];
         }
@@ -163,114 +131,86 @@ LegalityCertificate build_legality_certificate(
           continue;
         }
         const std::uint32_t x = table.start(i);
-        RouteLegality& entry =
-            cert.routes[std::size_t{i} * (n - 1) + dst - (dst > i ? 1 : 0)];
-        entry.src = table.hosts()[i];
-        entry.dst = table.hosts()[dst];
-        entry.apex_hop = first_up[i] != 0 ? 1 + lead[x] : 0;
-        entry.offending_hop = shifted(first_up[i] != 0 ? offense_up[x]
-                                                       : offense_down[x]);
-        entry.legal = entry.offending_hop < 0;
+        const int hop = shifted(first_up[i] != 0 ? offense_up[x]
+                                                 : offense_down[x]);
+        if (hop >= 0) {
+          blocks[b].push_back({table.hosts()[i], table.hosts()[dst], hop});
+        }
       }
     }
   });
-  // Unrouted pairs kept their default (invalid) endpoints.
-  std::erase_if(cert.routes, [](const RouteLegality& entry) {
-    return entry.src == topo::kInvalidNode;
-  });
-  for (const RouteLegality& entry : cert.routes) {
-    cert.all_legal = cert.all_legal && entry.legal;
+  for (const std::vector<IllegalRoute>& block : blocks) {
+    cert.illegal.insert(cert.illegal.end(), block.begin(), block.end());
   }
+  std::sort(cert.illegal.begin(), cert.illegal.end());
   return cert;
 }
 
-LegalityWalk::LegalityWalk(const topo::Topology& topo,
-                           const routing::RouteTable& table,
-                           std::vector<int> labels)
-    : topo_(&topo), table_(&table), labels_(std::move(labels)) {
-  SANMAP_CHECK_MSG(labels_.size() >= topo.node_capacity(),
-                   "legality labels cover fewer nodes than the map");
-  const std::size_t n = table.hosts().size();
-  derived_.assign(n < 2 ? 0 : n * (n - 1), -1);
+namespace {
+
+/// A node's name for messages about evidence that may name anything.
+std::string node_name(const topo::Topology& topo, topo::NodeId n) {
+  return topo.node_alive(n) ? topo.name(n) : "node " + std::to_string(n);
 }
 
-void LegalityWalk::add(topo::NodeId src, topo::NodeId dst,
-                       const routing::HostRoute& route) {
-  const std::size_t i = table_->host_index(src);
-  const std::size_t j = table_->host_index(dst);
-  const RouteLegality entry = classify_route(*topo_, labels_, src, dst, route);
-  derived_[i * (table_->hosts().size() - 1) + j - (j > i ? 1 : 0)] =
-      entry.legal ? entry.apex_hop : -2 - entry.offending_hop;
+std::string route_name(const topo::Topology& topo, const IllegalRoute& r) {
+  return "route " + node_name(topo, r.src) + "->" + node_name(topo, r.dst);
 }
 
-bool LegalityWalk::check(const LegalityCertificate& cert,
-                         std::vector<std::string>* why) const {
-  if (cert.labels != labels_) {
+}  // namespace
+
+bool check_illegal_routes(const topo::Topology& topo,
+                          const std::vector<int>& labels,
+                          const std::vector<IllegalRoute>& derived,
+                          const LegalityCertificate& cert,
+                          std::vector<std::string>* why) {
+  if (cert.labels != labels) {
     explain(why, "certificate labels differ from the labels the routes "
                  "were classified under");
     return false;
   }
+  const auto key = [](const IllegalRoute& r) {
+    return std::pair{r.src, r.dst};
+  };
+  for (std::size_t k = 1; k < cert.illegal.size(); ++k) {
+    if (key(cert.illegal[k - 1]) >= key(cert.illegal[k])) {
+      explain(why, "certificate's illegal routes are not in key order");
+      return false;
+    }
+  }
+  // Both lists are in key order: walk them together.
   bool ok = true;
-  const auto walked = static_cast<std::size_t>(
-      std::count_if(derived_.begin(), derived_.end(),
-                    [](int slot) { return slot != -1; }));
-  if (cert.routes.size() != walked) {
-    explain(why, "certificate covers " + std::to_string(cert.routes.size()) +
-                     " routes but the table holds " + std::to_string(walked));
-    ok = false;
-  }
-  bool claims_all_legal = true;
-  for (const RouteLegality& entry : cert.routes) {
-    claims_all_legal = claims_all_legal && entry.legal;
-  }
-  // Both sides are in the table's key order: match each walked route
-  // against the next entry.
-  std::size_t next = 0;
-  bool unmatched = false;
-  const std::vector<topo::NodeId>& hosts = table_->hosts();
-  for (std::size_t k = 0; k < derived_.size(); ++k) {
-    const int slot = derived_[k];
-    if (slot == -1) {
-      continue;
-    }
-    // Slot k holds source i's route to its (k mod (n - 1))-th other host.
-    const std::size_t i = k / (hosts.size() - 1);
-    const std::size_t j = k % (hosts.size() - 1);
-    const RouteLegality derived{hosts[i], hosts[j >= i ? j + 1 : j],
-                                std::max(slot, 0), slot >= 0,
-                                slot >= 0 ? -1 : -2 - slot};
-    if (next == cert.routes.size() || cert.routes[next].src != derived.src ||
-        cert.routes[next].dst != derived.dst) {
-      unmatched = true;
-      continue;
-    }
-    const RouteLegality& entry = cert.routes[next++];
-    if (derived.legal != entry.legal ||
-        derived.offending_hop != entry.offending_hop ||
-        (entry.legal && derived.apex_hop != entry.apex_hop)) {
-      std::ostringstream oss;
-      oss << "route " << topo_->name(entry.src) << "->"
-          << topo_->name(entry.dst) << ": certificate says "
-          << (entry.legal ? "legal, apex " + std::to_string(entry.apex_hop)
-                          : "offense at hop " +
-                                std::to_string(entry.offending_hop))
-          << " but the labels derive "
-          << (derived.legal
-                  ? "legal, apex " + std::to_string(derived.apex_hop)
-                  : "offense at hop " +
-                        std::to_string(derived.offending_hop));
-      explain(why, oss.str());
+  std::size_t d = 0;
+  std::size_t c = 0;
+  while (d < derived.size() || c < cert.illegal.size()) {
+    if (c == cert.illegal.size() ||
+        (d < derived.size() && key(derived[d]) < key(cert.illegal[c]))) {
+      explain(why, route_name(topo, derived[d]) +
+                       ": the labels derive an offense at hop " +
+                       std::to_string(derived[d].offending_hop) +
+                       " but the certificate calls it legal");
+      ++d;
       ok = false;
+    } else if (d == derived.size() ||
+               key(cert.illegal[c]) < key(derived[d])) {
+      explain(why, route_name(topo, cert.illegal[c]) +
+                       ": the certificate names an offense at hop " +
+                       std::to_string(cert.illegal[c].offending_hop) +
+                       " but the labels derive none");
+      ++c;
+      ok = false;
+    } else {
+      if (derived[d].offending_hop != cert.illegal[c].offending_hop) {
+        explain(why, route_name(topo, derived[d]) +
+                         ": the certificate names an offense at hop " +
+                         std::to_string(cert.illegal[c].offending_hop) +
+                         " but the labels derive hop " +
+                         std::to_string(derived[d].offending_hop));
+        ok = false;
+      }
+      ++d;
+      ++c;
     }
-  }
-  if (unmatched || next != cert.routes.size()) {
-    explain(why, "certificate entries do not match the table's routes in "
-                 "key order");
-    ok = false;
-  }
-  if (claims_all_legal != cert.all_legal) {
-    explain(why, "all_legal flag disagrees with the per-route entries");
-    ok = false;
   }
   return ok;
 }
@@ -283,10 +223,8 @@ bool check_legality(const topo::Topology& topo,
     explain(why, "certificate labels cover fewer nodes than the map");
     return false;
   }
-  LegalityWalk walk(topo, routes.routes, cert.labels);
   common::CallPool pool;
-  walk_routes(topo, routes.routes, {.legality = &walk}, pool);
-  return walk.check(cert, why);
+  return TableCheck(topo, routes.routes, cert.labels, pool).check(cert, why);
 }
 
 namespace {
@@ -428,66 +366,47 @@ DeadlockCertificate deadlock_certificate(
   return cert;
 }
 
-/// The checker's own derivation of the dependency graph — never the
-/// builder's: per-channel successor lists, deduplicated, plus the largest
-/// channel id any dependency names.
-struct CheckedEdges {
-  std::vector<std::vector<std::size_t>> next;
-  std::size_t count = 0;
-  std::size_t max_id = 0;
+}  // namespace
 
-  void add(std::size_t from, std::size_t to) {
-    max_id = std::max({max_id, from, to});
-    if (from >= next.size()) {
-      next.resize(from + 1);
-    }
-    auto& list = next[from];
-    if (std::find(list.begin(), list.end(), to) == list.end()) {
-      list.push_back(to);
-      ++count;
-    }
+void DependencyGraph::add(std::size_t held, std::size_t requested) {
+  max_id_ = std::max({max_id_, held, requested});
+  if (held >= next_.size()) {
+    next_.resize(held + 1);
   }
-  [[nodiscard]] bool has(std::size_t from, std::size_t to) const {
-    return from < next.size() &&
-           std::binary_search(next[from].begin(), next[from].end(), to);
+  auto& list = next_[held];
+  const auto at = std::lower_bound(list.begin(), list.end(), requested);
+  if (at == list.end() || *at != requested) {
+    list.insert(at, requested);
+    ++count_;
   }
-};
+}
 
-/// Validates `cert` against independently derived dependency edges.
-bool check_against(const CheckedEdges& input, const DeadlockCertificate& cert,
-                   std::vector<std::string>* why) {
-  CheckedEdges edges = input;
-  for (auto& list : edges.next) {
-    std::sort(list.begin(), list.end());
-  }
-  if (cert.dependencies != edges.count) {
+bool DependencyGraph::check(const DeadlockCertificate& cert,
+                            std::vector<std::string>* why) const {
+  if (cert.dependencies != count_) {
     explain(why, "certificate counts " + std::to_string(cert.dependencies) +
-                     " dependencies, paths derive " +
-                     std::to_string(edges.count));
+                     " dependencies, paths derive " + std::to_string(count_));
     return false;
   }
 
   if (cert.deadlock_free) {
-    const std::size_t max_id = edges.max_id;
-    std::vector<std::size_t> position(max_id + 1,
-                                      std::numeric_limits<std::size_t>::max());
+    constexpr std::size_t kAbsent = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> position(max_id_ + 1, kAbsent);
     for (std::size_t i = 0; i < cert.topological_order.size(); ++i) {
       const std::size_t id = channel_id(cert.topological_order[i]);
-      if (id <= max_id && position[id] !=
-                              std::numeric_limits<std::size_t>::max()) {
+      if (id <= max_id_ && position[id] != kAbsent) {
         explain(why, "channel repeats in the topological order");
         return false;
       }
-      if (id <= max_id) {
+      if (id <= max_id_) {
         position[id] = i;
       }
     }
-    for (std::size_t from = 0; from < edges.next.size(); ++from) {
-      for (const std::size_t to : edges.next[from]) {
+    for (std::size_t from = 0; from < next_.size(); ++from) {
+      for (const std::size_t to : next_[from]) {
         const std::size_t pf = position[from];
         const std::size_t pt = position[to];
-        if (pf == std::numeric_limits<std::size_t>::max() ||
-            pt == std::numeric_limits<std::size_t>::max()) {
+        if (pf == kAbsent || pt == kAbsent) {
           explain(why, "a dependent channel is missing from the order");
           return false;
         }
@@ -509,70 +428,16 @@ bool check_against(const CheckedEdges& input, const DeadlockCertificate& cert,
   }
   for (std::size_t i = 0; i < cert.cycle.size(); ++i) {
     const std::size_t from = channel_id(cert.cycle[i]);
-    const std::size_t to =
-        channel_id(cert.cycle[(i + 1) % cert.cycle.size()]);
-    if (!edges.has(from, to)) {
-      explain(why, "counterexample edge " +
-                       to_string(channel_from_id(from)) + " -> " +
-                       to_string(channel_from_id(to)) +
+    const std::size_t to = channel_id(cert.cycle[(i + 1) % cert.cycle.size()]);
+    if (from >= next_.size() ||
+        !std::binary_search(next_[from].begin(), next_[from].end(), to)) {
+      explain(why, "counterexample edge " + to_string(channel_from_id(from)) +
+                       " -> " + to_string(channel_from_id(to)) +
                        " is not a real dependency");
       return false;
     }
   }
   return true;
-}
-
-}  // namespace
-
-DependencyWalk::DependencyWalk(const topo::Topology& topo)
-    : topo_(&topo), out_ports_(2 * topo.wire_capacity(), 0) {}
-
-void DependencyWalk::add(const routing::HostRoute& route) {
-  // Each successor channel leaves the switch the held one enters: record it
-  // as that switch's port, one bit per port, so deduplication costs one OR.
-  // (Local copies: the byte stores below may alias anything.)
-  const topo::WireId* wires = route.wires.data();
-  const topo::NodeId* nodes = route.nodes.data();
-  const std::size_t hops = route.wires.size();
-  std::uint8_t* out_ports = out_ports_.data();
-  std::size_t held = 0;
-  for (std::size_t i = 0; i < hops; ++i) {
-    const topo::Wire& wire = topo_->wire(wires[i]);
-    const bool a_first = wire.a.node == nodes[i];
-    if (i > 0) {
-      out_ports[held] |= static_cast<std::uint8_t>(
-          1u << (a_first ? wire.a.port : wire.b.port));
-    }
-    held = channel_id({wires[i], a_first});
-  }
-}
-
-void DependencyWalk::merge(const DependencyWalk& other) {
-  SANMAP_CHECK(other.out_ports_.size() == out_ports_.size());
-  for (std::size_t c = 0; c < out_ports_.size(); ++c) {
-    out_ports_[c] |= other.out_ports_[c];
-  }
-}
-
-bool DependencyWalk::check(const DeadlockCertificate& cert,
-                           std::vector<std::string>* why) const {
-  CheckedEdges edges;
-  for (std::size_t from = 0; from < out_ports_.size(); ++from) {
-    if (out_ports_[from] == 0) {
-      continue;
-    }
-    const routing::Channel held = channel_from_id(from);
-    const topo::Wire& wire = topo_->wire(held.wire);
-    const topo::NodeId at = held.a_to_b ? wire.b.node : wire.a.node;
-    for (topo::Port p = 0; p < topo::kSwitchPorts; ++p) {
-      if ((out_ports_[from] & (1u << p)) != 0) {
-        const topo::WireId next = *topo_->wire_at(at, p);
-        edges.add(from, channel_id({next, topo_->wire(next).a ==
-                                              topo::PortRef{at, p}}));
-      }
-    }
-  }
-  return check_against(edges, cert, why);
 }
 
 DeadlockCertificate build_deadlock_certificate(
@@ -591,23 +456,24 @@ DeadlockCertificate build_deadlock_certificate(
 bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
-  CheckedEdges edges;
+  DependencyGraph graph;
   routing::for_each_dependency(
       paths, [&](const routing::Channel& held,
                  const routing::Channel& requested) {
-        edges.add(channel_id(held), channel_id(requested));
+        graph.add(channel_id(held), channel_id(requested));
       });
-  return check_against(edges, cert, why);
+  return graph.check(cert, why);
 }
 
 bool check_deadlock(const topo::Topology& topo,
                     const routing::RoutingResult& routes,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
-  DependencyWalk walk(topo);
+  // The labels only decide legality; the dependencies need none.
   common::CallPool pool;
-  walk_routes(topo, routes.routes, {.dependencies = &walk}, pool);
-  return walk.check(cert, why);
+  return TableCheck(topo, routes.routes,
+                    std::vector<int>(topo.node_capacity(), 0), pool)
+      .check(cert, why);
 }
 
 std::string to_string(const routing::Channel& channel) {

@@ -1,29 +1,28 @@
 // Machine-checkable certificates emitted by the static analyzer.
 //
 // A certificate is self-contained evidence that a route table is safe — or a
-// concrete counterexample when it is not — that a small independent checker
-// can validate without re-running the analyzer's derivation:
+// concrete counterexample when it is not — that an independent checker can
+// validate without re-running the analyzer's derivation:
 //
-//  * LegalityCertificate — the UP*/DOWN* labels (total order) plus, per
-//    route, the apex hop splitting the up-prefix from the down-suffix.
-//    check_legality() re-walks every route against the labels alone.
+//  * LegalityCertificate — the UP*/DOWN* labels (total order) plus the
+//    illegal routes, each with its first offending hop: the counterexamples.
+//    An empty list claims every route of the table is legal.
 //  * DeadlockCertificate — the explicit channel-dependency graph verdict:
 //    a topological order over the dependent channels when acyclic (Kahn
 //    elimination), or one concrete dependency cycle when not.
-//    check_deadlock() re-derives the dependency edges from the routes and
-//    validates the order / cycle against them.
 //
-// Builders and checkers read the table differently on purpose. The
-// builders read each destination's next-hop tree (routing/routes.hpp): the
-// apexes come from one pass over every tree's states, the dependencies
-// from the distinct turns the trees make, O(H·(S + E)) in all. The
-// checkers walk every route (RouteTable::for_each_route), O(H²·L), and
-// derive their own verdict from the hops alone; LegalityWalk and
-// DependencyWalk take one walked route at a time so analyze() can serve
-// both checkers and the structure lints with a single walk. That walk
-// (walk_routes, route_walk.hpp) is split by source across the cores; the
-// legality builder runs its blocks of destinations on the same call-local
-// pool. Both write disjoint slots or merge in a fixed order, so the
+// Builders and the checker read the table differently on purpose. The
+// builders read each destination's next-hop tree (routing/routes.hpp,
+// for_each_tree): the illegal routes come from one successors-first pass
+// over every tree's states, the dependencies from the distinct turns the
+// trees make, O(H·(S + E)) in all. The checker (TableCheck,
+// table_check.hpp) reads only the raw entries, the table's copied wire ends
+// and senses, and the carried evidence: it marks the states each source's
+// walk reaches, forward from its first hop, and proves legality,
+// termination and the dependency order entry by entry, O(H·S) for the
+// table. check_legality() and check_deadlock() over a table are that
+// checker. Both builders and the checker run their blocks of destinations
+// on a call-local pool and merge the blocks in a fixed order, so the
 // certificates and verdicts are the same bytes on any core count.
 //
 // The deadlock certificate is the one deadlock proof production code runs
@@ -50,15 +49,16 @@ class CallPool;
 
 namespace sanmap::analysis {
 
-/// Legality of one route under the certificate's labels.
-struct RouteLegality {
+/// One illegal route: the first hop that turns down-to-up under the labels.
+struct IllegalRoute {
   topo::NodeId src = topo::kInvalidNode;
   topo::NodeId dst = topo::kInvalidNode;
-  /// Hops [0, apex_hop) go up, hops [apex_hop, hops) go down.
-  int apex_hop = 0;
-  bool legal = true;
-  /// First hop index that turns down-to-up; -1 when legal.
+  /// Hop index (0 is the source's own link) of the first up move made
+  /// after a down move.
   int offending_hop = -1;
+
+  friend constexpr auto operator<=>(const IllegalRoute&,
+                                    const IllegalRoute&) = default;
 };
 
 struct LegalityCertificate {
@@ -68,8 +68,10 @@ struct LegalityCertificate {
   /// (label, id)-lexicographic total order, indexed by NodeId; meaningless
   /// for dead slots. After dominant-switch fixes labels may be negative.
   std::vector<int> labels;
-  std::vector<RouteLegality> routes;
-  bool all_legal = true;
+  /// Every illegal route of the table, in key order.
+  std::vector<IllegalRoute> illegal;
+
+  [[nodiscard]] bool all_legal() const { return illegal.empty(); }
 };
 
 struct DeadlockCertificate {
@@ -85,13 +87,13 @@ struct DeadlockCertificate {
 };
 
 /// Builds the legality certificate: takes the labels from the table's own
-/// orientation (legality_labels) and classifies every route from the
+/// orientation (legality_labels) and finds the illegal routes from the
 /// trees: per destination, each state's suffix classified once, successors
-/// first. Entries are in key order.
+/// first.
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes);
-/// The same certificate, its blocks of 64 destinations run on `pool`; each
-/// block writes its own (src, dst) slots, so the bytes do not change.
+/// The same certificate, its blocks of 64 destinations run on `pool`; the
+/// blocks' illegal routes are put in key order, so the bytes do not change.
 LegalityCertificate build_legality_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes,
     common::CallPool& pool);
@@ -101,60 +103,45 @@ LegalityCertificate build_legality_certificate(
 std::vector<int> legality_labels(const topo::Topology& topo,
                                  const routing::RoutingResult& routes);
 
-/// The legality checker, fed one walked route at a time so that one walk of
-/// the table can serve several checkers (analyze() walks once for both
-/// certificates and the structure lints). Each route is classified under
-/// `labels` alone into its pair's slot of one array in key order, allocated
-/// up front, so routes of different sources may be added concurrently.
-/// check() then requires the certificate to carry exactly those labels and
-/// to agree with every classification, in key order.
-class LegalityWalk {
- public:
-  LegalityWalk(const topo::Topology& topo, const routing::RouteTable& table,
-               std::vector<int> labels);
-  /// Adds a structurally sound route of the table.
-  void add(topo::NodeId src, topo::NodeId dst,
-           const routing::HostRoute& route);
-  bool check(const LegalityCertificate& cert,
-             std::vector<std::string>* why = nullptr) const;
+/// Validates a legality certificate against a checker's own derivation:
+/// the labels it classified the routes under and the illegal routes it
+/// found, in key order. The certificate must carry exactly those labels and
+/// name exactly those routes, each at the same hop. Appends one line per
+/// discrepancy to `why` (when non-null); true when the certificate holds.
+bool check_illegal_routes(const topo::Topology& topo,
+                          const std::vector<int>& labels,
+                          const std::vector<IllegalRoute>& derived,
+                          const LegalityCertificate& cert,
+                          std::vector<std::string>* why = nullptr);
 
- private:
-  const topo::Topology* topo_;
-  const routing::RouteTable* table_;
-  std::vector<int> labels_;
-  /// One slot per ordered pair of the table's hosts, in key order: the
-  /// apex hop of a legal route, -2 - the offending hop of an illegal one,
-  /// or -1 while no route was added to the slot.
-  std::vector<int> derived_;
-};
-
-/// The deadlock checker's own derivation of the dependency edges, fed one
-/// walked route at a time.
-class DependencyWalk {
- public:
-  explicit DependencyWalk(const topo::Topology& topo);
-  /// Adds every consecutive channel pair of a structurally sound route.
-  void add(const routing::HostRoute& route);
-  /// Adds every dependency another walk over the same topology derived.
-  void merge(const DependencyWalk& other);
-  bool check(const DeadlockCertificate& cert,
-             std::vector<std::string>* why = nullptr) const;
-
- private:
-  const topo::Topology* topo_;
-  /// Per dense channel id: one bit per port of the switch it enters that
-  /// some route leaves by next.
-  std::vector<std::uint8_t> out_ports_;
-};
-
-/// Validates a legality certificate against the topology and routes using
-/// only the labels it carries: a LegalityWalk fed by walk_routes. Appends one
-/// line per discrepancy to `why` (when non-null) and returns true when the
-/// certificate holds.
+/// Validates a legality certificate against a route table using only the
+/// labels it carries: TableCheck (table_check.hpp) under `cert.labels`.
 bool check_legality(const topo::Topology& topo,
                     const routing::RoutingResult& routes,
                     const LegalityCertificate& cert,
                     std::vector<std::string>* why = nullptr);
+
+/// A channel-dependency graph as a checker derives it, over dense channel
+/// ids (wire * 2 + a-to-b): per held channel, the distinct channels
+/// requested next.
+class DependencyGraph {
+ public:
+  /// Adds the dependency held -> requested (a repeat is a no-op).
+  void add(std::size_t held, std::size_t requested);
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// Validates a deadlock certificate against exactly these dependencies:
+  /// the count, then every edge forward in the topological order, or every
+  /// edge of the cycle a real dependency. Appends discrepancies to `why`;
+  /// true when it holds.
+  bool check(const DeadlockCertificate& cert,
+             std::vector<std::string>* why = nullptr) const;
+
+ private:
+  std::vector<std::vector<std::size_t>> next_;
+  std::size_t count_ = 0;
+  std::size_t max_id_ = 0;
+};
 
 /// Builds the deadlock certificate from explicit channel sequences (for
 /// hand-built cyclic route sets), via Kahn elimination over an explicitly
@@ -172,8 +159,7 @@ DeadlockCertificate build_deadlock_certificate(
 bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why = nullptr);
-/// The same check against a route table's own channel paths: a
-/// DependencyWalk fed by walk_routes.
+/// The same check against a route table's own entries: TableCheck.
 bool check_deadlock(const topo::Topology& topo,
                     const routing::RoutingResult& routes,
                     const DeadlockCertificate& cert,

@@ -6,7 +6,7 @@
 #include <map>
 #include <sstream>
 
-#include "analysis/route_walk.hpp"
+#include "common/thread_pool.hpp"
 #include "routing/congestion.hpp"
 #include "topology/algorithms.hpp"
 
@@ -327,84 +327,120 @@ bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
   return report.errors() == before;
 }
 
-bool lint_route_structure(const topo::Topology& topo,
-                          const routing::RoutingResult& routes,
-                          DiagnosticReport& report) {
-  common::CallPool pool;
-  return walk_routes(topo, routes.routes, {.structure = &report}, pool);
-}
-
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report) {
-  // One pass over the trees gathers every per-pair fact; findings are then
-  // emitted in (src, dst) key order.
+  common::CallPool pool;
+  lint_route_quality(topo, routes, options, report, pool);
+}
+
+void lint_route_quality(const topo::Topology& topo,
+                        const routing::RoutingResult& routes,
+                        const LintOptions& options, DiagnosticReport& report,
+                        common::CallPool& pool) {
+  // One pass over the trees gathers every per-pair fact, in blocks of
+  // destinations; findings are then emitted in (src, dst) key order.
   const routing::RouteTable& table = routes.routes;
   using Key = std::pair<topo::NodeId, topo::NodeId>;
-  std::vector<Key> missing;
-  std::vector<std::pair<Key, int>> too_long;
-  std::size_t non_minimal = 0;
-  int worst_extra = 0;
-  Key worst_key;
-  std::pair<int, int> worst_hops;  // (route, BFS)
+  struct Facts {
+    std::vector<Key> missing;
+    std::vector<std::pair<Key, int>> too_long;
+    std::size_t non_minimal = 0;
+    int worst_extra = 0;
+    Key worst_key;
+    std::pair<int, int> worst_hops;  // (route, BFS)
+    // SL403's traffic oracle: route traversals per directed channel. A
+    // block's routes cross a channel at most twice each (once per phase),
+    // far below 2^32 for any fabric a table fits in memory for.
+    std::vector<std::uint32_t> loads;
+
+    /// Takes a non-minimal route as the worst if it is longer past its BFS
+    /// distance, or as long and first in key order.
+    void consider(int extra, const Key& key, std::pair<int, int> hops) {
+      if (extra > worst_extra || (extra == worst_extra && key < worst_key)) {
+        worst_extra = extra;
+        worst_key = key;
+        worst_hops = hops;
+      }
+    }
+  };
   const auto live_host = [&](topo::NodeId n) {
     return n < topo.node_capacity() && topo.node_alive(n) && topo.is_host(n);
   };
-  // SL403's traffic oracle: route traversals per directed channel.
-  std::vector<std::size_t> loads(2 * topo.wire_capacity(), 0);
-  const auto carry = [&](const routing::RouteTable::Hop& hop,
-                         std::size_t count) { loads[hop.channel] += count; };
-  table.for_each_tree([&](const routing::RouteTable::Tree& tree) {
-    routing::for_each_loaded_hop(table, tree, carry);
-    const topo::NodeId dst = table.hosts()[tree.dst];
-    // The fabric is undirected, so one search from the destination gives
-    // every source's BFS distance to it.
-    const std::vector<int> dist = live_host(dst)
-                                      ? topo::bfs_distances(topo, dst)
-                                      : std::vector<int>();
-    for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
-      const topo::NodeId src = table.hosts()[i];
-      if (i == tree.dst) {
-        continue;
-      }
-      if (tree.routed[i] == 0) {
-        if (live_host(src) && live_host(dst)) {
-          missing.emplace_back(src, dst);
+  constexpr std::uint32_t kBlock = 64;
+  const auto n = static_cast<std::uint32_t>(table.hosts().size());
+  std::vector<Facts> blocks((n + kBlock - 1) / kBlock);
+  pool.run(blocks.size(), [&](std::size_t b) {
+    Facts& facts = blocks[b];
+    facts.loads.assign(2 * topo.wire_capacity(), 0);
+    const auto carry = [&](const routing::RouteTable::Hop& hop,
+                           std::size_t count) {
+      facts.loads[hop.channel] += static_cast<std::uint32_t>(count);
+    };
+    routing::RouteTable::Tree tree;
+    const auto begin = static_cast<std::uint32_t>(b) * kBlock;
+    for (std::uint32_t j = begin; j < std::min(n, begin + kBlock); ++j) {
+      table.tree(j, tree);
+      routing::for_each_loaded_hop(table, tree, carry);
+      const topo::NodeId dst = table.hosts()[j];
+      // The fabric is undirected, so one search from the destination gives
+      // every source's BFS distance to it.
+      const std::vector<int> dist = live_host(dst)
+                                        ? topo::bfs_distances(topo, dst)
+                                        : std::vector<int>();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const topo::NodeId src = table.hosts()[i];
+        if (i == j) {
+          continue;
         }
-        continue;
-      }
-      const int hops = static_cast<int>(1 + tree.len[table.start(i)]);
-      const int shortest = dist.empty() ? -1 : dist[src];
-      if (shortest >= 0 && hops > shortest) {
-        ++non_minimal;
-        const Key key{src, dst};
-        if (hops - shortest > worst_extra ||
-            (hops - shortest == worst_extra && key < worst_key)) {
-          worst_extra = hops - shortest;
-          worst_key = key;
-          worst_hops = {hops, shortest};
+        if (tree.routed[i] == 0) {
+          if (live_host(src) && live_host(dst)) {
+            facts.missing.emplace_back(src, dst);
+          }
+          continue;
         }
-      }
-      if (options.hop_limit > 0 && hops > options.hop_limit) {
-        too_long.push_back({{src, dst}, hops});
+        const int hops = static_cast<int>(1 + tree.len[table.start(i)]);
+        const int shortest = dist.empty() ? -1 : dist[src];
+        if (shortest >= 0 && hops > shortest) {
+          ++facts.non_minimal;
+          facts.consider(hops - shortest, {src, dst}, {hops, shortest});
+        }
+        if (options.hop_limit > 0 && hops > options.hop_limit) {
+          facts.too_long.push_back({{src, dst}, hops});
+        }
       }
     }
   });
+  Facts all;
+  std::vector<std::size_t> loads(2 * topo.wire_capacity(), 0);
+  for (const Facts& facts : blocks) {
+    all.missing.insert(all.missing.end(), facts.missing.begin(),
+                       facts.missing.end());
+    all.too_long.insert(all.too_long.end(), facts.too_long.begin(),
+                        facts.too_long.end());
+    if (facts.non_minimal > 0) {
+      all.non_minimal += facts.non_minimal;
+      all.consider(facts.worst_extra, facts.worst_key, facts.worst_hops);
+    }
+    for (std::size_t c = 0; c < loads.size(); ++c) {
+      loads[c] += facts.loads[c];
+    }
+  }
   // Live hosts the table does not know have no routes at all.
   const auto hosts = topo.hosts();
   for (const topo::NodeId a : hosts) {
     for (const topo::NodeId b : hosts) {
       if (a != b && (table.host_index(a) == routing::RouteTable::kNone ||
                      table.host_index(b) == routing::RouteTable::kNone)) {
-        missing.emplace_back(a, b);
+        all.missing.emplace_back(a, b);
       }
     }
   }
 
   // SL402: every ordered pair of live hosts must have a route.
-  std::sort(missing.begin(), missing.end());
-  for (const auto& [src, dst] : missing) {
+  std::sort(all.missing.begin(), all.missing.end());
+  for (const auto& [src, dst] : all.missing) {
     report.add("SL402", "route " + topo.name(src) + "->" + topo.name(dst),
                "no route for a live host pair",
                "recompute the table or check reachability");
@@ -415,8 +451,8 @@ void lint_route_quality(const topo::Topology& topo,
   }
 
   // SL404: routes over the hop limit, one finding each.
-  std::sort(too_long.begin(), too_long.end());
-  for (const auto& [key, hops] : too_long) {
+  std::sort(all.too_long.begin(), all.too_long.end());
+  for (const auto& [key, hops] : all.too_long) {
     report.add("SL404",
                "route " + topo.name(key.first) + "->" + topo.name(key.second),
                std::to_string(hops) + " hops exceeds the limit of " +
@@ -427,15 +463,15 @@ void lint_route_quality(const topo::Topology& topo,
   // UP*/DOWN* (the shortest path may be non-compliant), hence info-level,
   // aggregated into one finding naming the worst route (the first in key
   // order among equals).
-  if (non_minimal > 0) {
+  if (all.non_minimal > 0) {
     report.add("SL401", "",
-               std::to_string(non_minimal) + " of " +
+               std::to_string(all.non_minimal) + " of " +
                    std::to_string(routes.routes.size()) +
                    " routes are longer than the BFS shortest path (worst " +
-                   topo.name(worst_key.first) + "->" +
-                   topo.name(worst_key.second) + ": " +
-                   std::to_string(worst_hops.first) + " hops vs BFS " +
-                   std::to_string(worst_hops.second) + ")",
+                   topo.name(all.worst_key.first) + "->" +
+                   topo.name(all.worst_key.second) + ": " +
+                   std::to_string(all.worst_hops.first) + " hops vs BFS " +
+                   std::to_string(all.worst_hops.second) + ")",
                "expected where the shortest path is not UP*/DOWN* compliant");
   }
 

@@ -5,7 +5,9 @@
 // Topology class enforces most invariants at mutation time: a view can be
 // hand-built broken (tests, corrupted snapshots, foreign importers), a
 // Topology mostly cannot. Route lints (SL1xx structural, SL4xx quality) run
-// over a route table and the map it claims to cover.
+// over a route table and the map it claims to cover: lint_route over the
+// routes the entry-local checker (table_check.hpp) singles out, the
+// quality lints over the table's trees in blocks of 64 destinations.
 #pragma once
 
 #include <string>
@@ -15,6 +17,10 @@
 #include "analysis/diagnostics.hpp"
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
+
+namespace sanmap::common {
+class CallPool;
+}  // namespace sanmap::common
 
 namespace sanmap::analysis {
 
@@ -62,20 +68,18 @@ void lint_fabric(const FabricView& view, DiagnosticReport& report);
 bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
                 const routing::HostRoute& route, DiagnosticReport& report);
 
-/// Structural route-table checks against the map: SL102..SL105 over every
-/// walked route (walk_routes, split by source across the cores; the report
-/// receives the chunks' findings in key order). Returns true when the table
-/// is structurally sound (the certificate builders may then read its trees
-/// without tripping Topology access checks).
-bool lint_route_structure(const topo::Topology& topo,
-                          const routing::RoutingResult& routes,
-                          DiagnosticReport& report);
-
 /// Route-quality checks: SL401..SL404, from one pass over the table's
 /// trees. Requires a structurally sound table.
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report);
+/// The same checks, the trees and each destination's breadth-first search
+/// run in blocks of 64 destinations on `pool`. The blocks' facts merge in
+/// block order, so the findings are the same bytes on any core count.
+void lint_route_quality(const topo::Topology& topo,
+                        const routing::RoutingResult& routes,
+                        const LintOptions& options, DiagnosticReport& report,
+                        common::CallPool& pool);
 
 }  // namespace sanmap::analysis

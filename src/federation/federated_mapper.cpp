@@ -129,7 +129,7 @@ FederatedResult FederatedMapper::run() {
   if (!result.verdict.analyzed_routes) {
     result.uncertified_reasons.push_back("route phase did not run");
   } else {
-    if (!result.verdict.legality.all_legal) {
+    if (!result.verdict.legality.all_legal()) {
       result.uncertified_reasons.push_back(
           "legality certificate records an illegal turn");
     }

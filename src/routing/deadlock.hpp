@@ -54,7 +54,7 @@ void for_each_dependency(const std::vector<std::vector<Channel>>& paths,
 /// switch by, one bit per (channel, port), so the trees cost
 /// O(H·(S + E)) for the table in place of one visit per hop of every
 /// route. Requires a structurally sound table
-/// (analysis::lint_route_structure).
+/// (analysis::TableCheck::sound()).
 template <typename Visit>
 void for_each_dependency(const topo::Topology& topo,
                          const RoutingResult& routes, Visit&& visit) {

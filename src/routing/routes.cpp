@@ -305,30 +305,22 @@ std::vector<HostRoute> RoutingResult::table_for(topo::NodeId src) const {
   return out;
 }
 
-double RoutingResult::mean_hops() const {
+HopSummary RoutingResult::hop_summary() const {
   double total = 0;
   std::size_t count = 0;
+  std::uint32_t longest = 0;
   routes.for_each_tree([&](const RouteTable::Tree& tree) {
     for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
       if (tree.routed[i] != 0) {
-        total += 1 + tree.len[routes.start(i)];
+        const std::uint32_t hops = 1 + tree.len[routes.start(i)];
+        total += hops;
         ++count;
+        longest = std::max(longest, hops);
       }
     }
   });
-  return count == 0 ? 0.0 : total / static_cast<double>(count);
-}
-
-int RoutingResult::max_hops() const {
-  std::uint32_t best = 0;
-  routes.for_each_tree([&](const RouteTable::Tree& tree) {
-    for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
-      if (tree.routed[i] != 0) {
-        best = std::max(best, 1 + tree.len[routes.start(i)]);
-      }
-    }
-  });
-  return static_cast<int>(best);
+  return {count == 0 ? 0.0 : total / static_cast<double>(count),
+          static_cast<int>(longest)};
 }
 
 RoutingResult compute_updown_routes(const topo::Topology& topo,

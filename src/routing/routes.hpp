@@ -302,6 +302,13 @@ class RouteTable {
   std::size_t size_ = 0;
 };
 
+/// The usual route-quality summary: mean and maximum hops over every routed
+/// pair.
+struct HopSummary {
+  double mean = 0.0;
+  int max = 0;
+};
+
 struct RoutingResult {
   UpDownOrientation orientation;
   /// Routes for every ordered pair of distinct hosts.
@@ -315,9 +322,8 @@ struct RoutingResult {
   /// network interface), in ascending destination order.
   [[nodiscard]] std::vector<HostRoute> table_for(topo::NodeId src) const;
 
-  /// Total and maximum hop counts — the usual route-quality summary.
-  [[nodiscard]] double mean_hops() const;
-  [[nodiscard]] int max_hops() const;
+  /// Mean and maximum hop counts, from one pass over the trees.
+  [[nodiscard]] HopSummary hop_summary() const;
 };
 
 /// Computes UP*/DOWN* routes over a (mapped) topology. The topology must be

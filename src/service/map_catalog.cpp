@@ -30,6 +30,9 @@ void MapCatalog::set_health(HealthStatus status) {
       status.quarantined.end());
   auto fresh = std::make_shared<const HealthStatus>(std::move(status));
   common::MutexLock lock(health_mutex_);
+  plain_health_.store(
+      fresh->state == HealthState::kFresh && fresh->quarantined.empty(),
+      std::memory_order_release);
   health_ = std::move(fresh);
 }
 
@@ -175,6 +178,7 @@ MapCatalog::PublishResult MapCatalog::publish_impl(
   {
     common::MutexLock health_lock(health_mutex_);
     health_ = std::make_shared<const HealthStatus>(std::move(fresh));
+    plain_health_.store(true, std::memory_order_release);
   }
   published_.fetch_add(1, std::memory_order_relaxed);
   return PublishResult{PublishStatus::kPublished, published->epoch, {},

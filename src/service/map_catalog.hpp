@@ -147,6 +147,16 @@ class MapCatalog {
     return health_;
   }
 
+  /// The health as a query needs it: null while the current snapshot is
+  /// fresh and nothing is quarantined (a query reads null as fresh), else
+  /// health(). That common case reads one flag and takes no lock, so
+  /// concurrent readers write no shared cache line for it.
+  [[nodiscard]] HealthPtr query_health() const
+      SANMAP_EXCLUDES(health_mutex_) {
+    return plain_health_.load(std::memory_order_acquire) ? nullptr
+                                                         : health();
+  }
+
   /// Writer-side: replaces the health status (sorts/dedups the quarantine
   /// set). Publishing a snapshot resets health to kFresh implicitly.
   void set_health(HealthStatus status) SANMAP_EXCLUDES(health_mutex_);
@@ -204,6 +214,9 @@ class MapCatalog {
   /// Health readers copy under health_mutex_ (see health()). Never null.
   mutable common::Mutex health_mutex_;
   HealthPtr health_ SANMAP_GUARDED_BY(health_mutex_);
+  /// health_ is kFresh with an empty quarantine; stored with it, under
+  /// health_mutex_.
+  std::atomic<bool> plain_health_{true};
 
   /// Serializes publishers and guards history_ / next_epoch_ /
   /// gate_stats_.

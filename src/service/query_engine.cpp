@@ -63,20 +63,37 @@ RouteAnswer RouteQueryEngine::route_on(const MapSnapshot& snapshot,
   return answer;
 }
 
+RouteQueryEngine::Tally& RouteQueryEngine::tally() const {
+  static std::atomic<std::size_t> next_slot{0};
+  thread_local const std::size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed);
+  return tallies_[slot % tallies_.size()];
+}
+
+std::uint64_t RouteQueryEngine::sum(
+    std::atomic<std::uint64_t> Tally::*counter) const {
+  std::uint64_t total = 0;
+  for (const Tally& t : tallies_) {
+    total += (t.*counter).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 RouteAnswer RouteQueryEngine::route(const std::string& src,
                                     const std::string& dst) const {
-  served_.fetch_add(1, std::memory_order_relaxed);
+  Tally& counts = tally();
+  counts.served.fetch_add(1, std::memory_order_relaxed);
   const SnapshotPtr snapshot = catalog_->current();
   if (!snapshot) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    counts.misses.fetch_add(1, std::memory_order_relaxed);
     return RouteAnswer{};
   }
-  const MapCatalog::HealthPtr health = catalog_->health();
+  const MapCatalog::HealthPtr health = catalog_->query_health();
   RouteAnswer answer = route_on(*snapshot, src, dst, health.get());
   if (!answer.found) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    counts.misses.fetch_add(1, std::memory_order_relaxed);
     if (answer.status == QueryStatus::kDegraded) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
+      counts.degraded.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return answer;
@@ -134,9 +151,10 @@ std::vector<RouteAnswer> RouteQueryEngine::run_batch(
         }
       }
     }
-    served_.fetch_add(end - begin, std::memory_order_relaxed);
-    misses_.fetch_add(chunk_misses, std::memory_order_relaxed);
-    degraded_.fetch_add(chunk_degraded, std::memory_order_relaxed);
+    Tally& counts = tally();
+    counts.served.fetch_add(end - begin, std::memory_order_relaxed);
+    counts.misses.fetch_add(chunk_misses, std::memory_order_relaxed);
+    counts.degraded.fetch_add(chunk_degraded, std::memory_order_relaxed);
   });
   return answers;
 }

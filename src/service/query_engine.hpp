@@ -14,8 +14,13 @@
 // hammer the same ref-count cache line and flatten the scaling curve. The
 // cost is epoch granularity of a chunk, which is exactly the staleness a
 // real NIC has between table pushes anyway.
+// A single route() call acquires the snapshot itself, but writes no other
+// shared line: its counters go to a per-thread tally, and while the
+// snapshot is fresh with nothing quarantined its health is one flag read
+// (MapCatalog::query_health), not a locked pointer copy.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -103,23 +108,29 @@ class RouteQueryEngine {
       std::size_t chunk_size = 1024) const;
 
   /// Lifetime query counters (relaxed; exact totals once readers quiesce).
-  [[nodiscard]] std::uint64_t served() const {
-    return served_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t served() const { return sum(&Tally::served); }
+  [[nodiscard]] std::uint64_t misses() const { return sum(&Tally::misses); }
   /// Queries refused because their route crossed the quarantine (a subset
   /// of misses()).
   [[nodiscard]] std::uint64_t degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
+    return sum(&Tally::degraded);
   }
 
  private:
+  /// One reader thread's share of the counters, on a cache line of its
+  /// own, so concurrent readers never write the same line per query.
+  struct alignas(64) Tally {
+    std::atomic<std::uint64_t> served{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> degraded{0};
+  };
+  /// The calling thread's tally (threads are dealt tallies round-robin).
+  [[nodiscard]] Tally& tally() const;
+  [[nodiscard]] std::uint64_t sum(
+      std::atomic<std::uint64_t> Tally::*counter) const;
+
   const MapCatalog* catalog_;
-  mutable std::atomic<std::uint64_t> served_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> degraded_{0};
+  mutable std::array<Tally, 16> tallies_;
 };
 
 }  // namespace sanmap::service

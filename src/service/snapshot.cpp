@@ -26,21 +26,20 @@ MapSnapshot build_snapshot(const topo::Topology& map,
     routing::optimize_routes(compacted, routes);
   }
 
-  const double mean_hops = routes.mean_hops();
-  const int max_hops = routes.max_hops();
+  const routing::HopSummary hops = routes.hop_summary();
   return MapSnapshot{.created_at = created_at,
                      .map = std::move(compacted),
                      .routes = std::move(routes),
                      .options = options,
-                     .mean_hops = mean_hops,
-                     .max_hops = max_hops};
+                     .mean_hops = hops.mean,
+                     .max_hops = hops.max};
 }
 
 analysis::AnalysisResult certify(MapSnapshot& snapshot) {
   analysis::AnalysisResult verdict =
       analysis::analyze(snapshot.map, snapshot.routes);
   snapshot.deadlock_free = verdict.deadlock.deadlock_free;
-  snapshot.compliant = verdict.analyzed_routes && verdict.legality.all_legal;
+  snapshot.compliant = verdict.analyzed_routes && verdict.legality.all_legal();
   snapshot.channels = verdict.deadlock.channels;
   snapshot.dependencies = verdict.deadlock.dependencies;
   return verdict;

@@ -231,15 +231,14 @@ MapSnapshot decode_snapshot(const std::string& bytes) {
   }
   table.recount();
 
-  const double mean_hops = routes.mean_hops();
-  const int max_hops = routes.max_hops();
+  const routing::HopSummary hops = routes.hop_summary();
   MapSnapshot snapshot{.epoch = epoch,
                        .created_at = common::SimTime::ns(created_ns),
                        .map = std::move(map),
                        .routes = std::move(routes),
                        .options = std::move(options),
-                       .mean_hops = mean_hops,
-                       .max_hops = max_hops};
+                       .mean_hops = hops.mean,
+                       .max_hops = hops.max};
   // The file stores no verdict; derive it, and refuse what the publish
   // gate would refuse.
   const analysis::AnalysisResult verdict = certify(snapshot);

@@ -11,24 +11,19 @@
 //    exit_code(), and the catalog gate);
 //  * a dependency cycle produces a concrete counterexample, not just a
 //    boolean;
-//  * the route walk, split by source across threads, stores the same
-//    findings, certificates and checker verdicts as a plain serial loop;
 //  * the SL403 pin: structural root concentration on the paper's NOW
 //    fabric stays quiet (it is a property of UP*/DOWN*, not a defect),
 //    while genuine parallel-cable skew fires.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/certificates.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/lints.hpp"
-#include "analysis/route_walk.hpp"
 #include "common/rng.hpp"
 #include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
@@ -176,8 +171,7 @@ TEST(LegalityCertificate, RoundTripsOnHealthyFabrics) {
   for (const topo::Topology& t : healthy_fabrics()) {
     const auto routes = routing::compute_updown_routes(t, {}, 1);
     const auto cert = analysis::build_legality_certificate(t, routes);
-    EXPECT_TRUE(cert.all_legal);
-    EXPECT_EQ(cert.routes.size(), routes.routes.size());
+    EXPECT_TRUE(cert.all_legal());
     std::vector<std::string> why;
     EXPECT_TRUE(analysis::check_legality(t, routes, cert, &why))
         << (why.empty() ? "" : why.front());
@@ -188,14 +182,15 @@ TEST(LegalityCertificate, CheckerRejectsTamperedEvidence) {
   const topo::Topology t = topo::ring(4, 2);
   const auto routes = routing::compute_updown_routes(t, {}, 1);
   auto cert = analysis::build_legality_certificate(t, routes);
-  ASSERT_FALSE(cert.routes.empty());
+  ASSERT_TRUE(cert.all_legal());
   // Claim a healthy route is illegal: the checker must re-derive the truth
   // from the labels, not trust the entry.
-  cert.routes.front().legal = false;
-  cert.routes.front().offending_hop = 1;
+  cert.illegal.push_back({t.hosts()[0], t.hosts()[1], 1});
   std::vector<std::string> why;
   EXPECT_FALSE(analysis::check_legality(t, routes, cert, &why));
-  EXPECT_FALSE(why.empty());
+  ASSERT_FALSE(why.empty());
+  EXPECT_NE(why.front().find("the labels derive none"), std::string::npos)
+      << why.front();
 }
 
 TEST(LegalityCertificate, InjectedTurnIsFlaggedAtItsExactHop) {
@@ -204,7 +199,7 @@ TEST(LegalityCertificate, InjectedTurnIsFlaggedAtItsExactHop) {
   const std::string injected = analysis::inject_down_up_turn(t, routes);
   ASSERT_FALSE(injected.empty());
   const auto cert = analysis::build_legality_certificate(t, routes);
-  EXPECT_FALSE(cert.all_legal);
+  EXPECT_FALSE(cert.all_legal());
   // The ring shape detours h -> s -> t -> s -> h2: the return t -> s is
   // hop 2 (0-indexed), and the description names it. The detour lives in
   // the entries toward h2, so every route that meets them turns illegally
@@ -217,17 +212,15 @@ TEST(LegalityCertificate, InjectedTurnIsFlaggedAtItsExactHop) {
   const topo::WireId turned = routes.route(h, h2).wires[2];
   int illegal = 0;
   bool named = false;
-  for (const auto& entry : cert.routes) {
-    if (!entry.legal) {
-      ++illegal;
-      const auto route = routes.route(entry.src, entry.dst);
-      ASSERT_GE(entry.offending_hop, 1);
-      EXPECT_EQ(route.wires[static_cast<std::size_t>(entry.offending_hop)],
-                turned);
-      if (entry.src == h && entry.dst == h2) {
-        named = true;
-        EXPECT_EQ(entry.offending_hop, 2);
-      }
+  for (const auto& entry : cert.illegal) {
+    ++illegal;
+    const auto route = routes.route(entry.src, entry.dst);
+    ASSERT_GE(entry.offending_hop, 1);
+    EXPECT_EQ(route.wires[static_cast<std::size_t>(entry.offending_hop)],
+              turned);
+    if (entry.src == h && entry.dst == h2) {
+      named = true;
+      EXPECT_EQ(entry.offending_hop, 2);
     }
   }
   EXPECT_GE(illegal, 1);
@@ -296,7 +289,7 @@ TEST(DeadlockCertificate, AgreesWithTheDfsDetectorOnRandomFabrics) {
     ASSERT_TRUE(analysis::check_deadlock(t, routes, cert, &why))
         << "seed " << seed << ": " << (why.empty() ? "" : why.front());
     const auto legality = analysis::build_legality_certificate(t, routes);
-    ASSERT_TRUE(legality.all_legal) << "seed " << seed;
+    ASSERT_TRUE(legality.all_legal()) << "seed " << seed;
     ASSERT_TRUE(analysis::check_legality(t, routes, legality, &why))
         << "seed " << seed << ": " << (why.empty() ? "" : why.front());
   }
@@ -453,7 +446,7 @@ TEST(Analyzer, HealthyFabricAnalyzesClean) {
   const auto result = analysis::analyze(t, routes);
   EXPECT_TRUE(result.clean()) << result.report.text();
   EXPECT_TRUE(result.analyzed_routes);
-  EXPECT_TRUE(result.legality.all_legal);
+  EXPECT_TRUE(result.legality.all_legal());
   EXPECT_TRUE(result.deadlock.deadlock_free);
   EXPECT_EQ(result.report.exit_code(), 0);
 }
@@ -507,212 +500,9 @@ TEST(Analyzer, TableFromASmallerMapIsSL106NotAThrow) {
   EXPECT_EQ(result.report.exit_code(), 2);
 }
 
-// ------------------------------------------------------- the parallel walk
-
-// The serial reference for the walk analyze() splits by source: one plain
-// loop over RouteTable::walk, feeding the structure lints, a serial
-// classification of every route and its channel path, and the two
-// checkers.
-struct SerialWalk {
-  analysis::DiagnosticReport structure;
-  bool sound = true;
-  std::vector<analysis::RouteLegality> classified;
-  std::vector<std::vector<routing::Channel>> paths;
-  std::optional<analysis::LegalityWalk> legality;
-  std::optional<analysis::DependencyWalk> dependencies;
-};
-
-SerialWalk serial_walk(const topo::Topology& t,
-                       const routing::RoutingResult& routes) {
-  SerialWalk serial;
-  const std::vector<int> labels = analysis::legality_labels(t, routes);
-  serial.legality.emplace(t, routes.routes, labels);
-  serial.dependencies.emplace(t);
-  const routing::RouteTable& table = routes.routes;
-  const auto n = static_cast<std::uint32_t>(table.hosts().size());
-  routing::HostRoute route;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (i == j || !table.walk(i, j, route)) {
-        continue;
-      }
-      const topo::NodeId src = table.hosts()[i];
-      const topo::NodeId dst = table.hosts()[j];
-      if (!analysis::lint_route(t, src, dst, route, serial.structure)) {
-        serial.sound = false;
-        continue;
-      }
-      if (!serial.sound) {
-        continue;
-      }
-      serial.legality->add(src, dst, route);
-      serial.dependencies->add(route);
-      analysis::RouteLegality entry{src, dst, 0, true, -1};
-      std::vector<routing::Channel> path;
-      bool went_down = false;
-      for (std::size_t h = 0; h < route.wires.size(); ++h) {
-        const topo::Wire& wire = t.wire(route.wires[h]);
-        const bool a_first = wire.a.node == route.nodes[h];
-        const topo::NodeId from = route.nodes[h];
-        const topo::NodeId to = a_first ? wire.b.node : wire.a.node;
-        const bool up = labels[to] < labels[from] ||
-                        (labels[to] == labels[from] && to < from);
-        if (up && !went_down) {
-          entry.apex_hop = static_cast<int>(h) + 1;
-        }
-        if (up && went_down && entry.legal) {
-          entry.legal = false;
-          entry.offending_hop = static_cast<int>(h);
-        }
-        went_down = went_down || !up;
-        path.push_back(routing::Channel{route.wires[h], a_first});
-      }
-      serial.classified.push_back(entry);
-      serial.paths.push_back(std::move(path));
-    }
-  }
-  return serial;
-}
-
-void expect_same_findings(const analysis::DiagnosticReport& got,
-                          const analysis::DiagnosticReport& want) {
-  ASSERT_EQ(got.diagnostics().size(), want.diagnostics().size())
-      << got.text() << "\nvs\n" << want.text();
-  for (std::size_t i = 0; i < got.diagnostics().size(); ++i) {
-    const auto& a = got.diagnostics()[i];
-    const auto& b = want.diagnostics()[i];
-    EXPECT_EQ(std::tie(a.code, a.severity, a.location, a.message, a.hint),
-              std::tie(b.code, b.severity, b.location, b.message, b.hint))
-        << "finding " << i;
-  }
-  for (const auto& info : analysis::code_registry()) {
-    EXPECT_EQ(got.count(info.code), want.count(info.code)) << info.code;
-    EXPECT_EQ(got.suppressed(info.code), want.suppressed(info.code))
-        << info.code;
-  }
-  EXPECT_EQ(got.errors(), want.errors());
-  EXPECT_EQ(got.warnings(), want.warnings());
-  EXPECT_EQ(got.infos(), want.infos());
-}
-
-// Rewrites the entries toward every third destination so that the walk
-// from one far source's switch loops between it and a neighbour, and
-// clears one state's entry toward every fifth: loops the structure lints
-// name (SL103, a path that never reaches its destination) and pairs that
-// drop out of the table, spread over every source chunk.
-void break_table(routing::RoutingResult& routes) {
-  routing::RouteTable& table = routes.routes;
-  const auto n = static_cast<std::uint32_t>(table.hosts().size());
-  for (std::uint32_t j = 0; j < n; j += 3) {
-    // Out of the source's switch over its first link, back over the same
-    // wire, out again and back again: the last entry closes the loop.
-    const std::uint32_t start = table.start((j * 7 + 5) % n);
-    const topo::WireId w = table.links(start / 2).front().wire;
-    std::uint32_t x = start;
-    for (int step = 0; step < 4; ++step) {
-      table.set_entry(j, x, w);
-      x = table.hop(x, w).state;
-    }
-  }
-  for (std::uint32_t j = 1; j < n; j += 5) {
-    table.set_entry(j, table.start((j * 11 + 3) % n), topo::kInvalidWire);
-  }
-  table.recount();
-}
-
-TEST(ParallelWalk, MatchesASerialWalkFindingForFinding) {
-  // 128 hosts: eight source chunks of the walk.
-  topo::MegaFatTreeOptions options;
-  options.leaf_switches = 64;
-  const topo::Topology t = topo::mega_fat_tree(options);
-  ASSERT_GT(t.num_hosts(), 4 * analysis::kWalkChunk);
-  auto clean = routing::compute_updown_routes(t, {}, 1);
-  auto sabotaged = clean;
-  ASSERT_FALSE(analysis::inject_down_up_turn(t, sabotaged).empty());
-  auto broken = clean;
-  break_table(broken);
-
-  for (const auto* routes : {&clean, &sabotaged, &broken}) {
-    SCOPED_TRACE(routes == &clean       ? "clean"
-                 : routes == &sabotaged ? "sabotaged"
-                                        : "broken");
-    const SerialWalk serial = serial_walk(t, *routes);
-
-    analysis::DiagnosticReport structure;
-    EXPECT_EQ(analysis::lint_route_structure(t, *routes, structure),
-              serial.sound);
-    analysis::DiagnosticReport want_structure;
-    want_structure.merge(serial.structure);
-    analysis::DiagnosticReport got_structure;
-    got_structure.merge(structure);
-    expect_same_findings(got_structure, want_structure);
-
-    const analysis::AnalysisResult result = analysis::analyze(t, *routes);
-    ASSERT_EQ(result.analyzed_routes, serial.sound);
-    if (!serial.sound) {
-      // Stored findings, order, counts and suppression all as serial.
-      EXPECT_GT(serial.structure.count("SL103"), 20u);
-      EXPECT_GT(serial.structure.suppressed("SL103"), 0u);
-      analysis::DiagnosticReport want;
-      analysis::lint_fabric(analysis::view_of(t), want);
-      want.merge(serial.structure);
-      want.add("SL001", "",
-               "certificates and quality lints skipped: the route table is "
-               "structurally broken",
-               "");
-      expect_same_findings(result.report, want);
-      continue;
-    }
-
-    // The certificates, against the serial classification and paths.
-    ASSERT_EQ(result.legality.routes.size(), serial.classified.size());
-    std::size_t illegal = 0;
-    for (std::size_t k = 0; k < serial.classified.size(); ++k) {
-      const auto& a = result.legality.routes[k];
-      const auto& b = serial.classified[k];
-      ASSERT_EQ(std::tie(a.src, a.dst, a.apex_hop, a.legal, a.offending_hop),
-                std::tie(b.src, b.dst, b.apex_hop, b.legal, b.offending_hop))
-          << "entry " << k;
-      illegal += b.legal ? 0u : 1u;
-    }
-    EXPECT_EQ(result.report.count("SL101"), illegal);
-    EXPECT_EQ(illegal == 0, routes == &clean);
-    const auto deadlock = analysis::build_deadlock_certificate(t, serial.paths);
-    EXPECT_EQ(result.deadlock.deadlock_free, deadlock.deadlock_free);
-    EXPECT_EQ(result.deadlock.channels, deadlock.channels);
-    EXPECT_EQ(result.deadlock.dependencies, deadlock.dependencies);
-    EXPECT_EQ(result.deadlock.topological_order, deadlock.topological_order);
-    EXPECT_EQ(result.deadlock.cycle, deadlock.cycle);
-    EXPECT_EQ(result.report.count("SL202"), 0u) << result.report.text();
-
-    // The checker verdicts, on the true certificates and on ones tampered
-    // in the last chunk.
-    auto legality = result.legality;
-    auto deadlock_cert = result.deadlock;
-    for (int round = 0; round < 2; ++round) {
-      std::vector<std::string> got_why;
-      std::vector<std::string> want_why;
-      EXPECT_EQ(analysis::check_legality(t, *routes, legality, &got_why),
-                serial.legality->check(legality, &want_why));
-      EXPECT_EQ(got_why, want_why);
-      got_why.clear();
-      want_why.clear();
-      EXPECT_EQ(
-          analysis::check_deadlock(t, *routes, deadlock_cert, &got_why),
-          serial.dependencies->check(deadlock_cert, &want_why));
-      EXPECT_EQ(got_why, want_why);
-      EXPECT_EQ(got_why.empty(), round == 0);
-      legality.routes.back().apex_hop += 1;
-      legality.routes.back().legal = true;
-      legality.routes.back().offending_hop = -1;
-      deadlock_cert.dependencies += 1;
-    }
-  }
-}
-
 // The adversarial matrix against the full certificates: each independent
 // checker must reject a reversed or truncated Kahn order, an off-by-one
-// dependency count, a shifted apex hop, and a dropped legality entry.
+// dependency count, a fabricated offense, and tampered labels.
 TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
   topo::FatTreeOptions fat;
   fat.leaf_switches = 4;
@@ -741,13 +531,22 @@ TEST(CertificateCheckers, RejectEveryMutationOfTheEvidence) {
   }
   {
     auto cert = full.legality;
-    cert.routes.front().apex_hop += 1;
+    cert.illegal.push_back({t.hosts().back(), t.hosts().front(), 2});
     EXPECT_FALSE(analysis::check_legality(t, routes, cert));
   }
   {
+    // The checker classifies under the certificate's own labels: reversing
+    // them turns every leading up move into a down move and back.
     auto cert = full.legality;
-    cert.routes.pop_back();
-    EXPECT_FALSE(analysis::check_legality(t, routes, cert));
+    for (int& label : cert.labels) {
+      label = -label;
+    }
+    std::vector<std::string> why;
+    EXPECT_FALSE(analysis::check_legality(t, routes, cert, &why));
+    ASSERT_FALSE(why.empty());
+    EXPECT_NE(why.front().find("but the certificate calls it legal"),
+              std::string::npos)
+        << why.front();
   }
 }
 
@@ -838,22 +637,25 @@ TEST(CertificateCheckers, RejectFabricatedCycleEdges) {
   }
 }
 
-TEST(CertificateCheckers, RejectWrongApexHopAnywhereInTheTable) {
+TEST(CertificateCheckers, RejectAFabricatedOffenseAnywhereInTheTable) {
   const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
   const auto routes = routing::compute_updown_routes(t, {}, 1);
   const auto cert = analysis::build_legality_certificate(t, routes);
-  ASSERT_TRUE(cert.all_legal);
+  ASSERT_TRUE(cert.all_legal());
   ASSERT_TRUE(analysis::check_legality(t, routes, cert));
-  const std::size_t n = cert.routes.size();
+  const std::vector<topo::NodeId> hosts = t.hosts();
+  const std::size_t n = hosts.size();
   for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
-    for (const int delta : {-1, +1}) {
+    for (const int hop : {1, 2}) {
       auto wrong = cert;
-      wrong.routes[at].apex_hop += delta;
+      wrong.illegal.push_back({hosts[at], hosts[(at + 1) % n], hop});
       std::vector<std::string> why;
       EXPECT_FALSE(analysis::check_legality(t, routes, wrong, &why))
-          << "entry " << at << " delta " << delta;
+          << "source " << at << " hop " << hop;
       ASSERT_FALSE(why.empty());
-      EXPECT_NE(why.front().find("apex"), std::string::npos) << why.front();
+      EXPECT_NE(why.front().find("offense at hop " + std::to_string(hop)),
+                std::string::npos)
+          << why.front();
     }
   }
 }

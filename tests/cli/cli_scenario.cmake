@@ -11,6 +11,7 @@
 #   sanmap query --snapshot ... --sample 5
 #   sanmap serve / query --engine dfs --optimize   (the same churn; decode
 #                                  of an optimized DFS-engine snapshot)
+#   sanmap serve --root NAME       (an unknown root: refused up front, exit 1)
 #
 # Usage (ctest registers one run per scenario):
 #   cmake -DSANMAP=path/to/sanmap -DSCENARIO=NAME "-DGEN_ARGS=--topology now"
@@ -77,3 +78,6 @@ step(serve-dfs 0 serve --in fabric.topo --ticks 20 --interval-ms 500
      --churn "rolling(start=200,every=20s,down=8s,count=1)\;hostchurn(start=400,every=20s,down=8s,count=1)"
      --engine dfs --optimize --snapshot-out fabric-dfs.snap)
 step(query-dfs 0 query --snapshot fabric-dfs.snap --sample 5)
+# An unknown root is refused before bootstrap: no probe is sent.
+step(serve-unknown-root 1 serve --in fabric.topo --root no-such-switch
+     --ticks 1)

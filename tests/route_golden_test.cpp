@@ -51,6 +51,7 @@
 #include "simnet/network.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
+#include "reference_walk.hpp"
 #include "verify/scenario_case.hpp"
 
 namespace sanmap {
@@ -150,7 +151,7 @@ void digest_variant(const topo::Topology& t, const Variant& v,
        << opt.rounds << ' ' << (opt.reverted ? "reverted" : "kept") << "\n";
   }
   os << "root " << t.name(routes.orientation.root()) << " routes "
-     << routes.routes.size() << " max_hops " << routes.max_hops() << "\n";
+     << routes.routes.size() << " max_hops " << routes.hop_summary().max << "\n";
 
   // Routes, hashed per source (the map is key-ordered, so each source's
   // routes are contiguous) and over the whole table.
@@ -219,11 +220,19 @@ void digest_variant(const topo::Topology& t, const Variant& v,
     order.add(c.wire);
     order.add(c.a_to_b ? 1 : 0);
   }
+  // The legality digest covers the labels and every route's classification
+  // under them (apex and first offense), as the brute-force walk derives
+  // it; the certificate must name exactly the walk's illegal routes.
   Fnv legality;
   for (const int label : result.legality.labels) {
     legality.add(label);
   }
-  for (const analysis::RouteLegality& entry : result.legality.routes) {
+  const reference::Walk walk =
+      reference::walk_routes(t, routes.routes, result.legality.labels);
+  std::vector<std::string> why;
+  EXPECT_TRUE(walk.check(result.legality, &why))
+      << v.label << ": " << (why.empty() ? "" : why.front());
+  for (const reference::RouteLegality& entry : walk.legality.routes()) {
     legality.add(entry.src);
     legality.add(entry.dst);
     legality.add(entry.apex_hop);
@@ -241,6 +250,7 @@ void digest_variant(const topo::Topology& t, const Variant& v,
      << " elapsed_ns " << dist.elapsed.to_ns() << " complete "
      << (dist.complete ? 1 : 0) << "\n";
 
+  const routing::HopSummary summary = routes.hop_summary();
   service::SnapshotOptions options;
   options.route_seed = v.seed;
   options.source = "golden";
@@ -255,8 +265,8 @@ void digest_variant(const topo::Topology& t, const Variant& v,
                                       routing::updown_compliant(routes),
                                       deadlock.channels,
                                       deadlock.dependencies,
-                                      routes.mean_hops(),
-                                      routes.max_hops()};
+                                      summary.mean,
+                                      summary.max};
   const std::string bytes = service::encode_snapshot(snapshot);
   Fnv encoded;
   encoded.add_bytes(bytes);

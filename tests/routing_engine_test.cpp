@@ -55,7 +55,7 @@ bool same_tables(const routing::RoutingResult& a,
   }
   std::vector<std::string> why;
   const auto legality = analysis::build_legality_certificate(t, routes);
-  if (!legality.all_legal ||
+  if (!legality.all_legal() ||
       !analysis::check_legality(t, routes, legality, &why)) {
     return ::testing::AssertionFailure()
            << "legality certificate failed: "

@@ -93,7 +93,7 @@ TEST(TreeRoutes, LongerOrEqualPathsThanUpDown) {
   const Topology t = topo::torus(4, 4, 1);
   const auto tree = compute_tree_routes(t);
   const auto updown = compute_updown_routes(t);
-  EXPECT_GE(tree.mean_hops(), updown.mean_hops());
+  EXPECT_GE(tree.hop_summary().mean, updown.hop_summary().mean);
 }
 
 // ----------------------------------------------------------- distribution --

@@ -216,8 +216,9 @@ TEST(Routes, FullNowCluster) {
   EXPECT_EQ(result.routes.size(), 100u * 99u);
   EXPECT_TRUE(updown_compliant(result));
   EXPECT_TRUE(analyze_routes(t, result).deadlock_free);
-  EXPECT_GT(result.mean_hops(), 2.0);
-  EXPECT_LE(result.max_hops(), topo::diameter(t) + 4);
+  const routing::HopSummary hops = result.hop_summary();
+  EXPECT_GT(hops.mean, 2.0);
+  EXPECT_LE(hops.max, topo::diameter(t) + 4);
 }
 
 TEST(Routes, RandomNetworksSweep) {

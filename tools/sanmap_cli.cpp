@@ -501,9 +501,10 @@ int cmd_routes(int argc, const char* const* argv) {
   std::cout << "engine        : " << routing::to_string(engine) << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
+  const routing::HopSummary hops = routes.hop_summary();
   std::cout << "routes        : " << routes.routes.size() << " (mean "
-            << common::fmt(routes.mean_hops(), 2) << " hops, max "
-            << routes.max_hops() << ")\n";
+            << common::fmt(hops.mean, 2) << " hops, max " << hops.max
+            << ")\n";
   std::cout << "deadlock-free : "
             << (certificate.deadlock_free ? "yes" : "NO — cycle found")
             << " (" << certificate.dependencies << " channel dependencies)\n";
@@ -603,6 +604,12 @@ int cmd_serve(int argc, const char* const* argv) {
     return 0;
   }
   const topo::Topology t = read_input(flags.get("in"));
+  // An unknown root is refused before the first probe, as `routes` refuses
+  // it: every snapshot would name it.
+  if (const std::string root = flags.get("root");
+      !root.empty() && !t.find_switch(root)) {
+    throw std::runtime_error("no switch named " + root);
+  }
   const topo::NodeId master = pick_mapper(t, flags.get("master"));
   if (!flags.get("churn").empty() && !flags.get("faults").empty()) {
     throw std::runtime_error("serve: --faults and --churn are exclusive "
@@ -804,9 +811,9 @@ topo::Topology read_lint_input(const std::string& path) {
 int print_lint_result(const analysis::AnalysisResult& result) {
   std::cout << result.report.text();
   if (result.analyzed_routes) {
-    std::cout << "legality : " << result.legality.routes.size()
+    std::cout << "legality : " << result.routes
               << " routes from root " << result.legality.root_name << ", "
-              << (result.legality.all_legal ? "all legal"
+              << (result.legality.all_legal() ? "all legal"
                                             : "ILLEGAL TURNS FOUND")
               << "\n";
     std::cout << "deadlock : "
