@@ -1,5 +1,6 @@
 #include "simnet/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -91,6 +92,152 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
   SANMAP_CHECK_MSG(turns_in_range(route),
                    "route contains a turn outside [-7, +7]");
 
+  // Nothing observes or perturbs a quiescent send hop by hop: no hook, no
+  // trace, no schedule, and no rng draw (every probability is exactly 0).
+  const bool quiescent =
+      hook_ == nullptr && visited == nullptr && traffic_ == nullptr &&
+      fault_schedule_ == nullptr && faults_.traffic_intensity == 0.0 &&
+      faults_.drop_probability == 0.0 && faults_.corrupt_probability == 0.0;
+  if (quiescent) {
+    if (const auto result = resume(src_host, route)) {
+      ++counters_.messages;
+      tally(*result);
+      return *result;
+    }
+  }
+  return walk(src_host, route, visited, at);
+}
+
+void Network::tally(const DeliveryResult& result) {
+  ++counters_.by_status[static_cast<std::size_t>(result.status)];
+  counters_.wire_traversals += static_cast<std::uint64_t>(result.hops);
+}
+
+std::optional<DeliveryResult> Network::resume(topo::NodeId src_host,
+                                              const Route& route) {
+  // The forward turns: F for a loopback F · 0 · -reverse(F), else the
+  // whole route.
+  const std::size_t k = route.size();
+  std::size_t forward = k;
+  if (k % 2 == 1 && route[k / 2] == 0) {
+    const std::size_t f = k / 2;
+    std::size_t i = 0;
+    while (i < f && route[f + 1 + i] == -route[f - 1 - i]) {
+      ++i;
+    }
+    if (i == f) {
+      forward = f;
+    }
+  }
+  const bool loopback = forward < k;
+
+  if (cached_.src != src_host || cached_.generation != topo_->generation()) {
+    cached_.src = src_host;
+    cached_.generation = topo_->generation();
+    cached_.turns.clear();
+    cached_.steps.clear();
+    cached_.reused_at = kNoReuse;
+    if (first_use_.size() < topo_->wire_capacity()) {
+      first_use_.resize(topo_->wire_capacity(), ~std::uint32_t{0});
+    }
+  }
+
+  const common::SimTime flit = cost_.flit_time();
+  const common::SimTime per_hop = cost_.switch_latency + flit;
+  const auto result = [&](DeliveryStatus status, topo::NodeId where,
+                          int hops) {
+    return DeliveryResult{status, where, hops, per_hop * hops,
+                          topo::kInvalidNode};
+  };
+
+  if (cached_.steps.empty()) {
+    const auto first = topo_->wire_at(src_host, 0);
+    if (!first) {
+      return result(DeliveryStatus::kNoSuchWire, src_host, 0);
+    }
+    const topo::PortRef far =
+        topo_->wire(*first).opposite(topo::PortRef{src_host, 0});
+    cached_.steps.push_back({*first, far.node, far.port});
+    first_use_[*first] = 0;
+  }
+
+  // Hops 0..shared depend only on the turns before them, which the new
+  // route shares with the cached walk.
+  std::size_t shared = 0;
+  const std::size_t common = std::min(forward, cached_.turns.size());
+  while (shared < common && cached_.turns[shared] == route[shared]) {
+    ++shared;
+  }
+  if (cached_.reused_at <= shared) {
+    return std::nullopt;  // this walk crosses the reused wire too
+  }
+  cached_.turns.resize(shared);
+  cached_.steps.resize(shared + 1);
+  cached_.reused_at = kNoReuse;
+
+  // Walk on from the head's arrival after hop h, as walk() would. No wire
+  // is recrossed before hop h, so nothing has stalled or collided yet and
+  // the elapsed time is per_hop per hop. A 0 turn sends the head straight
+  // back over the wire it arrived on, so it is reached only as the pivot
+  // of a loopback below: everywhere else the next hop is a reuse.
+  std::size_t h = shared;
+  while (h < forward) {
+    const WalkStep at = cached_.steps[h];
+    const int hops = static_cast<int>(h) + 1;
+    if (topo_->is_host(at.node)) {
+      return result(DeliveryStatus::kHitHostTooSoon, at.node, hops);
+    }
+    const Turn turn = route[h];
+    const topo::Port out = at.entry + turn;
+    if (out < 0 || out >= topo_->port_count(at.node)) {
+      return result(DeliveryStatus::kIllegalTurn, at.node, hops);
+    }
+    const auto wire = topo_->wire_at(at.node, out);
+    if (!wire) {
+      return result(DeliveryStatus::kNoSuchWire, at.node, hops);
+    }
+    const topo::PortRef far =
+        topo_->wire(*wire).opposite(topo::PortRef{at.node, out});
+    cached_.turns.push_back(turn);
+    cached_.steps.push_back({*wire, far.node, far.port});
+    ++h;
+    const std::uint32_t first = first_use_[*wire];
+    if (first < h && cached_.steps[first].wire == *wire) {
+      cached_.reused_at = h;
+      return std::nullopt;
+    }
+    first_use_[*wire] = static_cast<std::uint32_t>(h);
+  }
+
+  const WalkStep end = cached_.steps[forward];
+  const int hops = static_cast<int>(forward) + 1;
+  const int message_flits = cost_.message_flits(static_cast<int>(k));
+  if (!loopback) {
+    // Routing flits exhausted: the message terminates where it stands.
+    DeliveryResult done = result(topo_->is_switch(end.node)
+                                     ? DeliveryStatus::kStrandedInNetwork
+                                     : DeliveryStatus::kDelivered,
+                                 end.node, hops);
+    done.latency += flit * message_flits;
+    return done;
+  }
+  if (topo_->is_host(end.node)) {
+    return result(DeliveryStatus::kHitHostTooSoon, end.node, hops);
+  }
+  // The pivot bounces the head back out of its entry port, and -reverse(F)
+  // retraces the forward walk port for port to the source. The return half
+  // crosses each forward wire once in the opposite direction; the forward
+  // wires are distinct, so every directed channel of the whole path is used
+  // once and no collision model can object.
+  DeliveryResult done = result(DeliveryStatus::kDelivered, src_host, 2 * hops);
+  done.latency += flit * message_flits;
+  done.bounce_switch = end.node;
+  return done;
+}
+
+DeliveryResult Network::walk(topo::NodeId src_host, const Route& route,
+                             std::vector<topo::NodeId>* visited,
+                             common::SimTime at) {
   ++counters_.messages;
   if (hook_ != nullptr) {
     hook_->on_message_begin(src_host, route, at);
@@ -99,9 +246,8 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
   const auto finish = [&](DeliveryStatus status, topo::NodeId where,
                           int hops,
                           common::SimTime latency) -> DeliveryResult {
-    ++counters_.by_status[static_cast<std::size_t>(status)];
-    counters_.wire_traversals += static_cast<std::uint64_t>(hops);
     const DeliveryResult result{status, where, hops, latency, bounce_switch};
+    tally(result);
     if (hook_ != nullptr) {
       hook_->on_message_end(result, counters_);
     }

@@ -26,6 +26,17 @@
 // experiment: each channel traversal independently encounters foreign
 // traffic with a configurable probability, and messages can be dropped or
 // corrupted end-to-end.
+//
+// The plain hop-by-hop walk is the reference semantics. A quiescent send —
+// no hook, no `visited` trace, no fault or traffic schedule, all three
+// FaultModel probabilities exactly 0 — may instead resume from the forward
+// walk of the previous quiescent send (same source host, same
+// Topology::generation()): it walks only the hops past the longest common
+// prefix of the two routes' forward turns, delivers a loopback
+// F · 0 · -reverse(F) over a wire-simple forward walk in closed form, and
+// falls back to the plain walk whenever the walk reuses a wire, the only
+// place collisions and stalls arise. Results and counters are identical
+// either way (DESIGN.md §14.1).
 #pragma once
 
 #include <array>
@@ -149,6 +160,9 @@ struct NetworkCounters {
   std::uint64_t messages = 0;
   std::uint64_t wire_traversals = 0;
 
+  friend bool operator==(const NetworkCounters&,
+                         const NetworkCounters&) = default;
+
   [[nodiscard]] std::uint64_t of(DeliveryStatus status) const {
     return by_status[static_cast<std::size_t>(status)];
   }
@@ -210,6 +224,17 @@ class Network {
   void reset_counters() { counters_ = NetworkCounters{}; }
 
  private:
+  /// The hop-by-hop walk: the reference semantics of every send.
+  DeliveryResult walk(topo::NodeId src_host, const Route& route,
+                      std::vector<topo::NodeId>* visited, common::SimTime at);
+  /// The quiescent fast path: the result of `route` resumed from the cached
+  /// walk, or nullopt when the walk reuses a wire and only walk() can tell
+  /// what happens. Touches no counter.
+  std::optional<DeliveryResult> resume(topo::NodeId src_host,
+                                       const Route& route);
+  /// Adds a finished message's status and wire crossings to counters_.
+  void tally(const DeliveryResult& result);
+
   const topo::Topology* topo_;
   CollisionModel collision_;
   CostModel cost_;
@@ -232,6 +257,30 @@ class Network {
   };
   std::vector<ChannelCrossing> crossing_;
   std::uint64_t crossing_epoch_ = 0;
+
+  /// resume()'s memory: the forward walk of the previous quiescent send
+  /// from `src` over the topology at `generation`. steps[h] is hop h: the
+  /// wire it crossed and the (node, entry port) the head reached; turns[h]
+  /// is the turn taken at steps[h] to reach steps[h + 1], so a non-empty
+  /// walk has one more step than turns. `reused_at` is the first hop that
+  /// recrossed a wire already in the walk; the walk ends there.
+  struct WalkStep {
+    topo::WireId wire = topo::kInvalidWire;
+    topo::NodeId node = topo::kInvalidNode;
+    topo::Port entry = 0;
+  };
+  struct CachedWalk {
+    std::uint64_t generation = 0;
+    topo::NodeId src = topo::kInvalidNode;
+    Route turns;
+    std::vector<WalkStep> steps;
+    std::size_t reused_at = kNoReuse;
+  };
+  static constexpr std::size_t kNoReuse = static_cast<std::size_t>(-1);
+  CachedWalk cached_;
+  /// Per wire: the hop at which the cached walk first crossed it. Stale
+  /// entries are harmless: one counts only if steps[hop] names the wire.
+  std::vector<std::uint32_t> first_use_;
 };
 
 }  // namespace sanmap::simnet

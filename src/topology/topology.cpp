@@ -1,10 +1,19 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.hpp"
 
 namespace sanmap::topo {
+
+std::uint64_t Topology::Generation::draw() {
+  // The one piece of state topologies share across threads (federation
+  // builds its regions' topologies concurrently). Stamps start at 1, so a
+  // zero-initialized cache key never matches a live topology.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 NodeId Topology::add_node(NodeKind node_kind, std::string node_name) {
   const auto id = static_cast<NodeId>(nodes_.size());
@@ -27,6 +36,7 @@ NodeId Topology::add_node(NodeKind node_kind, std::string node_name) {
                                                             : kSwitchPorts),
       kInvalidWire);
   nodes_.push_back(std::move(rec));
+  generation_.value = Generation::draw();
   return id;
 }
 
@@ -65,6 +75,7 @@ WireId Topology::connect(NodeId a, Port pa, NodeId b, Port pb) {
   nodes_[a].ports[static_cast<std::size_t>(pa)] = id;
   nodes_[b].ports[static_cast<std::size_t>(pb)] = id;
   ++num_wires_;
+  generation_.value = Generation::draw();
   return id;
 }
 
@@ -98,6 +109,7 @@ void Topology::disconnect(WireId w) {
       kInvalidWire;
   wires_[w].alive = false;
   --num_wires_;
+  generation_.value = Generation::draw();
 }
 
 void Topology::remove_node(NodeId n) {
@@ -114,6 +126,7 @@ void Topology::remove_node(NodeId n) {
   } else {
     --num_switches_;
   }
+  generation_.value = Generation::draw();
 }
 
 const std::string& Topology::name(NodeId n) const {

@@ -3,6 +3,7 @@
 // because the paper's motivating scenario is networks that change over time.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -154,7 +155,36 @@ class Topology {
   /// topo::isomorphic.)
   [[nodiscard]] bool structurally_equal(const Topology& other) const;
 
+  /// A process-unique stamp of this topology's current contents. Every
+  /// mutation (add_host, add_switch, connect, connect_any, disconnect,
+  /// remove_node) draws a fresh one from a process-wide atomic counter;
+  /// copies carry it, and a moved-from topology draws a fresh one. Two
+  /// topologies with the same generation therefore hold the same contents,
+  /// which lets a cache keyed by generation (the simulator's resumed probe
+  /// walk) survive exactly as long as what it describes.
+  [[nodiscard]] std::uint64_t generation() const { return generation_.value; }
+
  private:
+  /// The generation stamp's value semantics: default construction draws,
+  /// copies carry, and a move leaves the source a fresh stamp of its own.
+  struct Generation {
+    static std::uint64_t draw();
+
+    Generation() = default;
+    Generation(const Generation&) = default;
+    Generation& operator=(const Generation&) = default;
+    Generation(Generation&& other) noexcept : value(other.value) {
+      other.value = draw();
+    }
+    Generation& operator=(Generation&& other) noexcept {
+      value = other.value;
+      other.value = draw();
+      return *this;
+    }
+
+    std::uint64_t value = draw();
+  };
+
   struct NodeRec {
     NodeKind kind = NodeKind::kSwitch;
     std::string name;
@@ -179,6 +209,7 @@ class Topology {
   std::size_t num_hosts_ = 0;
   std::size_t num_switches_ = 0;
   std::size_t num_wires_ = 0;
+  Generation generation_;
 };
 
 }  // namespace sanmap::topo

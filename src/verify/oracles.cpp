@@ -90,22 +90,28 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
                            OracleReport& report) {
   bool have_berkeley = false;
   mapper::MapResult berkeley;
+  mapper::MapperConfig berkeley_config;
+  berkeley_config.search_depth = depth;
+  berkeley_config.max_explorations = options.max_explorations;
+  berkeley_config.sabotage_skip_merges = options.sabotage_skip_merges;
+  probe::ProbeOptions transcribed;
+  transcribed.record_transcript = true;
+  std::vector<probe::TranscriptEntry> berkeley_transcript;
+  simnet::NetworkCounters berkeley_traffic;
   {
     simnet::Network net(c.network, c.collision);
     ConservationChecker checker(c.network);
     net.attach_hook(&checker);
-    probe::ProbeEngine engine(net, mapper);
-    mapper::MapperConfig config;
-    config.search_depth = depth;
-    config.max_explorations = options.max_explorations;
-    config.sabotage_skip_merges = options.sabotage_skip_merges;
+    probe::ProbeEngine engine(net, mapper, transcribed);
     try {
-      berkeley = mapper::BerkeleyMapper(engine, config).run();
+      berkeley = mapper::BerkeleyMapper(engine, berkeley_config).run();
       have_berkeley = true;
     } catch (const std::exception& e) {
       report.violations.push_back({"berkeley-crash", e.what()});
     }
     drain_conservation(checker, report);
+    berkeley_transcript = engine.transcript();
+    berkeley_traffic = net.counters();
     if (have_berkeley) {
       const Topology truth = topo::core(local);
       if (!topo::isomorphic(berkeley.map, truth)) {
@@ -117,19 +123,66 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
     }
   }
 
+  // The session above ran with a hook attached, so every probe took the
+  // simulator's plain hop-by-hop walk. The same session on a bare network
+  // resumes each walk from the previous probe's and delivers loopbacks in
+  // closed form; nothing observable may differ.
+  if (have_berkeley) {
+    simnet::Network net(c.network, c.collision);
+    probe::ProbeEngine engine(net, mapper, transcribed);
+    try {
+      const mapper::MapResult rerun =
+          mapper::BerkeleyMapper(engine, berkeley_config).run();
+      const auto& transcript = engine.transcript();
+      const auto diverges = std::mismatch(
+          transcript.begin(), transcript.end(), berkeley_transcript.begin(),
+          berkeley_transcript.end(),
+          [](const probe::TranscriptEntry& a, const probe::TranscriptEntry& b) {
+            return a.route == b.route && a.category == b.category &&
+                   a.answered == b.answered && a.response == b.response;
+          });
+      if (diverges.first != transcript.end() ||
+          diverges.second != berkeley_transcript.end()) {
+        report.violations.push_back(
+            {"walk-equiv",
+             "unhooked transcript diverges from the hooked one at probe " +
+                 std::to_string(diverges.first - transcript.begin())});
+      } else if (!(rerun.probes == berkeley.probes)) {
+        report.violations.push_back(
+            {"walk-equiv", "unhooked probe counters diverge: " +
+                               std::to_string(rerun.probes.total()) +
+                               " probes vs " +
+                               std::to_string(berkeley.probes.total())});
+      } else if (rerun.elapsed != berkeley.elapsed) {
+        report.violations.push_back(
+            {"walk-equiv", "unhooked elapsed " + rerun.elapsed.str() +
+                               " differs from hooked " +
+                               berkeley.elapsed.str()});
+      } else if (!(net.counters() == berkeley_traffic)) {
+        report.violations.push_back(
+            {"walk-equiv",
+             "unhooked network counters diverge: " +
+                 std::to_string(net.counters().wire_traversals) +
+                 " wire traversals vs " +
+                 std::to_string(berkeley_traffic.wire_traversals)});
+      }
+    } catch (const std::exception& e) {
+      report.violations.push_back(
+          {"walk-equiv", std::string("unhooked rerun threw: ") + e.what()});
+    }
+  } else {
+    report.skipped.push_back("walk-equiv: no usable Berkeley map");
+  }
+
   // Pipelined probing must be a pure re-timing of the serial engine: same
   // probe counters, an isomorphic map, elapsed() <= serial at window 8, and
   // elapsed() == serial exactly at window 1.
   if (have_berkeley) {
     try {
-      mapper::MapperConfig config;
-      config.search_depth = depth;
-      config.max_explorations = options.max_explorations;
-      config.sabotage_skip_merges = options.sabotage_skip_merges;
       const auto run_with = [&](int window) {
         simnet::Network net(c.network, c.collision);
         probe::ProbeEngine engine(net, mapper);
-        mapper::MapperConfig windowed = config;
+        mapper::MapperConfig windowed = berkeley_config;
         windowed.pipeline_window = window;
         return mapper::BerkeleyMapper(engine, windowed).run();
       };

@@ -24,6 +24,11 @@
 //  * conservation   — the ConservationChecker hook, attached to the network
 //                     for the whole mapping session, observed no accounting
 //                     violation.
+//  * walk-equiv     — the hook makes that session walk every probe hop by
+//                     hop; an unhooked rerun, whose probes resume from the
+//                     previous probe's walk, must match it exactly:
+//                     transcript, probe counters, elapsed() and the
+//                     network's counters.
 //  * pipeline-equiv — pipelined probing is a pure re-timing: BerkeleyMapper
 //                     with an outstanding-probe window (pipeline_window = 8)
 //                     on the same quiescent case produces a map isomorphic
@@ -78,8 +83,8 @@ struct Violation {
   /// Stable oracle key: "berkeley-iso", "berkeley-crash", "myricom-diff",
   /// "myricom-crash", "deadlock-updown", "analysis-clean",
   /// "analysis-deadlock-diff", "analysis-crash",
-  /// "conservation", "pipeline-equiv", "pipeline-crash", "robust-iso",
-  /// "robust-crash", "incremental-equiv", "incremental-crash",
+  /// "conservation", "walk-equiv", "pipeline-equiv", "pipeline-crash",
+  /// "robust-iso", "robust-crash", "incremental-equiv", "incremental-crash",
   /// "federated-iso", "federated-certify", "federated-crash".
   std::string oracle;
   std::string detail;

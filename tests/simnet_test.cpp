@@ -181,6 +181,79 @@ TEST(Network, OutOfRangeTurnRejectedUpFront) {
   EXPECT_THROW(net.send(line.h0, Route{9}), common::CheckFailure);
 }
 
+/// Attaching this hook forces the plain hop-by-hop walk.
+class NoopHook final : public InvariantHook {
+ public:
+  void on_message_begin(NodeId, const Route&, common::SimTime) override {}
+  void on_hop(topo::WireId, topo::PortRef, topo::PortRef) override {}
+  void on_message_end(const DeliveryResult&, const NetworkCounters&) override {
+  }
+};
+
+TEST(Network, QuiescentWalkSeesTopologyMutations) {
+  // h0 - s0 - s1 - s2 - h1, each switch entered at port 0 and left at 1.
+  Topology t;
+  const NodeId h0 = t.add_host("h0");
+  const NodeId s0 = t.add_switch();
+  const NodeId s1 = t.add_switch();
+  const NodeId s2 = t.add_switch();
+  const NodeId h1 = t.add_host("h1");
+  t.connect(h0, 0, s0, 0);
+  t.connect(s0, 1, s1, 0);
+  const topo::WireId middle = t.connect(s1, 1, s2, 0);
+  t.connect(s2, 1, h1, 0);
+
+  // `fast` may resume from its previous walk; `plain` walks every hop.
+  Network fast(t);
+  NoopHook hook;
+  Network plain(t);
+  plain.attach_hook(&hook);
+  const auto both = [&](const Route& route) {
+    const DeliveryResult a = fast.send(h0, route);
+    const DeliveryResult b = plain.send(h0, route);
+    EXPECT_EQ(a.status, b.status) << to_string(route);
+    EXPECT_EQ(a.destination, b.destination) << to_string(route);
+    EXPECT_EQ(a.hops, b.hops) << to_string(route);
+    EXPECT_EQ(a.latency, b.latency) << to_string(route);
+    EXPECT_EQ(a.bounce_switch, b.bounce_switch) << to_string(route);
+    EXPECT_TRUE(fast.counters() == plain.counters());
+    return a;
+  };
+
+  // The first send walks, and remembers, h0 -> s0 -> s1 -> s2; the second
+  // shares that prefix, but its wire s1 -> s2 is gone in between.
+  EXPECT_TRUE(both(loopback_probe({1, 1})).delivered());
+  t.disconnect(middle);
+  const DeliveryResult cut = both({1, 1, 1});
+  EXPECT_EQ(cut.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(cut.destination, s1);
+  EXPECT_EQ(cut.hops, 2);
+
+  t.connect(s1, 1, s2, 0);
+  const DeliveryResult healed = both({1, 1, 1});
+  EXPECT_TRUE(healed.delivered());
+  EXPECT_EQ(healed.destination, h1);
+  EXPECT_EQ(healed.hops, 4);
+
+  t.remove_node(s2);
+  const DeliveryResult removed = both({1, 1, 1});
+  EXPECT_EQ(removed.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(removed.destination, s1);
+  EXPECT_EQ(removed.hops, 2);
+
+  // Another fabric copied into the referenced topology: h0 and s0 keep
+  // their ids, and s0's port 1 is free.
+  Topology other;
+  const NodeId other_h0 = other.add_host("h0");
+  other.connect(other_h0, 0, other.add_switch(), 0);
+  ASSERT_EQ(other_h0, h0);
+  t = other;
+  const DeliveryResult swapped = both({1, 1, 1});
+  EXPECT_EQ(swapped.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(swapped.destination, s0);
+  EXPECT_EQ(swapped.hops, 1);
+}
+
 // ------------------------------------------------------ collision models ----
 
 /// Ring of 3 switches with two hosts; a route that circles the ring twice

@@ -1,8 +1,14 @@
 // Unit tests for the Topology multigraph itself: construction invariants,
-// port bookkeeping, dynamic reconfiguration (tombstones), compaction.
+// port bookkeeping, dynamic reconfiguration (tombstones), compaction, and
+// the generation stamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "topology/topology.hpp"
@@ -331,6 +337,86 @@ TEST(Topology, CopySemanticsAreDeep) {
   b.connect(s1, 1, s2, 1);
   EXPECT_EQ(a.num_wires(), 1u);
   EXPECT_EQ(b.num_wires(), 2u);
+}
+
+TEST(Topology, EveryMutationDrawsANewGeneration) {
+  Topology t;
+  std::vector<std::uint64_t> seen{t.generation()};
+  const auto expect_fresh = [&](const char* what) {
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), t.generation()), 0)
+        << what << " kept an old generation";
+    seen.push_back(t.generation());
+  };
+  const NodeId h = t.add_host("h");
+  expect_fresh("add_host");
+  const NodeId s1 = t.add_switch();
+  expect_fresh("add_switch");
+  const NodeId s2 = t.add_switch();
+  expect_fresh("add_switch");
+  const WireId w = t.connect(h, 0, s1, 0);
+  expect_fresh("connect");
+  t.connect_any(s1, s2);
+  expect_fresh("connect_any");
+  t.disconnect(w);
+  expect_fresh("disconnect");
+
+  // Queries leave the stamp alone; copies carry it.
+  (void)t.neighbors(s1);
+  (void)t.free_port(s2);
+  EXPECT_EQ(t.generation(), seen.back());
+  Topology copy = t;
+  EXPECT_EQ(copy.generation(), t.generation());
+  Topology assigned;
+  assigned = t;
+  EXPECT_EQ(assigned.generation(), t.generation());
+
+  t.remove_node(s2);
+  expect_fresh("remove_node");
+  // The copy's contents did not change, so neither did its stamp.
+  EXPECT_EQ(copy.generation(), seen[seen.size() - 2]);
+
+  // A rebuilt copy is new contents as far as the stamp knows.
+  const Topology dense = t.compacted();
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), dense.generation()), 0);
+
+  // A move carries the stamp to the destination and leaves the emptied
+  // source a stamp of its own.
+  const std::uint64_t before = copy.generation();
+  Topology moved = std::move(copy);
+  EXPECT_EQ(moved.generation(), before);
+  // Reading the moved-from source's stamp is the point of this check.
+  EXPECT_NE(copy.generation(), before);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Topology, GenerationsStayUniqueAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kMutations = 1000;
+  std::vector<std::vector<std::uint64_t>> stamps(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&stamps, i] {
+      Topology t;
+      const NodeId a = t.add_switch();
+      const NodeId b = t.add_switch();
+      auto& mine = stamps[static_cast<std::size_t>(i)];
+      while (mine.size() < kMutations) {
+        const WireId w = t.connect(a, 0, b, 0);
+        mine.push_back(t.generation());
+        t.disconnect(w);
+        mine.push_back(t.generation());
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<std::uint64_t> all;
+  for (const auto& mine : stamps) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kThreads * kMutations));
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 }  // namespace
