@@ -58,7 +58,7 @@ bool remap(const topo::Topology& network, topo::NodeId mapper_host,
     elapsed = result.elapsed;
     how = result.unchanged
               ? "verified"
-              : "repaired (" + std::to_string(result.discrepancies.size()) +
+              : "repaired (" + std::to_string(result.findings.size()) +
                     " discrepancies)";
   }
   g_previous_map = map;

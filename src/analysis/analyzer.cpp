@@ -53,7 +53,7 @@ AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options) {
   AnalysisResult result;
-  lint_fabric(view_of(map), result.report);
+  lint_fabric(map, result.report);
 
   const topo::NodeId root = routes.orientation.root();
   if (root >= map.node_capacity() || !map.node_alive(root) ||
@@ -118,7 +118,7 @@ AnalysisResult analyze(const topo::Topology& map,
 
 AnalysisResult analyze_map(const topo::Topology& map) {
   AnalysisResult result;
-  lint_fabric(view_of(map), result.report);
+  lint_fabric(map, result.report);
   return result;
 }
 

@@ -52,7 +52,7 @@ AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options = {});
 
-/// Map-only analysis: fabric well-formedness lints, no route phase.
+/// Map-only analysis: the fabric lints (SL307/SL308), no route phase.
 AnalysisResult analyze_map(const topo::Topology& map);
 
 /// The whole result as JSON: diagnostics plus certificate summaries.

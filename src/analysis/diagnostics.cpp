@@ -25,10 +25,13 @@ std::ostream& operator<<(std::ostream& os, Severity severity) {
 }
 
 const std::vector<CodeInfo>& code_registry() {
-  // Append-only. Codes group by hundreds: SL1xx UP*/DOWN* route legality,
-  // SL2xx deadlock freedom, SL3xx model-graph well-formedness, SL4xx route
-  // quality, SL5xx serving staleness (enforced at the catalog publish
-  // gate). SL0xx are analyzer-level notes.
+  // Append-only, and a retired code's number is never reused. Codes group
+  // by hundreds: SL1xx UP*/DOWN* route legality, SL2xx deadlock freedom,
+  // SL3xx the fabric's shape, SL4xx route quality, SL5xx serving staleness
+  // (enforced at the catalog publish gate). SL0xx are analyzer-level notes.
+  // SL301..SL306 (dangling, out-of-range, asymmetric, shared and
+  // multi-wired host ports, host label clashes) are retired: the Topology
+  // and its parsers refuse every such fabric before a lint could see it.
   static const std::vector<CodeInfo> registry = {
       {"SL001", Severity::kInfo, "route analysis skipped"},
       {"SL002", Severity::kInfo, "diagnostics suppressed past per-code cap"},
@@ -40,12 +43,6 @@ const std::vector<CodeInfo>& code_registry() {
       {"SL106", Severity::kError, "routing root is not a live switch"},
       {"SL201", Severity::kError, "channel-dependency cycle"},
       {"SL202", Severity::kError, "deadlock certificate failed its recheck"},
-      {"SL301", Severity::kError, "dangling wire endpoint"},
-      {"SL302", Severity::kError, "port index out of range"},
-      {"SL303", Severity::kError, "asymmetric wire endpoints"},
-      {"SL304", Severity::kError, "host with more than one wire"},
-      {"SL305", Severity::kError, "port carries more than one wire"},
-      {"SL306", Severity::kError, "host label-equivalence violation"},
       {"SL307", Severity::kWarning, "isolated node"},
       {"SL308", Severity::kInfo, "fabric is not connected"},
       {"SL401", Severity::kInfo, "non-minimal routes"},

@@ -1,7 +1,7 @@
 // Structured diagnostics for the static analyzer (sanlint).
 //
 // Every finding carries a stable code from the registry below (SL1xx route
-// legality, SL2xx deadlock, SL3xx model well-formedness, SL4xx route
+// legality, SL2xx deadlock, SL3xx the fabric's shape, SL4xx route
 // quality), a severity, a human-readable location, and a fix hint. Codes are
 // append-only: tools, CI filters, and suppression tests key on them, so a
 // code's meaning never changes once shipped (DESIGN.md §9 is the registry of

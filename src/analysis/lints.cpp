@@ -1,7 +1,6 @@
 #include "analysis/lints.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -13,23 +12,6 @@
 namespace sanmap::analysis {
 
 namespace {
-
-std::string node_label(const FabricView& view, topo::NodeId n) {
-  if (n < view.nodes.size() && !view.nodes[n].name.empty()) {
-    return view.nodes[n].name;
-  }
-  return "node " + std::to_string(n);
-}
-
-std::string end_text(const FabricView& view, const topo::PortRef& end) {
-  std::ostringstream oss;
-  oss << node_label(view, end.node) << " port " << end.port;
-  return oss.str();
-}
-
-bool end_in_range(const FabricView& view, const topo::PortRef& end) {
-  return end.node < view.nodes.size() && view.nodes[end.node].alive;
-}
 
 /// SL403's parallel trunks: the cables joining each pair of distinct
 /// switches (pair ascending), ascending by wire id. Pairs joined by one
@@ -51,182 +33,21 @@ ParallelTrunks parallel_trunks(const topo::Topology& topo) {
 
 }  // namespace
 
-FabricView view_of(const topo::Topology& topo) {
-  FabricView view;
-  view.nodes.resize(topo.node_capacity());
-  for (topo::NodeId n = 0; n < topo.node_capacity(); ++n) {
-    view.nodes[n].alive = topo.node_alive(n);
-    if (!view.nodes[n].alive) {
-      continue;
-    }
-    view.nodes[n].kind = topo.kind(n);
-    view.nodes[n].name = topo.name(n);
-    for (topo::Port p = 0; p < topo.port_count(n); ++p) {
-      if (const auto w = topo.wire_at(n, p)) {
-        view.port_claims.emplace_back(topo::PortRef{n, p}, *w);
-      }
-    }
-  }
-  view.wires.resize(topo.wire_capacity());
-  for (topo::WireId w = 0; w < topo.wire_capacity(); ++w) {
-    view.wires[w].alive = topo.wire_alive(w);
-    if (view.wires[w].alive) {
-      view.wires[w].a = topo.wire(w).a;
-      view.wires[w].b = topo.wire(w).b;
-    }
-  }
-  return view;
-}
-
-void lint_fabric(const FabricView& view, DiagnosticReport& report) {
-  // Per-(node, port) usage across live wire ends, for SL305.
-  std::map<topo::PortRef, int> end_use;
-  // Live wire ends per node, for SL304/SL307.
-  std::vector<int> incident(view.nodes.size(), 0);
-
-  for (topo::WireId w = 0; w < view.wires.size(); ++w) {
-    const FabricView::WireView& wire = view.wires[w];
-    if (!wire.alive) {
-      continue;
-    }
-    for (const topo::PortRef& end : {wire.a, wire.b}) {
-      if (!end_in_range(view, end)) {
-        report.add("SL301", "wire " + std::to_string(w),
-                   std::string("endpoint references ") +
-                       (end.node < view.nodes.size() ? "dead" : "nonexistent") +
-                       " node " + std::to_string(end.node),
-                   "disconnect the wire or revive the node");
-        continue;
-      }
-      const FabricView::NodeView& node = view.nodes[end.node];
-      const topo::Port limit = node.kind == topo::NodeKind::kSwitch
-                                   ? topo::kSwitchPorts
-                                   : topo::kHostPorts;
-      if (end.port < 0 || end.port >= limit) {
-        std::ostringstream oss;
-        oss << "port " << end.port << " on "
-            << (node.kind == topo::NodeKind::kSwitch
-                    ? "an 8-port crossbar"
-                    : "a single-port host")
-            << " (" << node_label(view, end.node) << ")";
-        report.add("SL302", "wire " + std::to_string(w), oss.str(),
-                   "switch ports are 0..7, host ports are 0");
-        continue;
-      }
-      ++end_use[end];
-      ++incident[end.node];
-      // The node-side port table must claim this exact wire back.
-      const bool claimed = std::any_of(
-          view.port_claims.begin(), view.port_claims.end(),
-          [&](const auto& claim) {
-            return claim.first == end && claim.second == w;
-          });
-      if (!claimed) {
-        report.add("SL303", end_text(view, end),
-                   "wire " + std::to_string(w) +
-                       " lists this endpoint but the node's port table does "
-                       "not carry it",
-                   "rebuild the port table or drop the wire record");
-      }
-    }
-  }
-
-  for (const auto& [end, count] : end_use) {
-    if (count > 1) {
-      report.add("SL305", end_text(view, end),
-                 std::to_string(count) + " live wires share one port",
-                 "a port carries at most one wire (paper sec 2.1)");
-    }
-  }
-
-  // Port claims that point at dead or mismatched wires are the other half
-  // of endpoint asymmetry.
-  for (const auto& [end, w] : view.port_claims) {
-    if (!end_in_range(view, end)) {
-      continue;  // already reported via the wire side or irrelevant
-    }
-    if (w >= view.wires.size() || !view.wires[w].alive ||
-        (view.wires[w].a != end && view.wires[w].b != end)) {
-      report.add("SL303", end_text(view, end),
-                 "port table claims wire " + std::to_string(w) +
-                     " but that wire does not end here",
-                 "rebuild the port table or drop the claim");
-    }
-  }
-
-  std::map<std::string, int> host_names;
-  for (topo::NodeId n = 0; n < view.nodes.size(); ++n) {
-    const FabricView::NodeView& node = view.nodes[n];
-    if (!node.alive) {
-      continue;
-    }
-    if (node.kind == topo::NodeKind::kHost) {
-      if (incident[n] > 1) {
-        report.add("SL304", node_label(view, n),
-                   std::to_string(incident[n]) +
-                       " wires on a single-port host interface",
-                   "hosts have exactly one network port (paper sec 2.1)");
-      }
-      if (node.name.empty()) {
-        report.add("SL306", "node " + std::to_string(n),
-                   "host has no name: hosts must be uniquely identifiable "
-                   "(paper sec 2.3)",
-                   "assign a unique host name");
-      } else {
-        ++host_names[node.name];
-      }
-    }
-    if (incident[n] == 0) {
-      report.add("SL307", node_label(view, n),
-                 std::string(node.kind == topo::NodeKind::kHost ? "host"
-                                                                : "switch") +
+void lint_fabric(const topo::Topology& topo, DiagnosticReport& report) {
+  for (const topo::NodeId n : topo.nodes()) {
+    if (topo.degree(n) == 0) {
+      report.add("SL307", topo.name(n),
+                 std::string(topo.is_host(n) ? "host" : "switch") +
                      " has no live wires",
                  "unreachable by every probe and every route");
     }
   }
-  for (const auto& [name, count] : host_names) {
-    if (count > 1) {
-      report.add("SL306", name,
-                 std::to_string(count) +
-                     " live hosts share one name: label equivalence cannot "
-                     "identify them",
-                 "host names must be unique (paper sec 2.3)");
-    }
-  }
-
-  // Connectivity over the view's live wires (SL308, informational: mappers
-  // legitimately map one component of a larger fabric).
-  std::vector<int> component(view.nodes.size(), -1);
-  int components = 0;
-  std::vector<std::vector<topo::NodeId>> adjacency(view.nodes.size());
-  for (const FabricView::WireView& wire : view.wires) {
-    if (wire.alive && end_in_range(view, wire.a) &&
-        end_in_range(view, wire.b)) {
-      adjacency[wire.a.node].push_back(wire.b.node);
-      adjacency[wire.b.node].push_back(wire.a.node);
-    }
-  }
-  for (topo::NodeId start = 0; start < view.nodes.size(); ++start) {
-    if (!view.nodes[start].alive || component[start] != -1) {
-      continue;
-    }
-    std::deque<topo::NodeId> queue{start};
-    component[start] = components;
-    while (!queue.empty()) {
-      const topo::NodeId n = queue.front();
-      queue.pop_front();
-      for (const topo::NodeId nb : adjacency[n]) {
-        if (component[nb] == -1) {
-          component[nb] = components;
-          queue.push_back(nb);
-        }
-      }
-    }
-    ++components;
-  }
-  if (components > 1) {
+  // Informational: mappers legitimately map one component of a larger
+  // fabric.
+  std::vector<int> component_of;
+  if (const int count = topo::components(topo, component_of); count > 1) {
     report.add("SL308", "",
-               std::to_string(components) +
+               std::to_string(count) +
                    " connected components: only the mapper's component is "
                    "mappable",
                "");
@@ -325,14 +146,6 @@ bool lint_route(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
                "re-emit the table from the hop paths");
   }
   return report.errors() == before;
-}
-
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options,
-                        DiagnosticReport& report) {
-  common::CallPool pool;
-  lint_route_quality(topo, routes, options, report, pool);
 }
 
 void lint_route_quality(const topo::Topology& topo,

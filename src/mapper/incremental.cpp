@@ -143,7 +143,6 @@ IncrementalResult IncrementalMapper::run() {
                         const std::string& what) {
     suspicious[s] = true;
     SANMAP_LOG(kInfo, "incremental", what);
-    result.discrepancies.push_back(what);
     result.findings.push_back(Discrepancy{kind, s, p, what});
   };
 
@@ -260,7 +259,7 @@ IncrementalResult IncrementalMapper::run() {
 
   result.verification_probes = engine_->counters().total();
 
-  if (result.discrepancies.empty()) {
+  if (result.findings.empty()) {
     result.unchanged = true;
     result.map = previous_;
     result.probes = engine_->counters();

@@ -71,8 +71,7 @@ struct Discrepancy {
   DiscrepancyKind kind = DiscrepancyKind::kWireBroken;
   topo::NodeId node = topo::kInvalidNode;  // map-space switch id
   topo::Port port = 0;
-  std::string detail;  // the human-readable line (same text as the legacy
-                       // IncrementalResult::discrepancies entry)
+  std::string detail;  // the human-readable line, as logged
 };
 
 struct IncrementalConfig {
@@ -104,9 +103,7 @@ struct IncrementalResult {
   std::uint64_t verification_probes = 0;
   /// Switches actually swept (== reachable switches when region is empty).
   std::size_t swept_switches = 0;
-  /// Human-readable descriptions of what verification caught.
-  std::vector<std::string> discrepancies;
-  /// The same findings, structured (one entry per flagged port; a broken
+  /// What verification caught, one entry per flagged port (a broken
   /// switch-to-switch wire contributes one finding per side).
   std::vector<Discrepancy> findings;
   probe::ProbeCounters probes;

@@ -10,7 +10,7 @@
 // Publishing is gated twice:
 //  * safety — certify() runs the full static analyzer (src/analysis) on
 //    every candidate: UP*/DOWN* legality per route, explicit
-//    channel-dependency deadlock certificate, model well-formedness and
+//    channel-dependency deadlock certificate, the fabric-shape and
 //    route-table structure lints, and overwrites the candidate's verdict
 //    with its own. Any ERROR-level diagnostic refuses the publish outright;
 //    an unsafe route table must never become current (Dally & Seitz; the

@@ -1,6 +1,7 @@
 #include "topology/serialize.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -148,11 +149,20 @@ Topology read_dot(std::istream& is) {
     }
     Port port = 0;
     if (colon != std::string::npos) {
+      // "p" then digits, within Port's range: the Topology range-checks
+      // what it is given, so nothing may wrap on the way there.
       const std::string ref = text.substr(colon + 1);
-      if (ref.size() < 2 || ref[0] != 'p') {
+      if (ref.size() < 2 || ref[0] != 'p' || ref[1] < '0' || ref[1] > '9') {
         fail("malformed port reference " + ref);
       }
-      port = static_cast<Port>(std::stol(ref.substr(1)));
+      const char* const end = ref.data() + ref.size();
+      const auto [stop, error] = std::from_chars(ref.data() + 1, end, port);
+      if (error == std::errc::result_out_of_range) {
+        fail("port number out of range in " + ref);
+      }
+      if (stop != end) {
+        fail("malformed port reference " + ref);
+      }
     }
     return PortRef{node->second, port};
   };
@@ -193,8 +203,12 @@ Topology read_dot(std::istream& is) {
     if (by_dot_id.contains(dot_id)) {
       fail("duplicate node " + dot_id);
     }
-    by_dot_id.emplace(dot_id,
-                      is_box ? topo.add_host(label) : topo.add_switch(label));
+    try {
+      by_dot_id.emplace(dot_id, is_box ? topo.add_host(label)
+                                       : topo.add_switch(label));
+    } catch (const common::CheckFailure& e) {
+      fail(e.what());
+    }
   }
   return topo;
 }

@@ -1,6 +1,6 @@
 // Tests for the static analyzer (sanlint): the diagnostics registry, the
 // legality and deadlock certificates and their independent checkers, the
-// well-formedness and route-quality lints, the analyzer facade, and the
+// fabric and route-quality lints, the analyzer facade, and the
 // MapCatalog publish gate it feeds.
 //
 // The load-bearing properties:
@@ -25,6 +25,7 @@
 #include "analysis/diagnostics.hpp"
 #include "analysis/lints.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
@@ -49,6 +50,11 @@ TEST(Diagnostics, RegistryIsOrderedAndSelfConsistent) {
     EXPECT_EQ(analysis::find_code(info.code), &info);
   }
   EXPECT_EQ(analysis::find_code("SL999"), nullptr);
+  // Retired codes stay unregistered: their numbers are never reused.
+  for (const char* retired :
+       {"SL301", "SL302", "SL303", "SL304", "SL305", "SL306"}) {
+    EXPECT_EQ(analysis::find_code(retired), nullptr) << retired;
+  }
 }
 
 TEST(Diagnostics, ExitCodeFollowsMaxSeverity) {
@@ -58,7 +64,7 @@ TEST(Diagnostics, ExitCodeFollowsMaxSeverity) {
   EXPECT_EQ(report.exit_code(), 0);
   report.add("SL307", "node s1", "isolated");
   EXPECT_EQ(report.exit_code(), 1);
-  report.add("SL301", "wire 0", "dangling");
+  report.add("SL103", "route h0->h1", "broken path");
   EXPECT_EQ(report.exit_code(), 2);
   EXPECT_EQ(report.errors(), 1u);
   EXPECT_EQ(report.warnings(), 1u);
@@ -69,14 +75,14 @@ TEST(Diagnostics, PerCodeCapSuppressesStorageButNotCounting) {
   analysis::DiagnosticReport report;
   report.set_cap(3);
   for (int i = 0; i < 10; ++i) {
-    report.add("SL301", "wire " + std::to_string(i), "dangling");
+    report.add("SL103", "route " + std::to_string(i), "broken path");
   }
-  EXPECT_EQ(report.count("SL301"), 10u);
+  EXPECT_EQ(report.count("SL103"), 10u);
   EXPECT_EQ(report.errors(), 10u);
   std::size_t stored = 0;
   bool suppression_note = false;
   for (const auto& d : report.diagnostics()) {
-    stored += d.code == "SL301" ? 1u : 0u;
+    stored += d.code == "SL103" ? 1u : 0u;
     suppression_note = suppression_note || d.code == "SL002";
   }
   EXPECT_EQ(stored, 3u);
@@ -85,25 +91,25 @@ TEST(Diagnostics, PerCodeCapSuppressesStorageButNotCounting) {
 
 TEST(Diagnostics, CapIsStrictlyPerCode) {
   // Regression: the cap (and its SL002 marker) must track each code
-  // independently — a flood of SL301 findings must not eat SL303's storage
+  // independently — a flood of SL103 findings must not eat SL105's storage
   // budget, and each flooded code gets its own marker.
   analysis::DiagnosticReport report;
   report.set_cap(3);
   for (int i = 0; i < 10; ++i) {
-    report.add("SL301", "wire " + std::to_string(i), "dangling");
-    report.add("SL303", "wire " + std::to_string(i), "self-wired");
+    report.add("SL103", "route " + std::to_string(i), "broken path");
+    report.add("SL105", "route " + std::to_string(i), "turn word disagrees");
   }
   report.add("SL307", "node s1", "isolated");  // under cap: untouched
-  EXPECT_EQ(report.count("SL301"), 10u);
-  EXPECT_EQ(report.count("SL303"), 10u);
+  EXPECT_EQ(report.count("SL103"), 10u);
+  EXPECT_EQ(report.count("SL105"), 10u);
   EXPECT_EQ(report.count("SL307"), 1u);
-  std::size_t stored301 = 0;
-  std::size_t stored303 = 0;
+  std::size_t stored103 = 0;
+  std::size_t stored105 = 0;
   std::size_t stored307 = 0;
   std::vector<std::string> markers;
   for (const auto& d : report.diagnostics()) {
-    stored301 += d.code == "SL301" ? 1u : 0u;
-    stored303 += d.code == "SL303" ? 1u : 0u;
+    stored103 += d.code == "SL103" ? 1u : 0u;
+    stored105 += d.code == "SL105" ? 1u : 0u;
     stored307 += d.code == "SL307" ? 1u : 0u;
     if (d.code == "SL002") {
       markers.push_back(d.location);
@@ -112,10 +118,10 @@ TEST(Diagnostics, CapIsStrictlyPerCode) {
                                "tracks all 10)");
     }
   }
-  EXPECT_EQ(stored301, 3u);
-  EXPECT_EQ(stored303, 3u);
+  EXPECT_EQ(stored103, 3u);
+  EXPECT_EQ(stored105, 3u);
   EXPECT_EQ(stored307, 1u);
-  EXPECT_EQ(markers, (std::vector<std::string>{"SL301", "SL303"}));
+  EXPECT_EQ(markers, (std::vector<std::string>{"SL103", "SL105"}));
 }
 
 TEST(Diagnostics, MergeReappliesCapStrictlyPerCode) {
@@ -126,32 +132,32 @@ TEST(Diagnostics, MergeReappliesCapStrictlyPerCode) {
   analysis::DiagnosticReport a;
   a.set_cap(3);
   for (int i = 0; i < 6; ++i) {
-    a.add("SL301", "wire a" + std::to_string(i), "dangling");
+    a.add("SL103", "route a" + std::to_string(i), "broken path");
   }
   analysis::DiagnosticReport b;
   b.set_cap(3);
   for (int i = 0; i < 6; ++i) {
-    b.add("SL301", "wire b" + std::to_string(i), "dangling");
-    b.add("SL304", "node h" + std::to_string(i), "multi-wired host");
+    b.add("SL103", "route b" + std::to_string(i), "broken path");
+    b.add("SL102", "route h" + std::to_string(i), "endpoint is not a host");
   }
   a.merge(b);
-  EXPECT_EQ(a.count("SL301"), 12u);
-  EXPECT_EQ(a.count("SL304"), 6u);
+  EXPECT_EQ(a.count("SL103"), 12u);
+  EXPECT_EQ(a.count("SL102"), 6u);
   EXPECT_EQ(a.errors(), 18u);
-  std::size_t stored301 = 0;
-  std::size_t stored304 = 0;
-  std::string marker301;
+  std::size_t stored103 = 0;
+  std::size_t stored102 = 0;
+  std::string marker103;
   for (const auto& d : a.diagnostics()) {
-    stored301 += d.code == "SL301" ? 1u : 0u;
-    stored304 += d.code == "SL304" ? 1u : 0u;
-    if (d.code == "SL002" && d.location == "SL301") {
-      marker301 = d.message;
+    stored103 += d.code == "SL103" ? 1u : 0u;
+    stored102 += d.code == "SL102" ? 1u : 0u;
+    if (d.code == "SL002" && d.location == "SL103") {
+      marker103 = d.message;
     }
   }
-  EXPECT_EQ(stored301, 3u);
-  EXPECT_EQ(stored304, 3u);
-  EXPECT_EQ(marker301,
-            "further SL301 findings suppressed (9 hidden; count() tracks "
+  EXPECT_EQ(stored103, 3u);
+  EXPECT_EQ(stored102, 3u);
+  EXPECT_EQ(marker103,
+            "further SL103 findings suppressed (9 hidden; count() tracks "
             "all 12)");
 }
 
@@ -297,76 +303,96 @@ TEST(DeadlockCertificate, AgreesWithTheDfsDetectorOnRandomFabrics) {
 
 // ------------------------------------------------------------------- lints
 
-TEST(FabricLints, CleanViewPasses) {
-  const topo::Topology t = topo::mesh(2, 2, 1);
-  analysis::DiagnosticReport report;
-  analysis::lint_fabric(analysis::view_of(t), report);
-  EXPECT_TRUE(report.clean()) << report.text();
+/// A 2x2 mesh with a host per switch, then an isolated switch, an isolated
+/// host and a switch-host pair of their own: four components.
+topo::Topology scattered_fabric() {
+  topo::Topology t = topo::mesh(2, 2, 1);
+  t.add_switch("lonely");
+  t.add_host("stray");
+  const topo::NodeId island = t.add_switch("island");
+  t.connect(island, 0, t.add_host("castaway"), 0);
+  return t;
 }
 
-TEST(FabricLints, HandBrokenViewsAreDiagnosed) {
+/// Every stored finding as "code|severity|location|message|hint".
+std::vector<std::string> findings(const analysis::DiagnosticReport& report) {
+  std::vector<std::string> out;
+  for (const analysis::Diagnostic& d : report.diagnostics()) {
+    out.push_back(d.code + "|" + analysis::to_string(d.severity) + "|" +
+                  d.location + "|" + d.message + "|" + d.hint);
+  }
+  return out;
+}
+
+const std::string kLonely =
+    "SL307|warning|lonely|switch has no live wires|unreachable by every "
+    "probe and every route";
+const std::string kStray =
+    "SL307|warning|stray|host has no live wires|unreachable by every probe "
+    "and every route";
+const std::string kFourComponents =
+    "SL308|info||4 connected components: only the mapper's component is "
+    "mappable|";
+
+TEST(FabricLints, CleanMeshPasses) {
   const topo::Topology t = topo::mesh(2, 2, 1);
-  // Dangling endpoint: point a wire at a node slot that does not exist.
-  {
-    auto view = analysis::view_of(t);
-    view.wires.front().a.node = 999;
-    analysis::DiagnosticReport report;
-    analysis::lint_fabric(view, report);
-    EXPECT_GE(report.count("SL301"), 1u) << report.text();
-  }
-  // Port out of range for an 8-port crossbar.
-  {
-    auto view = analysis::view_of(t);
-    for (auto& wire : view.wires) {
-      if (view.nodes[wire.a.node].kind == topo::NodeKind::kSwitch) {
-        wire.a.port = 42;
-        break;
-      }
-    }
-    analysis::DiagnosticReport report;
-    analysis::lint_fabric(view, report);
-    EXPECT_GE(report.count("SL302"), 1u) << report.text();
-  }
-  // Asymmetric endpoints: the port table no longer matches the wire list.
-  {
-    auto view = analysis::view_of(t);
-    ASSERT_FALSE(view.port_claims.empty());
-    view.port_claims.front().second += 1;
-    analysis::DiagnosticReport report;
-    analysis::lint_fabric(view, report);
-    EXPECT_GE(report.count("SL303"), 1u) << report.text();
-  }
-  // A host with two wires violates the single-interface model.
-  {
-    auto view = analysis::view_of(t);
-    topo::NodeId host = topo::kInvalidNode;
-    for (topo::NodeId n = 0; n < view.nodes.size(); ++n) {
-      if (view.nodes[n].kind == topo::NodeKind::kHost) {
-        host = n;
-        break;
-      }
-    }
-    ASSERT_NE(host, topo::kInvalidNode);
-    // A host interface has exactly one valid port, so a second wire can
-    // only arrive by double-claiming port 0.
-    auto extra = view.wires.front();
-    extra.a = {host, 0};
-    view.wires.push_back(extra);
-    view.port_claims.emplace_back(extra.a,
-                                  static_cast<topo::WireId>(
-                                      view.wires.size() - 1));
-    analysis::DiagnosticReport report;
-    analysis::lint_fabric(view, report);
-    EXPECT_GE(report.count("SL304"), 1u) << report.text();
-  }
-  // An isolated switch is a warning (dead hardware, not an unsafe map).
-  {
-    auto view = analysis::view_of(t);
-    view.nodes.push_back({topo::NodeKind::kSwitch, "lonely", true});
-    analysis::DiagnosticReport report;
-    analysis::lint_fabric(view, report);
-    EXPECT_GE(report.count("SL307"), 1u) << report.text();
-  }
+  analysis::DiagnosticReport report;
+  analysis::lint_fabric(t, report);
+  EXPECT_TRUE(report.clean()) << report.text();
+  EXPECT_TRUE(report.diagnostics().empty()) << report.text();
+}
+
+TEST(FabricLints, IsolatedNodesThenComponentCount) {
+  analysis::DiagnosticReport report;
+  analysis::lint_fabric(scattered_fabric(), report);
+  EXPECT_EQ(findings(report),
+            (std::vector<std::string>{kLonely, kStray, kFourComponents}));
+  EXPECT_EQ(report.warnings(), 2u);
+  EXPECT_EQ(report.infos(), 1u);
+  EXPECT_EQ(report.exit_code(), 1);
+}
+
+TEST(FabricLints, OnlyLiveNodesAndWiresCount) {
+  // Cutting the island's cable isolates both its ends; a removed node is
+  // neither isolated nor a component.
+  topo::Topology t = scattered_fabric();
+  t.disconnect(*t.wire_at(*t.find_switch("island"), 0));
+  t.remove_node(*t.find_switch("lonely"));
+  analysis::DiagnosticReport report;
+  analysis::lint_fabric(t, report);
+  EXPECT_EQ(
+      findings(report),
+      (std::vector<std::string>{
+          kStray,
+          "SL307|warning|island|switch has no live wires|unreachable by "
+          "every probe and every route",
+          "SL307|warning|castaway|host has no live wires|unreachable by "
+          "every probe and every route",
+          kFourComponents}));
+}
+
+TEST(FabricLints, AnalyzeLintsTheFabricFirst) {
+  const topo::Topology t = scattered_fabric();
+  const analysis::AnalysisResult map_only = analysis::analyze_map(t);
+  EXPECT_EQ(findings(map_only.report),
+            (std::vector<std::string>{kLonely, kStray, kFourComponents}));
+  EXPECT_FALSE(map_only.analyzed_routes);
+
+  // UP*/DOWN* routes only a connected map: route the mesh, which holds
+  // the scattered fabric's first eight node ids. Its order is too short
+  // for the whole fabric, so the route phase stops at SL106, after the
+  // fabric lints.
+  const topo::Topology mesh = topo::mesh(2, 2, 1);
+  const auto routes = routing::compute_updown_routes(mesh, {}, 1);
+  const analysis::AnalysisResult full = analysis::analyze(t, routes);
+  EXPECT_EQ(findings(full.report),
+            (std::vector<std::string>{
+                kLonely, kStray, kFourComponents,
+                "SL106|error||the table's UP*/DOWN* order covers 8 nodes, "
+                "this map has 12|the table was computed against a different "
+                "map"}));
+  EXPECT_FALSE(full.analyzed_routes);
+  EXPECT_EQ(full.report.exit_code(), 2);
 }
 
 TEST(RouteLints, MissingHostPairIsAnError) {
@@ -381,7 +407,8 @@ TEST(RouteLints, MissingHostPairIsAnError) {
   table.recount();
   ASSERT_LT(routes.routes.size(), hosts.size() * (hosts.size() - 1));
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, {}, report, pool);
   EXPECT_GE(report.count("SL402"), 1u) << report.text();
 }
 
@@ -391,7 +418,8 @@ TEST(RouteLints, HopLimitFlagsLongRoutes) {
   analysis::LintOptions options;
   options.hop_limit = 2;
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, options, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, options, report, pool);
   EXPECT_GE(report.count("SL404"), 1u) << report.text();
 }
 
@@ -404,7 +432,8 @@ TEST(RouteLints, StructuralRootConcentrationStaysQuiet) {
   const topo::Topology t = topo::now_cluster();
   const auto routes = routing::compute_updown_routes(t, {}, 1);
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, {}, report, pool);
   EXPECT_EQ(report.count("SL403"), 0u) << report.text();
 }
 
@@ -434,7 +463,8 @@ TEST(RouteLints, ParallelCableSkewFires) {
   }
   table.recount();
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, {}, report, pool);
   EXPECT_GE(report.count("SL403"), 1u) << report.text();
 }
 
@@ -684,7 +714,8 @@ TEST(RouteLints, TiedHottestChannelsNameTheFirstInKeyOrder) {
   analysis::LintOptions options;
   options.min_routes_for_quality = 1;
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, options, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, options, report, pool);
   bool found = false;
   for (const auto& d : report.diagnostics()) {
     if (d.code == "SL403") {
@@ -735,7 +766,8 @@ TEST(RouteLints, TiedParallelCablesNameTheLowestWire) {
     ASSERT_EQ(loads[routing::channel_slot(w3, a_to_b)], 0u);
   }
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  common::CallPool pool;
+  analysis::lint_route_quality(t, routes, {}, report, pool);
   std::size_t skew = 0;
   for (const auto& d : report.diagnostics()) {
     if (d.code == "SL403" && d.message.rfind("parallel cables", 0) == 0) {

@@ -45,7 +45,7 @@ TEST(Incremental, UnchangedNetworkVerifiesCheaply) {
       incremental(network, mapper_host, baseline.map,
                   topo::search_depth(network, mapper_host));
   EXPECT_TRUE(result.unchanged);
-  EXPECT_TRUE(result.discrepancies.empty());
+  EXPECT_TRUE(result.findings.empty());
   EXPECT_TRUE(topo::isomorphic(result.map, network));
   // The whole point: verification is several times cheaper than remapping.
   EXPECT_LT(result.verification_probes, baseline.probes.total() / 3);
@@ -156,7 +156,7 @@ TEST_P(IncrementalScenarioTest, RepairsTheMapLocally) {
   const auto result =
       incremental(network, mapper_host, baseline.map, depth);
   EXPECT_FALSE(result.unchanged);
-  EXPECT_FALSE(result.discrepancies.empty());
+  EXPECT_FALSE(result.findings.empty());
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(network)))
       << GetParam().name << ": repaired map has "
       << result.map.num_hosts() << "h/" << result.map.num_switches()
@@ -197,7 +197,7 @@ TEST(Incremental, NoRepairModeJustReports) {
   const auto result =
       IncrementalMapper(engine, baseline.map, config).run();
   EXPECT_FALSE(result.unchanged);
-  EXPECT_FALSE(result.discrepancies.empty());
+  EXPECT_FALSE(result.findings.empty());
   // The map is returned as-was (stale) for the caller to decide.
   EXPECT_TRUE(topo::isomorphic(result.map, baseline.map));
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "topology/generators.hpp"
@@ -75,6 +76,37 @@ TEST(Serialize, PortConflictReportsLineNumber) {
   }
 }
 
+/// Parses `text` with `parse` and expects a runtime_error whose message
+/// begins with "<what> parse error at line <line>:".
+template <typename Parse>
+void expect_refused_at(Parse parse, const std::string& text,
+                       const std::string& what, int line) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "expected a parse error for:\n" << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(what + " parse error at line " +
+                                              std::to_string(line) + ":",
+                                          0),
+              0u)
+        << e.what();
+  }
+}
+
+TEST(Serialize, WiresTheModelForbidsAreRefusedWithTheirLine) {
+  // The Topology refuses each of these wires; the parser must say where.
+  for (const char* wire : {"wire t 8 s 1",     // switch ports are 0..7
+                           "wire a 1 t 0",     // a host has port 0 only
+                           "wire t -1 s 1",    // no negative ports
+                           "wire t 0 a 0",     // a second wire on the host
+                           "wire s 3 s 3"}) {  // a port wired to itself
+    expect_refused_at(from_text,
+                      "host a\nswitch s\nswitch t\nwire a 0 s 0\n" +
+                          std::string(wire) + "\n",
+                      "topology", 5);
+  }
+}
+
 TEST(Serialize, SelfLoopRoundTrips) {
   Topology t;
   const NodeId s = t.add_switch("s");
@@ -126,6 +158,37 @@ TEST(Dot, ReadDotRejectsForeignStatementsWithALineNumber) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
+}
+
+void expect_dot_refused_at(const std::string& text, int line) {
+  expect_refused_at(dot_from_text, text, "dot", line);
+}
+
+/// A host n0 and a switch n1 in sanmap's dot dialect, then `edges`.
+std::string dot_with(const std::string& edges) {
+  return "graph sanmap {\n"
+         "  n0 [shape=box, label=\"a\"];\n"
+         "  n1 [shape=record, label=\"s | <p0> 0 | <p1> 1\"];\n" +
+         edges + "}\n";
+}
+
+TEST(Dot, OutOfRangePortsAreRefusedNotWrapped) {
+  // 4294967298 is 2^32 + 2: a narrowing cast read it as port 2.
+  for (const char* port : {"p8", "p4294967298", "p99999999999999999999"}) {
+    expect_dot_refused_at(dot_with("  n0 -- n1:" + std::string(port) + ";\n"),
+                          4);
+  }
+}
+
+TEST(Dot, MalformedPortIsRefused) {
+  for (const char* port : {"px", "p", "p-1", "p+1", "p4x", "q4"}) {
+    expect_dot_refused_at(dot_with("  n0 -- n1:" + std::string(port) + ";\n"),
+                          4);
+  }
+}
+
+TEST(Dot, DuplicateHostLabelIsRefused) {
+  expect_dot_refused_at(dot_with("  n2 [shape=box, label=\"a\"];\n"), 4);
 }
 
 }  // namespace

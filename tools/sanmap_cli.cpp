@@ -377,11 +377,11 @@ int cmd_map(int argc, const char* const* argv) {
               << " probes, "
               << (result.unchanged
                       ? "map unchanged"
-                      : std::to_string(result.discrepancies.size()) +
+                      : std::to_string(result.findings.size()) +
                             " discrepancies repaired")
               << "\n";
-    for (const std::string& d : result.discrepancies) {
-      std::cerr << "            - " << d << "\n";
+    for (const mapper::Discrepancy& d : result.findings) {
+      std::cerr << "            - " << d.detail << "\n";
     }
     map = result.map;
     probes = result.probes.total();
@@ -905,9 +905,9 @@ int cmd_lint(int argc, const char* const* argv) {
     } else {
       result = analysis::analyze_map(local);
     }
-    // Fabric lints over the FULL map too (dangling wires or port clashes
-    // outside the mapped component still deserve diagnostics), deduped by
-    // the report's own per-code cap.
+    // Fabric lints over the FULL map too (isolated nodes and the other
+    // components lie outside the mapped one), deduped by the report's own
+    // per-code cap.
     if (local.num_nodes() != fabric.num_nodes()) {
       analysis::AnalysisResult whole = analysis::analyze_map(fabric);
       result.report.merge(whole.report);
