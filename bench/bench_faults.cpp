@@ -24,22 +24,6 @@ namespace {
 
 using namespace sanmap;
 
-/// The mapper's component of the surviving topology, stripped of its
-/// separated set: what any mapper can be held to once the schedule fired.
-topo::Topology surviving_core(const topo::Topology& full,
-                              const simnet::FaultSchedule& schedule,
-                              common::SimTime at, topo::NodeId mapper_host) {
-  topo::Topology alive = schedule.surviving(full, at);
-  std::vector<int> component;
-  topo::components(alive, component);
-  for (const topo::NodeId n : alive.nodes()) {
-    if (component[n] != component[mapper_host]) {
-      alive.remove_node(n);
-    }
-  }
-  return topo::core(alive);
-}
-
 topo::Topology mesh_with_tail(topo::WireId& bridge, topo::WireId& mesh_link) {
   topo::Topology t = topo::mesh(3, 3, 1);
   const topo::NodeId tail_switch = t.add_switch("tail-s");
@@ -103,6 +87,12 @@ void acceptance_section(std::int64_t runs, std::uint64_t base_seed) {
         net.attach_faults(&schedule);
         return net;
       };
+      // What any mapper can be held to once the schedule fired: its
+      // component of the surviving fabric, stripped of the separated set.
+      const auto surviving_core = [&](common::SimTime at) {
+        return topo::core(
+            topo::component_of(schedule.surviving(t, at), mapper_host));
+      };
 
       // One-shot Berkeley: correct only for a failure set stable over the
       // run, which this schedule violates by construction.
@@ -112,9 +102,7 @@ void acceptance_section(std::int64_t runs, std::uint64_t base_seed) {
         probe::ProbeEngine engine(net, mapper_host);
         engine.set_retries(4);
         const auto result = mapper::BerkeleyMapper(engine, base).run();
-        one_shot = topo::isomorphic(
-                       result.map, surviving_core(t, schedule, result.elapsed,
-                                                  mapper_host))
+        one_shot = topo::isomorphic(result.map, surviving_core(result.elapsed))
                        ? "exact"
                        : "stale";
       }
@@ -125,9 +113,8 @@ void acceptance_section(std::int64_t runs, std::uint64_t base_seed) {
       config.base = base;
       config.initial_retries = 4;
       const auto result = mapper::RobustMapper(engine, config).run();
-      const bool exact = topo::isomorphic(
-          result.map,
-          surviving_core(t, schedule, result.elapsed, mapper_host));
+      const bool exact =
+          topo::isomorphic(result.map, surviving_core(result.elapsed));
       table.add_row({common::fmt(fraction, 2) + " pass",
                      std::to_string(seed),
                      one_shot,

@@ -94,21 +94,6 @@ const std::vector<Variant> kVariants = {
     {"dfs+opt", routing::EngineKind::kDfs, true},
 };
 
-/// Routes over the mapper-visible component, compacted — the same map a
-/// scenario's mapper would hand the router.
-topo::Topology routable_component(const topo::Topology& t) {
-  topo::Topology local = t;
-  std::vector<int> component;
-  topo::components(local, component);
-  const topo::NodeId anchor = local.hosts().front();
-  for (const topo::NodeId n : local.nodes()) {
-    if (component[n] != component[anchor]) {
-      local.remove_node(n);
-    }
-  }
-  return local.compacted();
-}
-
 struct Measured {
   routing::CongestionStats load;
   double mean_hops = 0.0;
@@ -246,7 +231,11 @@ bool engine_shootout(bool smoke) {
   for (const fs::path& path : case_files) {
     const verify::ScenarioCase scenario =
         verify::read_case_file(path.string());
-    const topo::Topology local = routable_component(scenario.network);
+    // Routes over the mapper-visible component, compacted: the same map a
+    // scenario's mapper would hand the router.
+    const topo::Topology& fabric = scenario.network;
+    const topo::Topology local =
+        topo::component_of(fabric, fabric.hosts().front()).compacted();
     if (local.num_switches() < 1 || local.num_hosts() < 1) {
       continue;
     }

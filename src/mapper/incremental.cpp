@@ -351,13 +351,7 @@ IncrementalResult IncrementalMapper::run() {
   // it. Keep only the mapper's component, then shed separated clusters the
   // degree-based prune cannot reach (see BerkeleyMapper::run).
   if (const auto m = result.map.find_host(mapper_name)) {
-    std::vector<int> component;
-    topo::components(result.map, component);
-    for (const topo::NodeId n : result.map.nodes()) {
-      if (component[n] != component[*m]) {
-        result.map.remove_node(n);
-      }
-    }
+    result.map = topo::component_of(result.map, *m);
   }
   result.map = topo::core(result.map);
   result.probes = engine_->counters();

@@ -76,6 +76,18 @@ int components(const Topology& topo, std::vector<int>& component_of) {
   return count;
 }
 
+Topology component_of(const Topology& topo, NodeId anchor) {
+  Topology out = topo;
+  std::vector<int> component;
+  components(topo, component);
+  for (const NodeId n : topo.nodes()) {
+    if (component[n] != component[anchor]) {
+      out.remove_node(n);
+    }
+  }
+  return out;
+}
+
 int diameter(const Topology& topo) {
   SANMAP_CHECK_MSG(connected(topo), "diameter requires a connected topology");
   int best = 0;

@@ -36,6 +36,11 @@ bool connected(const Topology& topo);
 /// Returns the number of components.
 int components(const Topology& topo, std::vector<int>& component_of);
 
+/// A copy of the topology with every component but `anchor`'s removed (ids
+/// NOT renumbered, as core()): the part a mapper on `anchor` can discover
+/// and a router over its map can reach.
+Topology component_of(const Topology& topo, NodeId anchor);
+
 /// Maximum finite BFS distance over all live node pairs. The topology must
 /// be connected.
 int diameter(const Topology& topo);

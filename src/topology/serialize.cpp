@@ -6,9 +6,37 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/check.hpp"
 
 namespace sanmap::topo {
+
+namespace {
+
+/// Why connect(a, b) would refuse the wire, or empty when it would not. The
+/// readers check before they mutate, so a bad file is refused in their own
+/// line-numbered words rather than with the Topology's internal check.
+std::string wire_refusal(const Topology& topo, const PortRef& a,
+                         const PortRef& b) {
+  for (const PortRef& end : {a, b}) {
+    if (end.port < 0 || end.port >= topo.port_count(end.node)) {
+      return "port " + std::to_string(end.port) + " out of range on " +
+             topo.name(end.node) + " (ports 0.." +
+             std::to_string(topo.port_count(end.node) - 1) + ")";
+    }
+  }
+  if (a.node == b.node && a.port == b.port) {
+    return "wire connects port " + std::to_string(a.port) + " of " +
+           topo.name(a.node) + " to itself";
+  }
+  for (const PortRef& end : {a, b}) {
+    if (topo.wire_at(end.node, end.port)) {
+      return "port " + std::to_string(end.port) + " of " +
+             topo.name(end.node) + " is already wired";
+    }
+  }
+  return {};
+}
+
+}  // namespace
 
 void write_topology(std::ostream& os, const Topology& topo) {
   os << "# sanmap topology v1\n";
@@ -76,11 +104,13 @@ Topology read_topology(std::istream& is, bool stop_at_end) {
       if (b == by_name.end()) {
         fail("unknown node: " + name_b);
       }
-      try {
-        topo.connect(a->second, port_a, b->second, port_b);
-      } catch (const common::CheckFailure& e) {
-        fail(e.what());
+      const PortRef end_a{a->second, port_a};
+      const PortRef end_b{b->second, port_b};
+      if (const std::string refusal = wire_refusal(topo, end_a, end_b);
+          !refusal.empty()) {
+        fail(refusal);
       }
+      topo.connect(end_a.node, end_a.port, end_b.node, end_b.port);
     } else {
       fail("unknown keyword: " + keyword);
     }
@@ -177,11 +207,11 @@ Topology read_dot(std::istream& is) {
     if (const auto dash = body.find(" -- "); dash != std::string::npos) {
       const PortRef a = parse_end(trim(body.substr(0, dash)));
       const PortRef b = parse_end(trim(body.substr(dash + 4)));
-      try {
-        topo.connect(a.node, a.port, b.node, b.port);
-      } catch (const common::CheckFailure& e) {
-        fail(e.what());
+      if (const std::string refusal = wire_refusal(topo, a, b);
+          !refusal.empty()) {
+        fail(refusal);
       }
+      topo.connect(a.node, a.port, b.node, b.port);
       continue;
     }
     const auto bracket = body.find('[');
@@ -203,12 +233,14 @@ Topology read_dot(std::istream& is) {
     if (by_dot_id.contains(dot_id)) {
       fail("duplicate node " + dot_id);
     }
-    try {
-      by_dot_id.emplace(dot_id, is_box ? topo.add_host(label)
-                                       : topo.add_switch(label));
-    } catch (const common::CheckFailure& e) {
-      fail(e.what());
+    if (label.empty()) {
+      fail("node " + dot_id + " has an empty label");
     }
+    if (is_box && topo.find_host(label)) {
+      fail("duplicate host name: " + label);
+    }
+    by_dot_id.emplace(dot_id, is_box ? topo.add_host(label)
+                                     : topo.add_switch(label));
   }
   return topo;
 }

@@ -54,19 +54,6 @@ std::string describe(const Topology& t) {
   return oss.str();
 }
 
-/// A copy of `t` restricted to the connected component containing `keep`.
-Topology component_of(const Topology& t, NodeId keep) {
-  Topology local = t;
-  std::vector<int> component;
-  topo::components(local, component);
-  for (const NodeId n : local.nodes()) {
-    if (component[n] != component[keep]) {
-      local.remove_node(n);
-    }
-  }
-  return local;
-}
-
 /// The §3.1.4 depth bound when the paper's standing assumptions hold;
 /// otherwise a generous structural bound (depth only caps route length, so
 /// overshooting is safe, undershooting is not).
@@ -345,7 +332,7 @@ void run_faulted_oracles(const ScenarioCase& c, const OracleOptions& options,
     report.skipped.push_back("robust-iso: mapper host itself failed");
     return;
   }
-  const Topology truth = topo::core(component_of(alive, mapper));
+  const Topology truth = topo::core(topo::component_of(alive, mapper));
   if (!topo::isomorphic(result.map, truth)) {
     report.violations.push_back(
         {"robust-iso", "healed map " + describe(result.map) +
@@ -385,7 +372,7 @@ void run_incremental_oracle(const ScenarioCase& c, const OracleOptions& options,
   // The previous epoch's model: the mapper-component core of the pre-fault
   // fabric (component_of/core preserve ids, so event-derived switch ids
   // stay valid in it).
-  const Topology previous = topo::core(component_of(c.network, mapper));
+  const Topology previous = topo::core(topo::component_of(c.network, mapper));
   if (previous.num_switches() == 0) {
     report.skipped.push_back("incremental-equiv: switchless previous map");
     return;
@@ -396,7 +383,7 @@ void run_incremental_oracle(const ScenarioCase& c, const OracleOptions& options,
     report.skipped.push_back("incremental-equiv: mapper host itself failed");
     return;
   }
-  const Topology truth = topo::core(component_of(alive, mapper));
+  const Topology truth = topo::core(topo::component_of(alive, mapper));
 
   // Dirty region: every previous-map switch a fault event touches — wire
   // endpoints for link events, the node plus its neighbors for node events
@@ -545,7 +532,7 @@ void run_federated_oracle(const ScenarioCase& c, const OracleOptions& options,
       return;
     }
   }
-  const Topology local = component_of(fabric, mapper);
+  const Topology local = topo::component_of(fabric, mapper);
   if (local.num_switches() == 0) {
     report.skipped.push_back("federated-iso: switchless component");
     return;
@@ -610,7 +597,7 @@ OracleReport run_oracles(const ScenarioCase& c, const OracleOptions& options) {
     report.skipped.push_back(std::string("all: ") + e.what());
     return report;
   }
-  const Topology local = component_of(c.network, mapper);
+  const Topology local = topo::component_of(c.network, mapper);
   const int depth = pick_search_depth(local, mapper);
 
   if (c.quiescent()) {

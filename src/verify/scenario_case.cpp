@@ -248,6 +248,14 @@ ScenarioCase read_case(std::istream& is) {
           if (!(ls >> period_ns >> e.duty >> at_ns)) {
             fail("expected: flap ... <period-ns> <duty> <start-ns>");
           }
+          // The schedule's own preconditions, refused here in the case's
+          // words: `sanmap serve` plays these lines.
+          if (period_ns <= 0) {
+            fail("flap period must be positive");
+          }
+          if (!(e.duty >= 0.0 && e.duty <= 1.0)) {
+            fail("flap duty must be in [0, 1]");
+          }
           e.kind = FaultEvent::Kind::kFlap;
           e.period = common::SimTime::ns(period_ns);
         } else {

@@ -29,23 +29,6 @@ using topo::NodeId;
 using topo::Topology;
 using topo::WireId;
 
-/// The oracle a mapper can be held to under faults: the mapper's connected
-/// component of the surviving topology, stripped of its separated set
-/// (Theorem 1's N - F, with N the fabric the schedule left alive).
-Topology surviving_core(const Topology& full,
-                        const simnet::FaultSchedule& schedule, SimTime at,
-                        NodeId mapper_host) {
-  Topology alive = schedule.surviving(full, at);
-  std::vector<int> component;
-  topo::components(alive, component);
-  for (const NodeId n : alive.nodes()) {
-    if (component[n] != component[mapper_host]) {
-      alive.remove_node(n);
-    }
-  }
-  return topo::core(alive);
-}
-
 // ------------------------------------------------------- schedule basics --
 
 TEST(FaultSchedule, LinkTransitionsAreInclusiveAndOrdered) {
@@ -339,8 +322,9 @@ TEST(RobustMapper, SeveredSubclusterYieldsSurvivingMapAndCutoff) {
 
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(result.partial);
-  const Topology oracle =
-      surviving_core(t, schedule, result.elapsed, mapper_host);
+  // Theorem 1's N - F, with N the mapper's component of what survived.
+  const Topology oracle = topo::core(
+      topo::component_of(schedule.surviving(t, result.elapsed), mapper_host));
   EXPECT_TRUE(topo::isomorphic(result.map, oracle));
   EXPECT_FALSE(result.map.find_host("tail-h").has_value());
   // The fault landed after the first pass had seen the tail, so the sweep
@@ -432,8 +416,9 @@ TEST(RobustMapper, MidMappingLinkDeathsUnderCrossTraffic) {
   const auto result = mapper::RobustMapper(engine, config).run();
 
   EXPECT_TRUE(result.converged);
-  const Topology oracle =
-      surviving_core(t, schedule, result.elapsed, mapper_host);
+  // Theorem 1's N - F, with N the mapper's component of what survived.
+  const Topology oracle = topo::core(
+      topo::component_of(schedule.surviving(t, result.elapsed), mapper_host));
   EXPECT_TRUE(topo::isomorphic(result.map, oracle));
   EXPECT_TRUE(result.partial);
 }

@@ -380,14 +380,8 @@ TEST(PropertyEndToEnd, SeveredSubclusterAlwaysMapsToTheSurvivingCore) {
     ASSERT_TRUE(result.converged) << "trial " << trial;
     EXPECT_FALSE(result.map.find_host("tail-h").has_value())
         << "trial " << trial;
-    Topology alive = schedule.surviving(t, result.elapsed);
-    std::vector<int> component;
-    topo::components(alive, component);
-    for (const NodeId n : alive.nodes()) {
-      if (component[n] != component[mapper_host]) {
-        alive.remove_node(n);
-      }
-    }
+    const Topology alive = topo::component_of(
+        schedule.surviving(t, result.elapsed), mapper_host);
     EXPECT_TRUE(topo::isomorphic(result.map, topo::core(alive)))
         << "trial " << trial;
   }

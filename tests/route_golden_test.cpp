@@ -124,21 +124,6 @@ std::vector<topo::WireId> parallel_trunk_cables(const topo::Topology& t) {
   return cables;
 }
 
-/// The component a mapper on the first host would discover, compacted —
-/// what `sanmap lint` routes over.
-topo::Topology routable_part(const topo::Topology& fabric) {
-  topo::Topology local = fabric;
-  std::vector<int> component;
-  topo::components(local, component);
-  const topo::NodeId anchor = local.hosts().front();
-  for (const topo::NodeId n : local.nodes()) {
-    if (component[n] != component[anchor]) {
-      local.remove_node(n);
-    }
-  }
-  return local.compacted();
-}
-
 void digest_variant(const topo::Topology& t, const Variant& v,
                     std::ostream& os) {
   os << "variant " << v.label << "\n";
@@ -274,7 +259,10 @@ void digest_variant(const topo::Topology& t, const Variant& v,
 }
 
 std::string digest(const std::string& name, const topo::Topology& fabric) {
-  const topo::Topology t = routable_part(fabric);
+  // The component a mapper on the first host would discover, compacted:
+  // what `sanmap lint` routes over.
+  const topo::Topology t =
+      topo::component_of(fabric, fabric.hosts().front()).compacted();
   std::ostringstream os;
   os << "# sanmap route golden v1\n";
   os << "case " << name << " switches " << t.num_switches() << " hosts "

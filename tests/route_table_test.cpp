@@ -141,20 +141,6 @@ void expect_both_orientations_match(const topo::Topology& t,
       label + " dfs");
 }
 
-/// The component a mapper on the first host would discover, compacted.
-topo::Topology routable_part(const topo::Topology& fabric) {
-  topo::Topology local = fabric;
-  std::vector<int> component;
-  topo::components(local, component);
-  const topo::NodeId anchor = local.hosts().front();
-  for (const topo::NodeId n : local.nodes()) {
-    if (component[n] != component[anchor]) {
-      local.remove_node(n);
-    }
-  }
-  return local.compacted();
-}
-
 std::size_t max_channel_load(const topo::Topology& t,
                              const routing::RoutingResult& routes) {
   const std::vector<std::size_t> load = routing::channel_loads(t, routes);
@@ -172,9 +158,11 @@ std::vector<std::pair<std::string, topo::Topology>> corpus() {
   std::sort(files.begin(), files.end());
   std::vector<std::pair<std::string, topo::Topology>> cases;
   for (const fs::path& path : files) {
-    cases.emplace_back(path.stem().string(),
-                       routable_part(verify::read_case_file(path.string())
-                                         .network));
+    // The component a mapper on the first host would discover, compacted.
+    const topo::Topology fabric = verify::read_case_file(path.string()).network;
+    cases.emplace_back(
+        path.stem().string(),
+        topo::component_of(fabric, fabric.hosts().front()).compacted());
   }
   return cases;
 }

@@ -3,6 +3,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "topology/generators.hpp"
@@ -67,43 +69,33 @@ TEST(Serialize, MalformedWireFails) {
                std::runtime_error);
 }
 
-TEST(Serialize, PortConflictReportsLineNumber) {
-  try {
-    from_text("host a\nhost b\nswitch s\nwire a 0 s 0\nwire b 0 s 0\n");
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos);
-  }
-}
-
-/// Parses `text` with `parse` and expects a runtime_error whose message
-/// begins with "<what> parse error at line <line>:".
+/// Parses `text` with `parse` and expects a runtime_error saying exactly
+/// `message`.
 template <typename Parse>
-void expect_refused_at(Parse parse, const std::string& text,
-                       const std::string& what, int line) {
+void expect_refusal(Parse parse, const std::string& text,
+                    const std::string& message) {
   try {
     parse(text);
     ADD_FAILURE() << "expected a parse error for:\n" << text;
   } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()).rfind(what + " parse error at line " +
-                                              std::to_string(line) + ":",
-                                          0),
-              0u)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()), message);
   }
 }
 
 TEST(Serialize, WiresTheModelForbidsAreRefusedWithTheirLine) {
-  // The Topology refuses each of these wires; the parser must say where.
-  for (const char* wire : {"wire t 8 s 1",     // switch ports are 0..7
-                           "wire a 1 t 0",     // a host has port 0 only
-                           "wire t -1 s 1",    // no negative ports
-                           "wire t 0 a 0",     // a second wire on the host
-                           "wire s 3 s 3"}) {  // a port wired to itself
-    expect_refused_at(from_text,
-                      "host a\nswitch s\nswitch t\nwire a 0 s 0\n" +
-                          std::string(wire) + "\n",
-                      "topology", 5);
+  // The reader checks each wire before the Topology sees it, so it says
+  // where and why in its own words: no internal check, no source path.
+  for (const auto& [wire, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"wire t 8 s 1", "port 8 out of range on t (ports 0..7)"},
+           {"wire a 1 t 0", "port 1 out of range on a (ports 0..0)"},
+           {"wire t -1 s 1", "port -1 out of range on t (ports 0..7)"},
+           {"wire t 0 a 0", "port 0 of a is already wired"},
+           {"wire t 1 s 0", "port 0 of s is already wired"},
+           {"wire s 3 s 3", "wire connects port 3 of s to itself"}}) {
+    expect_refusal(from_text,
+                   "host a\nswitch s\nswitch t\nwire a 0 s 0\n" + wire + "\n",
+                   "topology parse error at line 5: " + message);
   }
 }
 
@@ -160,35 +152,50 @@ TEST(Dot, ReadDotRejectsForeignStatementsWithALineNumber) {
   }
 }
 
-void expect_dot_refused_at(const std::string& text, int line) {
-  expect_refused_at(dot_from_text, text, "dot", line);
-}
-
-/// A host n0 and a switch n1 in sanmap's dot dialect, then `edges`.
-std::string dot_with(const std::string& edges) {
-  return "graph sanmap {\n"
-         "  n0 [shape=box, label=\"a\"];\n"
-         "  n1 [shape=record, label=\"s | <p0> 0 | <p1> 1\"];\n" +
-         edges + "}\n";
+/// A host n0 and a switch n1 in sanmap's dot dialect, then `edges`, must be
+/// refused at `line` saying `message`.
+void expect_dot_refused(const std::string& edges, int line,
+                        const std::string& message) {
+  expect_refusal(dot_from_text,
+                 "graph sanmap {\n"
+                 "  n0 [shape=box, label=\"a\"];\n"
+                 "  n1 [shape=record, label=\"s | <p0> 0 | <p1> 1\"];\n" +
+                     edges + "}\n",
+                 "dot parse error at line " + std::to_string(line) + ": " +
+                     message);
 }
 
 TEST(Dot, OutOfRangePortsAreRefusedNotWrapped) {
+  expect_dot_refused("  n0 -- n1:p8;\n", 4,
+                     "port 8 out of range on s (ports 0..7)");
   // 4294967298 is 2^32 + 2: a narrowing cast read it as port 2.
-  for (const char* port : {"p8", "p4294967298", "p99999999999999999999"}) {
-    expect_dot_refused_at(dot_with("  n0 -- n1:" + std::string(port) + ";\n"),
-                          4);
+  for (const std::string port : {"p4294967298", "p99999999999999999999"}) {
+    expect_dot_refused("  n0 -- n1:" + port + ";\n", 4,
+                       "port number out of range in " + port);
   }
 }
 
 TEST(Dot, MalformedPortIsRefused) {
-  for (const char* port : {"px", "p", "p-1", "p+1", "p4x", "q4"}) {
-    expect_dot_refused_at(dot_with("  n0 -- n1:" + std::string(port) + ";\n"),
-                          4);
+  for (const std::string port : {"px", "p", "p-1", "p+1", "p4x", "q4"}) {
+    expect_dot_refused("  n0 -- n1:" + port + ";\n", 4,
+                       "malformed port reference " + port);
   }
 }
 
-TEST(Dot, DuplicateHostLabelIsRefused) {
-  expect_dot_refused_at(dot_with("  n2 [shape=box, label=\"a\"];\n"), 4);
+TEST(Dot, WiresTheModelForbidsAreRefusedWithTheirLine) {
+  expect_dot_refused("  n1:p1 -- n1:p1;\n", 4,
+                     "wire connects port 1 of s to itself");
+  expect_dot_refused("  n0 -- n1:p0;\n  n1:p1 -- n1:p0;\n", 5,
+                     "port 0 of s is already wired");
+}
+
+TEST(Dot, DuplicateOrEmptyHostLabelIsRefused) {
+  expect_dot_refused("  n2 [shape=box, label=\"a\"];\n", 4,
+                     "duplicate host name: a");
+  // An empty label would get the Topology's generated name, which another
+  // label may already hold.
+  expect_dot_refused("  n2 [shape=box, label=\"\"];\n", 4,
+                     "node n2 has an empty label");
 }
 
 }  // namespace

@@ -178,21 +178,6 @@ Verdicts expect_equivalent(const topo::Topology& t,
   return expect_equivalent(t, routes, analysis::legality_labels(t, routes));
 }
 
-/// The component a mapper on the first host would discover, compacted —
-/// what `sanmap lint` routes over.
-topo::Topology routable_part(const topo::Topology& fabric) {
-  topo::Topology local = fabric;
-  std::vector<int> component;
-  topo::components(local, component);
-  const topo::NodeId anchor = local.hosts().front();
-  for (const topo::NodeId n : local.nodes()) {
-    if (component[n] != component[anchor]) {
-      local.remove_node(n);
-    }
-  }
-  return local.compacted();
-}
-
 /// Rewrites the entries toward every third destination so that the walk
 /// from one far source's switch loops between it and a neighbour, and
 /// clears one state's entry toward every fifth: loops the structure lints
@@ -276,8 +261,11 @@ TEST(TableCheck, MatchesTheWalkOnEveryCorpusCase) {
   ASSERT_FALSE(cases.empty());
   for (const fs::path& path : cases) {
     SCOPED_TRACE(path.filename().string());
+    // The component a mapper on the first host would discover, compacted:
+    // what `sanmap lint` routes over.
+    const topo::Topology fabric = verify::read_case_file(path.string()).network;
     const topo::Topology t =
-        routable_part(verify::read_case_file(path.string()).network);
+        topo::component_of(fabric, fabric.hosts().front()).compacted();
     if (t.num_switches() == 0 || t.num_hosts() < 2) {
       continue;
     }
@@ -333,7 +321,8 @@ TEST(TableCheck, MatchesTheWalkAcrossManyBlocks) {
   fabrics.push_back({"tail-450", topo::with_switch_tail(180, 250, 16, rng)});
   for (const Fabric& fabric : fabrics) {
     SCOPED_TRACE(fabric.name);
-    const topo::Topology t = routable_part(fabric.t);
+    const topo::Topology t =
+        topo::component_of(fabric.t, fabric.t.hosts().front()).compacted();
     ASSERT_GT(t.num_hosts(), 64u);
     const auto clean =
         routing::compute_routes(t, routing::EngineKind::kUpDown, {}, 3);

@@ -79,6 +79,29 @@ TEST(ScenarioCase, RejectsMalformedText) {
   EXPECT_THROW((void)no_host.mapper_node(), std::runtime_error);
 }
 
+TEST(ScenarioCase, RefusesWhatItCannotBuildInItsOwnWords) {
+  // A bad wire is refused by the topology reader, a flap the schedule
+  // cannot play by the case reader: no internal check either way.
+  const std::string head =
+      "# sanmap case v1\ncase c\ntopology\nswitch a\nswitch b\n";
+  for (const auto& [tail, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"wire a 8 b 0\nend\n",
+            "in topology section: topology parse error at line 3: port 8 "
+            "out of range on a (ports 0..7)"},
+           {"wire a 0 b 0\nend\nfault flap a 0 b 0 0 0.5 0\n",
+            ": flap period must be positive"},
+           {"wire a 0 b 0\nend\nfault flap a 0 b 0 100 1.5 0\n",
+            ": flap duty must be in [0, 1]"}}) {
+    try {
+      case_from_text(head + tail);
+      ADD_FAILURE() << "expected a parse error for " << tail;
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string(e.what()).ends_with(message)) << e.what();
+    }
+  }
+}
+
 TEST(CaseSeed, DeterministicAndSpread) {
   std::set<std::uint64_t> seen;
   for (int trial = 0; trial < 64; ++trial) {

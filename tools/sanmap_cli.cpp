@@ -2,10 +2,10 @@
 //
 //   sanmap gen    --topology now|now-c|now-a|now-b|hypercube|mesh|torus|
 //                             ring|star|fattree|multipod|random [shape flags]
-//                 [--out FILE]
+//                 [--case] [--out FILE]
 //   sanmap info   --in FILE [--mapper HOST]
 //   sanmap map    --in FILE [--mapper HOST] [--algorithm berkeley|labeled|
-//                             myricom|identity|randomized]
+//                             myricom|identity|randomized] [--previous FILE]
 //                 [--federate SPEC [--overlap N]]
 //                 [--collision cut-through|circuit] [--out FILE]
 //   sanmap routes --in FILE [--root NAME] [--sample N]
@@ -18,15 +18,17 @@
 //   sanmap serve  --in FILE [--master HOST] [--ticks N] [--interval-ms M]
 //                 [--federate SPEC [--overlap N]]
 //                 [--engine updown|dfs] [--optimize]
-//                 [--faults SPEC | --churn SPEC [--churn-seed N]]
-//                 [--snapshot-out FILE]
+//                 [--churn SPEC [--churn-seed N]] [--snapshot-out FILE]
 //   sanmap query  --snapshot FILE [--src HOST --dst HOST] [--sample N]
 //
-// Files use the "sanmap topology v1" text format (see
-// src/topology/serialize.hpp); "-" means stdin/stdout.
+// Every --in (and map --previous) reads a "sanmap topology v1" file, a
+// `sanmap dot` export or a .sancase scenario, told apart by content; "-"
+// means stdin/stdout. A case's mapper line is the default --mapper/--master,
+// and serve plays its fault lines against the fabric.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 
@@ -64,15 +66,33 @@ namespace {
 
 using namespace sanmap;
 
-topo::Topology read_input(const std::string& path) {
+// Reads one input (file path or "-" for stdin) and dispatches on content,
+// not extension, so piped stdin works the same as files: a .sancase
+// scenario, a to_dot export, or a topology v1 file. A bare fabric is a case
+// with no mapper line and no faults.
+verify::ScenarioCase load_case(const std::string& path) {
+  std::ostringstream buffer;
   if (path == "-") {
-    return topo::read_topology(std::cin);
+    buffer << std::cin.rdbuf();
+  } else {
+    std::ifstream file(path);
+    if (!file) {
+      throw std::runtime_error("cannot open " + path);
+    }
+    buffer << file.rdbuf();
   }
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
+  std::istringstream in(std::move(buffer).str());
+  const std::string_view text = in.view();
+  if (text.starts_with("# sanmap case v1")) {
+    return verify::read_case(in);
   }
-  return topo::read_topology(in);
+  const auto first = text.find_first_not_of(" \t\r\n");
+  verify::ScenarioCase input;
+  input.network = first != std::string::npos &&
+                          text.substr(first).starts_with("graph")
+                      ? topo::read_dot(in)
+                      : topo::read_topology(in);
+  return input;
 }
 
 void write_output(const std::string& path, const std::string& content) {
@@ -88,16 +108,13 @@ void write_output(const std::string& path, const std::string& content) {
   std::cerr << "wrote " << path << "\n";
 }
 
-routing::EngineKind parse_engine_flag(const std::string& name) {
-  const auto kind = routing::parse_engine(name);
-  if (!kind) {
-    throw std::runtime_error("unknown routing engine " + name +
-                             " (expected updown or dfs)");
+// The mapper (or master) host: the named one, else the case's mapper line,
+// else the NOW cluster's C.util, else the first host.
+topo::NodeId pick_mapper(const verify::ScenarioCase& input, std::string name) {
+  const topo::Topology& t = input.network;
+  if (name.empty()) {
+    name = input.mapper_host;
   }
-  return *kind;
-}
-
-topo::NodeId pick_mapper(const topo::Topology& t, const std::string& name) {
   if (!name.empty()) {
     const auto host = t.find_host(name);
     if (!host) {
@@ -112,6 +129,52 @@ topo::NodeId pick_mapper(const topo::Topology& t, const std::string& name) {
     throw std::runtime_error("topology has no hosts to map from");
   }
   return t.hosts().front();
+}
+
+// The first host's component, compacted: the map `routes` and `lint` route
+// over, as a mapper there would discover it.
+topo::Topology routed_component(const topo::Topology& fabric) {
+  if (fabric.num_hosts() == 0) {
+    throw std::runtime_error("topology has no hosts to route between");
+  }
+  return topo::component_of(fabric, fabric.hosts().front()).compacted();
+}
+
+// The routing flags `routes`, `lint` and `serve` share, and what they ask
+// for with the root resolved in one fabric.
+void define_route_flags(common::Flags& flags) {
+  flags.define("root", "",
+               "UP*/DOWN* root switch name (default: farthest from hosts)");
+  flags.define("seed", "1", "route load-balance seed");
+  flags.define("engine", "updown", "routing engine: updown|dfs");
+  flags.define("optimize", "false",
+               "run the skew/funnel route optimizer over every table");
+}
+
+struct RouteFlags : service::SnapshotOptions {
+  routing::UpDownOptions options;
+};
+
+// An unknown root is refused here, before anything is routed or probed.
+RouteFlags route_flags(const common::Flags& flags, const topo::Topology& t,
+                       const std::string& where = "") {
+  RouteFlags route;
+  route.root_name = flags.get("root");
+  if (!route.root_name.empty()) {
+    route.options.root = t.find_switch(route.root_name);
+    if (!route.options.root) {
+      throw std::runtime_error("no switch named " + route.root_name + where);
+    }
+  }
+  const auto engine = routing::parse_engine(flags.get("engine"));
+  if (!engine) {
+    throw std::runtime_error("unknown routing engine " + flags.get("engine") +
+                             " (expected updown or dfs)");
+  }
+  route.engine = *engine;
+  route.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  route.optimize = flags.get_bool("optimize");
+  return route;
 }
 
 int cmd_gen(int argc, const char* const* argv) {
@@ -143,7 +206,10 @@ int cmd_gen(int argc, const char* const* argv) {
     return 0;
   }
   const std::string kind = flags.get("topology");
-  const int hosts = static_cast<int>(flags.get_int("hosts"));
+  const auto arg = [&](const char* name) {
+    return static_cast<int>(flags.get_int(name));
+  };
+  const int hosts = arg("hosts");
   topo::Topology t;
   if (kind == "now") {
     t = topo::now_cluster();
@@ -154,45 +220,39 @@ int cmd_gen(int argc, const char* const* argv) {
   } else if (kind == "now-b") {
     t = topo::now_subcluster(topo::Subcluster::kB, "B");
   } else if (kind == "hypercube") {
-    t = topo::hypercube(static_cast<int>(flags.get_int("dim")), hosts);
+    t = topo::hypercube(arg("dim"), hosts);
   } else if (kind == "mesh") {
-    t = topo::mesh(static_cast<int>(flags.get_int("width")),
-                   static_cast<int>(flags.get_int("height")), hosts);
+    t = topo::mesh(arg("width"), arg("height"), hosts);
   } else if (kind == "torus") {
-    t = topo::torus(static_cast<int>(flags.get_int("width")),
-                    static_cast<int>(flags.get_int("height")), hosts);
+    t = topo::torus(arg("width"), arg("height"), hosts);
   } else if (kind == "ring") {
-    t = topo::ring(static_cast<int>(flags.get_int("switches")), hosts);
+    t = topo::ring(arg("switches"), hosts);
   } else if (kind == "star") {
-    t = topo::star(static_cast<int>(flags.get_int("switches")) % 9, hosts);
+    t = topo::star(arg("switches") % 9, hosts);
   } else if (kind == "fattree") {
     t = topo::fat_tree({});
   } else if (kind == "multipod") {
     topo::MultiPodOptions options;
-    options.pods = static_cast<int>(flags.get_int("pods"));
-    options.leaf_switches_per_pod =
-        static_cast<int>(flags.get_int("pod-leaves"));
+    options.pods = arg("pods");
+    options.leaf_switches_per_pod = arg("pod-leaves");
     options.hosts_per_leaf = hosts;
     t = topo::multi_pod(options);
   } else if (kind == "random") {
     common::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
-    t = topo::random_irregular(
-        static_cast<int>(flags.get_int("switches")),
-        static_cast<int>(flags.get_int("random-hosts")),
-        static_cast<int>(flags.get_int("extra-links")), rng);
+    t = topo::random_irregular(arg("switches"), arg("random-hosts"),
+                               arg("extra-links"), rng);
   } else if (kind == "megafattree") {
     topo::MegaFatTreeOptions options;
-    options.levels = static_cast<int>(flags.get_int("levels"));
-    options.leaf_switches = static_cast<int>(flags.get_int("leaves"));
-    options.taper = static_cast<int>(flags.get_int("taper"));
+    options.levels = arg("levels");
+    options.leaf_switches = arg("leaves");
+    options.taper = arg("taper");
     options.hosts_per_leaf = hosts;
     t = topo::mega_fat_tree(options);
   } else if (kind == "dragonfly") {
     topo::DragonflyishOptions options;
-    options.groups = static_cast<int>(flags.get_int("groups"));
-    options.switches_per_group =
-        static_cast<int>(flags.get_int("group-switches"));
-    options.hosts_per_group = static_cast<int>(flags.get_int("group-hosts"));
+    options.groups = arg("groups");
+    options.switches_per_group = arg("group-switches");
+    options.hosts_per_group = arg("group-hosts");
     common::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
     t = topo::dragonfly_ish(options, rng);
   } else {
@@ -211,12 +271,13 @@ int cmd_gen(int argc, const char* const* argv) {
 
 int cmd_info(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-", "input topology file");
+  flags.define("in", "-", "input fabric");
   flags.define("mapper", "", "mapper host name (for Q / search depth)");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
-  const topo::Topology t = read_input(flags.get("in"));
+  const verify::ScenarioCase input = load_case(flags.get("in"));
+  const topo::Topology& t = input.network;
   std::cout << "hosts        : " << t.num_hosts() << "\n";
   std::cout << "switches     : " << t.num_switches() << "\n";
   std::cout << "links        : " << t.num_wires() << "\n";
@@ -226,10 +287,11 @@ int cmd_info(int argc, const char* const* argv) {
   // rest. A --mapper naming no host still fails after |F|, below.
   const bool q_defined =
       connected && t.num_hosts() >= 2 && t.num_switches() >= 1;
-  const std::string mapper_name = flags.get("mapper");
+  const std::string mapper_name =
+      flags.get("mapper").empty() ? input.mapper_host : flags.get("mapper");
   std::optional<topo::QAndDiameter> q_and_d;
   if (q_defined && (mapper_name.empty() || t.find_host(mapper_name))) {
-    q_and_d = topo::q_and_diameter(t, pick_mapper(t, mapper_name));
+    q_and_d = topo::q_and_diameter(t, pick_mapper(input, mapper_name));
   }
   if (connected && t.num_nodes() > 0) {
     std::cout << "diameter     : "
@@ -242,8 +304,8 @@ int cmd_info(int argc, const char* const* argv) {
   std::cout << "|F|          : " << f_count
             << " (nodes behind switch-bridges; the mappable core is N-F)\n";
   if (q_defined) {
-    const topo::NodeId mapper = pick_mapper(t, mapper_name);
-    std::cout << "mapper       : " << t.name(mapper) << "\n";
+    std::cout << "mapper       : " << t.name(pick_mapper(input, mapper_name))
+              << "\n";
     std::cout << "Q            : " << q_and_d->q << "\n";
     std::cout << "search depth : " << q_and_d->q + q_and_d->diameter + 1
               << " (Q + D + 1)\n";
@@ -254,23 +316,19 @@ int cmd_info(int argc, const char* const* argv) {
 // Shared by `map --federate` and `serve --federate`: run the full sharded
 // pipeline (partition, concurrent region sessions, boundary resolution,
 // route recomputation, certification) and narrate it.
-federation::FederatedResult run_federated(const topo::Topology& t,
-                                          const std::string& spec,
-                                          int overlap_margin,
-                                          const std::string& root_name,
-                                          std::uint64_t route_seed,
-                                          routing::EngineKind engine,
-                                          bool optimize,
+federation::FederatedResult run_federated(const common::Flags& flags,
+                                          const topo::Topology& t,
+                                          const RouteFlags& route,
                                           const simnet::FaultSchedule* faults,
                                           simnet::CollisionModel collision) {
   federation::FederationConfig config;
-  config.spec = federation::parse_federation_spec(spec);
-  config.partition.overlap_margin = overlap_margin;
+  config.spec = federation::parse_federation_spec(flags.get("federate"));
+  config.partition.overlap_margin = static_cast<int>(flags.get_int("overlap"));
   config.collision = collision;
-  config.root_name = root_name;
-  config.route_seed = route_seed;
-  config.engine = engine;
-  config.optimize = optimize;
+  config.root_name = route.root_name;
+  config.route_seed = route.route_seed;
+  config.engine = route.engine;
+  config.optimize = route.optimize;
   config.faults = faults;
   federation::FederatedMapper federated(t, config);
 
@@ -304,9 +362,25 @@ federation::FederatedResult run_federated(const topo::Topology& t,
   return result;
 }
 
+// One mapping run, whichever algorithm produced it: what `map` prints,
+// verifies and writes.
+struct Mapped {
+  topo::Topology map;
+  std::uint64_t probes = 0;
+  common::SimTime elapsed;
+  bool expects_full_n = false;  // identity/myricom map N, others N - F
+  bool certified = true;        // a federated map's certificate
+};
+
+template <typename Result>
+Mapped mapped(Result result, bool expects_full_n = false) {
+  return {std::move(result.map), result.probes.total(), result.elapsed,
+          expects_full_n};
+}
+
 int cmd_map(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-", "input topology file");
+  flags.define("in", "-", "input fabric");
   flags.define("mapper", "", "mapper host name");
   flags.define("algorithm", "berkeley",
                "berkeley|labeled|myricom|identity|randomized");
@@ -324,113 +398,85 @@ int cmd_map(int argc, const char* const* argv) {
   if (!flags.parse(argc, argv)) {
     return 0;
   }
-  const topo::Topology t = read_input(flags.get("in"));
+  verify::ScenarioCase input = load_case(flags.get("in"));
+  const topo::NodeId mapper = pick_mapper(input, flags.get("mapper"));
+  // A mapper discovers its own component; it is bounded and verified there.
+  input.network = topo::component_of(input.network, mapper);
+  const topo::Topology& t = input.network;
   const auto collision = flags.get("collision") == "circuit"
                              ? simnet::CollisionModel::kCircuit
                              : simnet::CollisionModel::kCutThrough;
-
-  if (!flags.get("federate").empty()) {
-    const federation::FederatedResult result = run_federated(
-        t, flags.get("federate"), static_cast<int>(flags.get_int("overlap")),
-        /*root_name=*/"", /*route_seed=*/1, routing::EngineKind::kUpDown,
-        /*optimize=*/false, /*faults=*/nullptr, collision);
-    if (flags.get_bool("verify")) {
-      const bool ok = topo::isomorphic(result.map, topo::core(t));
-      std::cerr << "verified  : "
-                << (ok ? "isomorphic to the ground truth" : "MISMATCH")
-                << "\n";
-      if (!ok) {
-        return 1;
-      }
-    }
-    if (const std::string out = flags.get("out"); !out.empty()) {
-      write_output(out, topo::to_text(result.map));
-    }
-    return result.certified ? 0 : 1;
-  }
-
-  const topo::NodeId mapper = pick_mapper(t, flags.get("mapper"));
   const std::string algorithm = flags.get("algorithm");
+  const bool federated = !flags.get("federate").empty();
 
-  simnet::HardwareExtensions ext;
-  ext.self_identifying_switches = algorithm == "identity";
-  ext.hosts_answer_early_hits = algorithm == "randomized";
-  simnet::Network net(t, collision, simnet::CostModel{},
-                      simnet::FaultModel{}, 1, ext);
-  probe::ProbeEngine engine(net, mapper);
-
-  topo::Topology map;
-  std::uint64_t probes = 0;
-  common::SimTime elapsed;
-  bool expects_full_n = false;  // identity/myricom map N, others N - F
-  if (!flags.get("previous").empty()) {
-    if (algorithm != "berkeley") {
-      throw std::runtime_error("--previous works with --algorithm berkeley");
-    }
-    mapper::IncrementalConfig config;
-    config.base.search_depth = topo::search_depth(t, mapper);
-    const auto result =
-        mapper::IncrementalMapper(engine, read_input(flags.get("previous")),
-                                  config)
-            .run();
-    std::cerr << "verify    : " << result.verification_probes
-              << " probes, "
-              << (result.unchanged
-                      ? "map unchanged"
-                      : std::to_string(result.findings.size()) +
-                            " discrepancies repaired")
-              << "\n";
-    for (const mapper::Discrepancy& d : result.findings) {
-      std::cerr << "            - " << d.detail << "\n";
-    }
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-  } else if (algorithm == "berkeley" || algorithm == "labeled") {
-    mapper::MapperConfig config;
-    config.search_depth = topo::search_depth(t, mapper);
-    const auto result =
-        algorithm == "labeled"
-            ? mapper::LabeledMapper(engine, config).run()
-            : mapper::BerkeleyMapper(engine, config).run();
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-  } else if (algorithm == "randomized") {
-    mapper::RandomizedConfig config;
-    config.base.search_depth = topo::search_depth(t, mapper);
-    config.wild_probes = static_cast<int>(t.num_hosts()) * 4;
-    const auto result = mapper::RandomizedMapper(engine, config).run();
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-  } else if (algorithm == "identity") {
-    const auto result = mapper::IdMapper(engine).run();
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-    expects_full_n = true;
-  } else if (algorithm == "myricom") {
-    const auto result = myricom::MyricomMapper(net, mapper).run();
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-    expects_full_n = true;
+  Mapped m;
+  if (federated) {
+    federation::FederatedResult result =
+        run_federated(flags, t, RouteFlags{}, /*faults=*/nullptr, collision);
+    m = {std::move(result.map), result.total_probes, result.elapsed,
+         /*expects_full_n=*/false, result.certified};
   } else {
-    throw std::runtime_error("unknown algorithm: " + algorithm);
+    simnet::HardwareExtensions ext;
+    ext.self_identifying_switches = algorithm == "identity";
+    ext.hosts_answer_early_hits = algorithm == "randomized";
+    simnet::Network net(t, collision, simnet::CostModel{},
+                        simnet::FaultModel{}, 1, ext);
+    probe::ProbeEngine engine(net, mapper);
+    const auto depth = [&] { return topo::search_depth(t, mapper); };
+    if (!flags.get("previous").empty()) {
+      if (algorithm != "berkeley") {
+        throw std::runtime_error("--previous works with --algorithm berkeley");
+      }
+      mapper::IncrementalConfig config;
+      config.base.search_depth = depth();
+      mapper::IncrementalResult result =
+          mapper::IncrementalMapper(
+              engine, load_case(flags.get("previous")).network, config)
+              .run();
+      std::cerr << "verify    : " << result.verification_probes
+                << " probes, "
+                << (result.unchanged
+                        ? "map unchanged"
+                        : std::to_string(result.findings.size()) +
+                              " discrepancies repaired")
+                << "\n";
+      for (const mapper::Discrepancy& d : result.findings) {
+        std::cerr << "            - " << d.detail << "\n";
+      }
+      m = mapped(std::move(result));
+    } else if (algorithm == "berkeley" || algorithm == "labeled") {
+      mapper::MapperConfig config;
+      config.search_depth = depth();
+      m = algorithm == "labeled"
+              ? mapped(mapper::LabeledMapper(engine, config).run())
+              : mapped(mapper::BerkeleyMapper(engine, config).run());
+    } else if (algorithm == "randomized") {
+      mapper::RandomizedConfig config;
+      config.base.search_depth = depth();
+      config.wild_probes = static_cast<int>(t.num_hosts()) * 4;
+      m = mapped(mapper::RandomizedMapper(engine, config).run());
+    } else if (algorithm == "identity") {
+      m = mapped(mapper::IdMapper(engine).run(), /*expects_full_n=*/true);
+    } else if (algorithm == "myricom") {
+      m = mapped(myricom::MyricomMapper(net, mapper).run(),
+                 /*expects_full_n=*/true);
+    } else {
+      throw std::runtime_error("unknown algorithm: " + algorithm);
+    }
   }
 
-  std::cerr << "algorithm : " << algorithm << " (" << to_string(collision)
-            << ")\n";
-  std::cerr << "mapped    : " << map.num_hosts() << " hosts, "
-            << map.num_switches() << " switches, " << map.num_wires()
-            << " links\n";
-  std::cerr << "probes    : " << probes << "\n";
-  std::cerr << "time      : " << elapsed.str() << " (simulated)\n";
+  if (!federated) {  // run_federated narrated the merged map already
+    std::cerr << "algorithm : " << algorithm << " (" << to_string(collision)
+              << ")\n";
+    std::cerr << "mapped    : " << m.map.num_hosts() << " hosts, "
+              << m.map.num_switches() << " switches, " << m.map.num_wires()
+              << " links\n";
+    std::cerr << "probes    : " << m.probes << "\n";
+    std::cerr << "time      : " << m.elapsed.str() << " (simulated)\n";
+  }
   if (flags.get_bool("verify")) {
-    const bool ok = expects_full_n
-                        ? topo::isomorphic(map, t)
-                        : topo::isomorphic(map, topo::core(t));
+    const bool ok = m.expects_full_n ? topo::isomorphic(m.map, t)
+                                     : topo::isomorphic(m.map, topo::core(t));
     std::cerr << "verified  : "
               << (ok ? "isomorphic to the ground truth" : "MISMATCH")
               << "\n";
@@ -439,9 +485,9 @@ int cmd_map(int argc, const char* const* argv) {
     }
   }
   if (const std::string out = flags.get("out"); !out.empty()) {
-    write_output(out, topo::to_text(map));
+    write_output(out, topo::to_text(m.map));
   }
-  return 0;
+  return m.certified ? 0 : 1;
 }
 
 // The first `count` routes in key order, walked one by one.
@@ -467,29 +513,22 @@ common::Table route_sample(const topo::Topology& t,
 
 int cmd_routes(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-", "input topology file (typically a mapped one)");
-  flags.define("root", "", "UP*/DOWN* root switch name (default: farthest "
-                           "from hosts)");
+  flags.define("in", "-", "input fabric (typically a mapped one)");
   flags.define("sample", "10", "sample routes to print");
-  flags.define("seed", "1", "load-balance seed");
-  flags.define("engine", "updown", "routing engine: updown|dfs");
-  flags.define("optimize", "false",
-               "run the skew/funnel route optimizer over the table");
+  define_route_flags(flags);
   if (!flags.parse(argc, argv)) {
     return 0;
   }
-  const topo::Topology t = read_input(flags.get("in"));
-  routing::UpDownOptions options;
-  if (const std::string root = flags.get("root"); !root.empty()) {
-    options.root = t.find_switch(root);
-    if (!options.root) {
-      throw std::runtime_error("no switch named " + root);
-    }
+  const topo::Topology t =
+      routed_component(load_case(flags.get("in")).network);
+  const RouteFlags route = route_flags(flags, t);
+  if (t.num_switches() == 0) {
+    throw std::runtime_error("the first host's component has no switch to "
+                             "route through");
   }
-  const routing::EngineKind engine = parse_engine_flag(flags.get("engine"));
   routing::RoutingResult routes = routing::compute_routes(
-      t, engine, options, static_cast<std::uint64_t>(flags.get_int("seed")));
-  if (flags.get_bool("optimize")) {
+      t, route.engine, route.options, route.route_seed);
+  if (route.optimize) {
     const routing::OptimizerReport opt = routing::optimize_routes(t, routes);
     std::cout << "optimizer     : max channel load " << opt.max_load_before
               << " -> " << opt.max_load_after << " (" << opt.path_moves
@@ -498,7 +537,7 @@ int cmd_routes(int argc, const char* const* argv) {
   }
   const analysis::DeadlockCertificate certificate =
       analysis::build_deadlock_certificate(t, routes);
-  std::cout << "engine        : " << routing::to_string(engine) << "\n";
+  std::cout << "engine        : " << routing::to_string(route.engine) << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
   const routing::HopSummary hops = routes.hop_summary();
@@ -515,79 +554,14 @@ int cmd_routes(int argc, const char* const* argv) {
   return certificate.deadlock_free ? 0 : 1;
 }
 
-// Parses a --faults spec: comma-separated timeline events over the input
-// topology, e.g. "link-down:4@150,node-down:h3@200,flap:7@64x0.5".
-//   link-down:<wire-id>@<ms>      link-up:<wire-id>@<ms>
-//   node-down:<name>@<ms>         node-up:<name>@<ms>
-//   flap:<wire-id>@<period-ms>x<duty>
-simnet::FaultSchedule parse_faults(const std::string& spec,
-                                   const topo::Topology& t) {
-  simnet::FaultSchedule schedule;
-  if (spec.empty()) {
-    return schedule;
-  }
-  const auto node_by_name = [&](const std::string& name) {
-    for (const topo::NodeId n : t.nodes()) {
-      if (t.name(n) == name) {
-        return n;
-      }
-    }
-    throw std::runtime_error("faults: no node named " + name);
-  };
-  std::stringstream events(spec);
-  std::string event;
-  while (std::getline(events, event, ',')) {
-    const auto colon = event.find(':');
-    const auto at = event.find('@');
-    if (colon == std::string::npos || at == std::string::npos || at < colon) {
-      throw std::runtime_error("faults: malformed event " + event);
-    }
-    const std::string kind = event.substr(0, colon);
-    const std::string target = event.substr(colon + 1, at - colon - 1);
-    const std::string when = event.substr(at + 1);
-    if (kind == "flap") {
-      const auto x = when.find('x');
-      if (x == std::string::npos) {
-        throw std::runtime_error("faults: flap needs <period-ms>x<duty>");
-      }
-      schedule.flapping_link(
-          static_cast<topo::WireId>(std::stoul(target)),
-          common::SimTime::ms(std::stoll(when.substr(0, x))),
-          std::stod(when.substr(x + 1)));
-      continue;
-    }
-    const common::SimTime instant = common::SimTime::ms(std::stoll(when));
-    if (kind == "link-down") {
-      schedule.link_down(static_cast<topo::WireId>(std::stoul(target)),
-                         instant);
-    } else if (kind == "link-up") {
-      schedule.link_up(static_cast<topo::WireId>(std::stoul(target)), instant);
-    } else if (kind == "node-down") {
-      schedule.node_down(node_by_name(target), instant);
-    } else if (kind == "node-up") {
-      schedule.node_up(node_by_name(target), instant);
-    } else {
-      throw std::runtime_error("faults: unknown event kind " + kind);
-    }
-  }
-  return schedule;
-}
-
 int cmd_serve(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-", "input topology file (the live fabric)");
+  flags.define("in", "-",
+               "input fabric; a .sancase's fault lines play against it");
   flags.define("master", "", "mapper/master host name");
   flags.define("ticks", "10", "health-check cycles to run");
   flags.define("interval-ms", "50", "virtual time between checks");
-  flags.define("root", "", "UP*/DOWN* root switch name");
-  flags.define("seed", "1", "route load-balance seed");
-  flags.define("engine", "updown",
-               "routing engine for every published snapshot: updown|dfs");
-  flags.define("optimize", "false",
-               "run the skew/funnel route optimizer on every candidate");
-  flags.define("faults", "",
-               "fault timeline, e.g. link-down:4@150,node-down:h3@200,"
-               "flap:7@64x0.5");
+  define_route_flags(flags);
   flags.define("churn", "",
                "churn scenario, e.g. "
                "\"rolling(start=1s,every=5s,down=2s,count=4)\" — compiled "
@@ -603,58 +577,48 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!flags.parse(argc, argv)) {
     return 0;
   }
-  const topo::Topology t = read_input(flags.get("in"));
+  const verify::ScenarioCase input = load_case(flags.get("in"));
+  const topo::Topology& t = input.network;
   // An unknown root is refused before the first probe, as `routes` refuses
   // it: every snapshot would name it.
-  if (const std::string root = flags.get("root");
-      !root.empty() && !t.find_switch(root)) {
-    throw std::runtime_error("no switch named " + root);
+  const RouteFlags route = route_flags(flags, t);
+  const topo::NodeId master = pick_mapper(input, flags.get("master"));
+  if (!flags.get("churn").empty() && !input.quiescent()) {
+    throw std::runtime_error("the input's fault lines and --churn are "
+                             "exclusive (a churn scenario compiles its own "
+                             "timeline)");
   }
-  const topo::NodeId master = pick_mapper(t, flags.get("master"));
-  if (!flags.get("churn").empty() && !flags.get("faults").empty()) {
-    throw std::runtime_error("serve: --faults and --churn are exclusive "
-                             "(a churn scenario compiles its own timeline)");
-  }
-  const simnet::FaultSchedule schedule = parse_faults(flags.get("faults"), t);
+  // A fabric with no fault lines gets no schedule, so every send of a
+  // quiescent serve takes the simulator's resumed walk.
+  simnet::FaultSchedule schedule = input.schedule();
+  const simnet::FaultSchedule* faults =
+      input.quiescent() ? nullptr : &schedule;
 
   simnet::Network net(t);
-  if (flags.get("churn").empty()) {
-    net.attach_faults(&schedule);
-  }
+  net.attach_faults(faults);
   service::MapCatalog catalog;
   service::RefreshConfig config;
   config.master_name = t.name(master);
   config.check_interval =
       common::SimTime::ms(flags.get_int("interval-ms"));
-  config.root_name = flags.get("root");
-  config.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.engine = parse_engine_flag(flags.get("engine"));
-  config.optimize = flags.get_bool("optimize");
+  config.root_name = route.root_name;
+  config.route_seed = route.route_seed;
+  config.engine = route.engine;
+  config.optimize = route.optimize;
   service::RefreshLoop loop(net, catalog, config);
 
   if (!flags.get("federate").empty()) {
-    // Federated bootstrap: shard the fabric, map regions concurrently, and
-    // publish the certified merged model as epoch 1. The loop's own tick()
-    // only bootstraps an *empty* catalog, so it picks up from here with
-    // plain health checks — and its incremental/full remap rungs take over
-    // on any later breakage.
+    // Federated bootstrap: the certified merged map is epoch 1. The loop's
+    // tick() only bootstraps an *empty* catalog, so it carries on from here
+    // with health checks and, on any later breakage, its remap rungs.
     const federation::FederatedResult result = run_federated(
-        t, flags.get("federate"), static_cast<int>(flags.get_int("overlap")),
-        flags.get("root"),
-        static_cast<std::uint64_t>(flags.get_int("seed")), config.engine,
-        config.optimize, flags.get("churn").empty() ? &schedule : nullptr,
-        simnet::CollisionModel::kCutThrough);
+        flags, t, route, faults, simnet::CollisionModel::kCutThrough);
     if (!result.certified) {
       std::cerr << "bootstrap : REFUSED — uncertified merged map is not "
                    "publishable\n";
       return 1;
     }
-    service::SnapshotOptions snapshot_options;
-    snapshot_options.root_name = flags.get("root");
-    snapshot_options.route_seed =
-        static_cast<std::uint64_t>(flags.get_int("seed"));
-    snapshot_options.engine = config.engine;
-    snapshot_options.optimize = config.optimize;
+    service::SnapshotOptions snapshot_options = route;
     snapshot_options.source = "federated-bootstrap";
     const auto publish = catalog.publish(service::build_snapshot(
         result.map, snapshot_options, result.elapsed));
@@ -679,16 +643,15 @@ int cmd_serve(int argc, const char* const* argv) {
   // Churn clauses are anchored after bootstrap (the loop's clock only
   // starts once the fabric is mapped); the mapper host is immune, so the
   // scenario can never take the service's own seat away.
-  simnet::FaultSchedule churn_schedule;
   if (!flags.get("churn").empty()) {
     const simnet::ChurnSpec spec =
         simnet::parse_churn_spec(flags.get("churn"));
     const simnet::ChurnGenerator generator(
         spec.shifted(loop.now()),
         static_cast<std::uint64_t>(flags.get_int("churn-seed")));
-    churn_schedule = generator.compile(t, {master});
-    net.attach_faults(&churn_schedule);
-    std::cerr << "churn     : " << churn_schedule.events()
+    schedule = generator.compile(t, {master});
+    net.attach_faults(&schedule);
+    std::cerr << "churn     : " << schedule.events()
               << " fault events over "
               << spec.horizon(t.num_switches()).str()
               << " past bootstrap (seed " << flags.get_int("churn-seed")
@@ -778,70 +741,13 @@ int cmd_query(int argc, const char* const* argv) {
   return 0;
 }
 
-// Reads one lint input (file path or "-" for stdin) and dispatches on
-// content, not extension, so piped stdin works the same as files:
-// a .sancase scenario, a to_dot export, or a topology v1 file.
-topo::Topology read_lint_input(const std::string& path) {
-  std::string text;
-  {
-    std::ostringstream buffer;
-    if (path == "-") {
-      buffer << std::cin.rdbuf();
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        throw std::runtime_error("cannot open " + path);
-      }
-      buffer << in.rdbuf();
-    }
-    text = buffer.str();
-  }
-  if (text.rfind("# sanmap case v1", 0) == 0) {
-    return verify::case_from_text(text).network;
-  }
-  if (text.find_first_not_of(" \t\r\n") != std::string::npos &&
-      text.compare(text.find_first_not_of(" \t\r\n"), 5, "graph") == 0) {
-    return topo::dot_from_text(text);
-  }
-  return topo::from_text(text);
-}
-
-// The human-readable tail of a lint run (the --json path bypasses this).
-// Returns the report's exit code.
-int print_lint_result(const analysis::AnalysisResult& result) {
-  std::cout << result.report.text();
-  if (result.analyzed_routes) {
-    std::cout << "legality : " << result.routes
-              << " routes from root " << result.legality.root_name << ", "
-              << (result.legality.all_legal() ? "all legal"
-                                            : "ILLEGAL TURNS FOUND")
-              << "\n";
-    std::cout << "deadlock : "
-              << (result.deadlock.deadlock_free ? "acyclic" : "CYCLE") << " ("
-              << result.deadlock.channels << " channels, "
-              << result.deadlock.dependencies << " dependencies)\n";
-  }
-  std::cout << "verdict  : "
-            << (result.report.exit_code() == 0
-                    ? "clean"
-                    : result.report.exit_code() == 1 ? "warnings" : "ERRORS")
-            << "\n";
-  return result.report.exit_code();
-}
-
-// sanmap lint: the static analyzer's CLI face. Reads a topology v1 file,
-// a to_dot export, or a .sancase scenario (auto-detected), runs sanlint,
-// and exits with the report's max severity (0 clean/info, 1 warnings,
-// 2 errors).
+// sanmap lint: the static analyzer's CLI face. Runs sanlint over the input
+// fabric and exits with the report's max severity (0 clean/info,
+// 1 warnings, 2 errors).
 int cmd_lint(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-",
-               "input: topology v1, sanmap dot export, or .sancase");
-  flags.define("root", "", "UP*/DOWN* root switch name");
-  flags.define("seed", "1", "route load-balance seed");
-  flags.define("engine", "updown", "routing engine: updown|dfs");
-  flags.define("optimize", "false",
-               "run the skew/funnel route optimizer before linting");
+  flags.define("in", "-", "input fabric");
+  define_route_flags(flags);
   flags.define("json", "false", "emit the full report as JSON");
   flags.define("map-only", "false", "fabric lints only, skip the route phase");
   flags.define("hop-limit", "0", "warn on routes longer than this (0 = off)");
@@ -854,7 +760,7 @@ int cmd_lint(int argc, const char* const* argv) {
     return 0;
   }
 
-  topo::Topology fabric = read_lint_input(flags.get("in"));
+  const topo::Topology fabric = load_case(flags.get("in")).network;
 
   analysis::AnalyzerOptions options;
   options.lints.hop_limit = static_cast<int>(flags.get_int("hop-limit"));
@@ -867,29 +773,13 @@ int cmd_lint(int argc, const char* const* argv) {
   if (routable) {
     // Route over the component a mapper would discover: lints about the
     // rest of the fabric still come from the full-map fabric pass below.
-    topo::Topology local = fabric;
-    std::vector<int> component;
-    topo::components(local, component);
-    const topo::NodeId anchor = local.hosts().front();
-    for (const topo::NodeId n : local.nodes()) {
-      if (component[n] != component[anchor]) {
-        local.remove_node(n);
-      }
-    }
-    local = local.compacted();
-    routing::UpDownOptions route_options;
-    if (const std::string root = flags.get("root"); !root.empty()) {
-      route_options.root = local.find_switch(root);
-      if (!route_options.root) {
-        throw std::runtime_error("no switch named " + root +
-                                 " in the mapper's component");
-      }
-    }
+    const topo::Topology local = routed_component(fabric);
+    const RouteFlags route =
+        route_flags(flags, local, " in the mapper's component");
     if (local.num_switches() >= 1) {
       routing::RoutingResult routes = routing::compute_routes(
-          local, parse_engine_flag(flags.get("engine")), route_options,
-          static_cast<std::uint64_t>(flags.get_int("seed")));
-      if (flags.get_bool("optimize")) {
+          local, route.engine, route.options, route.route_seed);
+      if (route.optimize) {
         routing::optimize_routes(local, routes);
       }
       if (flags.get_bool("sabotage-turn")) {
@@ -920,17 +810,35 @@ int cmd_lint(int argc, const char* const* argv) {
     std::cout << analysis::to_json(result) << "\n";
     return result.report.exit_code();
   }
-  return print_lint_result(result);
+  std::cout << result.report.text();
+  if (result.analyzed_routes) {
+    std::cout << "legality : " << result.routes
+              << " routes from root " << result.legality.root_name << ", "
+              << (result.legality.all_legal() ? "all legal"
+                                            : "ILLEGAL TURNS FOUND")
+              << "\n";
+    std::cout << "deadlock : "
+              << (result.deadlock.deadlock_free ? "acyclic" : "CYCLE") << " ("
+              << result.deadlock.channels << " channels, "
+              << result.deadlock.dependencies << " dependencies)\n";
+  }
+  std::cout << "verdict  : "
+            << (result.report.exit_code() == 0
+                    ? "clean"
+                    : result.report.exit_code() == 1 ? "warnings" : "ERRORS")
+            << "\n";
+  return result.report.exit_code();
 }
 
 int cmd_dot(int argc, const char* const* argv) {
   common::Flags flags;
-  flags.define("in", "-", "input topology file");
+  flags.define("in", "-", "input fabric");
   flags.define("out", "-", "output dot file");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
-  write_output(flags.get("out"), topo::to_dot(read_input(flags.get("in"))));
+  write_output(flags.get("out"),
+               topo::to_dot(load_case(flags.get("in")).network));
   return 0;
 }
 
@@ -958,32 +866,19 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-  const int sub_argc = static_cast<int>(args.size());
-  const char* const* sub_argv = args.data();
+  const std::map<std::string, int (*)(int, const char* const*)> commands = {
+      {"gen", cmd_gen},
+      {"info", cmd_info},
+      {"map", cmd_map},
+      {"routes", cmd_routes},
+      {"lint", cmd_lint},
+      {"serve", cmd_serve},
+      {"query", cmd_query},
+      {"dot", cmd_dot},
+  };
   try {
-    if (command == "gen") {
-      return cmd_gen(sub_argc, sub_argv);
-    }
-    if (command == "info") {
-      return cmd_info(sub_argc, sub_argv);
-    }
-    if (command == "map") {
-      return cmd_map(sub_argc, sub_argv);
-    }
-    if (command == "routes") {
-      return cmd_routes(sub_argc, sub_argv);
-    }
-    if (command == "lint") {
-      return cmd_lint(sub_argc, sub_argv);
-    }
-    if (command == "serve") {
-      return cmd_serve(sub_argc, sub_argv);
-    }
-    if (command == "query") {
-      return cmd_query(sub_argc, sub_argv);
-    }
-    if (command == "dot") {
-      return cmd_dot(sub_argc, sub_argv);
+    if (const auto sub = commands.find(command); sub != commands.end()) {
+      return sub->second(static_cast<int>(args.size()), args.data());
     }
     usage();
     return 2;
