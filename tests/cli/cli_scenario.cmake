@@ -93,7 +93,14 @@ if(STEPS STREQUAL "bringup")
   step(map-randomized 0 map --in fabric.topo --algorithm randomized)
   step(map-previous 0 map --in fabric.topo --previous fabric.map)
   step(routes 0 routes --in fabric.map --sample 20)
+  # A named root: the map's last switch, which is not its natural root.
+  file(STRINGS "${WORK_DIR}/fabric.map" map_switches REGEX "^switch ")
+  list(GET map_switches -1 last_switch)
+  string(REPLACE "switch " "" last_switch "${last_switch}")
+  step(routes-root 0 routes --in fabric.map --root ${last_switch} --seed 7
+       --sample 5)
   step(lint 0 lint --in fabric.map --json)
+  step(lint-unknown-root 1 lint --in fabric.map --root no-such-switch)
   step(sabotage 2 lint --in fabric.map --sabotage-turn)
   step(lint-map-only 0 lint --in fabric.map --map-only)
   step(lint-hop-limit 1 lint --in fabric.map --hop-limit 3)
@@ -112,6 +119,9 @@ if(STEPS STREQUAL "bringup")
        --engine dfs --optimize --snapshot-out fabric-dfs.snap)
   step(query-dfs 0 query --snapshot fabric-dfs.snap --sample 5)
   step(serve-plain 0 serve --in fabric.topo --ticks 3)
+  step(serve-seed 0 serve --in fabric.topo --ticks 3 --seed 5
+       --snapshot-out fabric-seed.snap)
+  step(query-seed 0 query --snapshot fabric-seed.snap --sample 5)
   # An unknown root is refused before bootstrap: no probe is sent.
   step(serve-unknown-root 1 serve --in fabric.topo --root no-such-switch
        --ticks 1)
@@ -122,6 +132,8 @@ elseif(STEPS STREQUAL "federate")
   step(gen 0 gen ${gen_args} --out fabric.topo)
   step(map-federate 0 map --in fabric.topo --federate auto:2)
   step(serve-federate 0 serve --in fabric.topo --federate auto:2 --ticks 3)
+  step(serve-federate-dfs 0 serve --in fabric.topo --federate auto:2 --ticks 3
+       --engine dfs --optimize --seed 3)
 elseif(STEPS STREQUAL "cases")
   file(COPY "${FIXTURE_DIR}/torus-link-down.sancase"
             "${FIXTURE_DIR}/../../corpus/fig4-subcluster-c.sancase"
