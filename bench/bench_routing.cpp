@@ -104,10 +104,8 @@ struct Measured {
 };
 
 Measured measure(const topo::Topology& t, const Variant& v) {
-  routing::RoutingResult routes = routing::compute_routes(t, v.engine);
-  if (v.optimize) {
-    routing::optimize_routes(t, routes);
-  }
+  const routing::RoutingResult routes =
+      routing::route(t, {.engine = v.engine, .optimize = v.optimize});
   Measured m;
   m.load = routing::channel_load(t, routes);
   const routing::HopSummary hops = routes.hop_summary();

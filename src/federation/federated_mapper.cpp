@@ -7,7 +7,6 @@
 #include "common/thread_pool.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "probe/probe_engine.hpp"
-#include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 #include "topology/algorithms.hpp"
 
@@ -103,22 +102,7 @@ FederatedResult FederatedMapper::run() {
     result.verdict = analysis::analyze_map(result.map);
     return result;
   }
-  routing::UpDownOptions route_options;
-  if (!config_.root_name.empty()) {
-    route_options.root = result.map.find_switch(config_.root_name);
-    if (!route_options.root) {
-      result.uncertified_reasons.push_back("no switch named " +
-                                           config_.root_name +
-                                           " in the merged model");
-      result.verdict = analysis::analyze_map(result.map);
-      return result;
-    }
-  }
-  result.routes = routing::compute_routes(result.map, config_.engine,
-                                          route_options, config_.route_seed);
-  if (config_.optimize) {
-    routing::optimize_routes(result.map, *result.routes);
-  }
+  result.routes = routing::route(result.map, config_);
   result.verdict = analysis::analyze(result.map, *result.routes);
   for (const analysis::Diagnostic& d : result.verdict.report.diagnostics()) {
     if (d.severity == analysis::Severity::kError) {

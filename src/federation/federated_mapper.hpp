@@ -48,7 +48,9 @@ class FaultSchedule;
 
 namespace sanmap::federation {
 
-struct FederationConfig {
+/// The route choices (the base) route the merged model from its natural
+/// root: its switches have no names before the merge.
+struct FederationConfig : routing::RouteChoices {
   /// Region layout: explicit seeds or auto:<k> discovery.
   FederationSpec spec;
   PartitionOptions partition;
@@ -64,17 +66,6 @@ struct FederationConfig {
   /// Optional live-fault context: schedule sampled at each region's
   /// elapsed time, from zero (not owned; may be null).
   const simnet::FaultSchedule* faults = nullptr;
-
-  /// Route parameters for the merged model.
-  std::string root_name;
-  std::uint64_t route_seed = 1;
-  /// Routing engine for the merged model's table. The certification stack
-  /// below (full analyzer + independent certificate re-checkers) is
-  /// engine-agnostic: any engine whose table certifies is publishable.
-  routing::EngineKind engine = routing::EngineKind::kUpDown;
-  /// Run the RouteOptimizer skew/funnel pass on the merged table before
-  /// certification.
-  bool optimize = false;
 
   /// Fault injection for tests only: the region with this index throws
   /// mid-session, proving the pool propagates instead of deadlocking.

@@ -67,6 +67,20 @@ std::optional<EngineKind> parse_engine(std::string_view name);
 UpDownOrientation orient(const topo::Topology& topo, EngineKind kind,
                          const UpDownOptions& options = {});
 
+/// The route choices every config that routes derives from, honoured by
+/// route() (optimizer.hpp). A root name is not one: a switch has no name
+/// before it is mapped (DESIGN.md §7 item 6).
+struct RouteChoices {
+  /// Which engine computes the table. Any engine whose table certifies is
+  /// publishable: the analysis layer proves safety either way.
+  EngineKind engine = EngineKind::kUpDown;
+  /// Seed for the UP*/DOWN* emitter's parallel-cable load-balance choice
+  /// (the DFS engine ignores it).
+  std::uint64_t route_seed = 1;
+  /// Run the skew/funnel RouteOptimizer over the table after routing.
+  bool optimize = false;
+};
+
 /// Computes the full host-pair table with engine `kind`. The topology must
 /// be connected with at least one switch and one host. Deterministic in
 /// (topology, kind, options, seed); the DFS engine ignores `seed`, since it

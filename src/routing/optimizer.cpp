@@ -274,4 +274,17 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   return report;
 }
 
+RoutingResult route(const topo::Topology& map, const RouteChoices& choices,
+                    const UpDownOptions& updown, OptimizerReport* report) {
+  RoutingResult routes =
+      compute_routes(map, choices.engine, updown, choices.route_seed);
+  if (choices.optimize) {
+    const OptimizerReport optimized = optimize_routes(map, routes);
+    if (report != nullptr) {
+      *report = optimized;
+    }
+  }
+  return routes;
+}
+
 }  // namespace sanmap::routing

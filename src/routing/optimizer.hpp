@@ -46,6 +46,7 @@
 
 #include <cstddef>
 
+#include "routing/engine.hpp"
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
 
@@ -70,5 +71,12 @@ struct OptimizerReport {
 /// does; hop counts are preserved.
 OptimizerReport optimize_routes(const topo::Topology& topo,
                                 RoutingResult& routes);
+
+/// compute_routes under `choices`, then optimize_routes when asked, whose
+/// report lands in `report`. Defined here, outside engine.cpp, so a
+/// link-time wrap of compute_routes (bench/e2e/layer_spans.cpp) sees it.
+RoutingResult route(const topo::Topology& map, const RouteChoices& choices,
+                    const UpDownOptions& updown = {},
+                    OptimizerReport* report = nullptr);
 
 }  // namespace sanmap::routing

@@ -104,10 +104,12 @@ RefreshLoop::RefreshLoop(simnet::Network& net, MapCatalog& catalog,
       config_((validate(config), std::move(config))),
       master_(resolve_master(net.topology(), config_.master_name)),
       engine_(net, master_) {
-  // The exact bound Q + D + 1 of the fabric at construction, plus the slack
-  // bench_faults uses for fabrics that degrade mid-pass. An under-deep map
-  // would show up as "new devices" on every tick's sweep.
-  robust_.base.search_depth = topo::search_depth(net.topology(), master_) + 2;
+  // The exact bound Q + D + 1 at construction of the master's component,
+  // the only one a mapper discovers, plus the slack bench_faults uses for
+  // fabrics that degrade mid-pass. An under-deep map would show up as "new
+  // devices" on every tick's sweep.
+  const topo::Topology reachable = topo::component_of(net.topology(), master_);
+  robust_.base.search_depth = topo::search_depth(reachable, master_) + 2;
 }
 
 TickReport RefreshLoop::bootstrap() {
@@ -245,11 +247,8 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
                               std::uint64_t based_on_epoch, const char* source,
                               TickReport& report) {
   SnapshotOptions options;
-  options.root_name = config_.root_name;
-  options.route_seed = config_.route_seed;
+  static_cast<routing::RouteChoices&>(options) = config_;
   options.source = source;
-  options.engine = config_.engine;
-  options.optimize = config_.optimize;
 
   std::optional<MapSnapshot> built;
   try {

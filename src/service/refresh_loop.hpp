@@ -63,23 +63,13 @@
 
 namespace sanmap::service {
 
-struct RefreshConfig {
+/// The route choices (the base) are baked into every published snapshot,
+/// routed from the natural root of the freshly mapped fabric.
+struct RefreshConfig : routing::RouteChoices {
   /// The mapper/master host, by name (must exist in the live fabric).
   std::string master_name;
   /// Virtual time between health checks (must be positive).
   common::SimTime check_interval = common::SimTime::ms(50);
-  /// Route parameters baked into every published snapshot. An empty
-  /// root_name selects the natural root (the switch farthest from all
-  /// hosts); a non-empty name that matches no switch of a freshly mapped
-  /// fabric fails at snapshot build.
-  std::string root_name;
-  std::uint64_t route_seed = 1;
-  /// Routing engine for every published snapshot (`sanmap serve --engine`).
-  /// Any engine whose table certifies is publishable; the catalog gate
-  /// re-proves safety regardless of which engine produced the candidate.
-  routing::EngineKind engine = routing::EngineKind::kUpDown;
-  /// Run the RouteOptimizer skew/funnel pass on every candidate table.
-  bool optimize = false;
   /// Try a dirty-region incremental remap (the sweep's flagged switches
   /// plus one hop) before falling back to a full RobustMapper session.
   bool incremental = true;
@@ -218,8 +208,8 @@ class RefreshLoop {
   RefreshConfig config_;
   topo::NodeId master_;
   /// Remap session knobs: RobustConfig's defaults, with base.search_depth
-  /// the fabric's exact bound Q + D + 1 at construction plus 2 (the slack
-  /// bench_faults uses for fabrics that degrade mid-pass).
+  /// the exact bound Q + D + 1 of the master's component at construction
+  /// plus 2 (the slack bench_faults uses for fabrics that degrade mid-pass).
   mapper::RobustConfig robust_;
 
   /// The writer-role lock: everything a tick mutates lives under it.

@@ -20,11 +20,7 @@ MapSnapshot build_snapshot(const topo::Topology& map,
                      "snapshot root " << options.root_name
                                       << " names no switch of the map");
   }
-  routing::RoutingResult routes = routing::compute_routes(
-      compacted, options.engine, updown, options.route_seed);
-  if (options.optimize) {
-    routing::optimize_routes(compacted, routes);
-  }
+  routing::RoutingResult routes = routing::route(compacted, options, updown);
 
   const routing::HopSummary hops = routes.hop_summary();
   return MapSnapshot{.created_at = created_at,

@@ -30,27 +30,17 @@
 
 namespace sanmap::service {
 
-/// How a snapshot's routes were parameterized. The codec persists these
-/// with the table: decode rebuilds the orientation from the map, the root
-/// name and the engine, and keeps the seed and the optimizer flag as
-/// provenance.
-struct SnapshotOptions {
+/// How a snapshot's routes were parameterized: the route choices, a root
+/// name and a provenance tag. The codec persists these with the table:
+/// decode rebuilds the orientation from the map, the root name and the
+/// engine, and keeps the seed and the optimizer flag as provenance.
+struct SnapshotOptions : routing::RouteChoices {
   /// UP*/DOWN* root override by switch name; empty picks the natural root
   /// (the switch farthest from all hosts). Names survive compaction and
   /// serialization, node ids do not.
   std::string root_name;
-  /// Seed for the route emitter's parallel-cable load-balance choice.
-  std::uint64_t route_seed = 1;
   /// Provenance tag ("bootstrap", "remap", "file", ...) for diagnostics.
   std::string source;
-  /// Which deadlock-free routing engine computes the table. Any engine
-  /// whose table certifies is publishable; the publish gate proves safety
-  /// independently either way.
-  routing::EngineKind engine = routing::EngineKind::kUpDown;
-  /// Run the skew/funnel RouteOptimizer pass over the table after routing
-  /// (the optimizer checks the final table's legality once, and the gate's
-  /// verdict covers it regardless).
-  bool optimize = false;
 };
 
 struct MapSnapshot {
@@ -84,9 +74,9 @@ struct MapSnapshot {
 using SnapshotPtr = std::shared_ptr<const MapSnapshot>;
 
 /// Builds a snapshot from a map: compacts it, resolves the root by name,
-/// computes the routes (optimized when asked) and their hop counts; the
-/// verdict stays unset. The map must be connected with at least one switch
-/// and one host (the router's precondition). Throws via SANMAP_CHECK when
+/// routes it (routing::route) and sums its hop counts; the verdict stays
+/// unset. The map must be connected with at least one switch and one host
+/// (the router's precondition). Throws via SANMAP_CHECK when
 /// `options.root_name` names no switch of the map.
 MapSnapshot build_snapshot(const topo::Topology& map,
                            const SnapshotOptions& options,

@@ -44,6 +44,17 @@ const char* to_string(CollisionModel model) {
   return "?";
 }
 
+std::optional<CollisionModel> parse_collision(std::string_view name) {
+  for (const CollisionModel model :
+       {CollisionModel::kCircuit, CollisionModel::kCutThrough,
+        CollisionModel::kPacket}) {
+    if (name == to_string(model)) {
+      return model;
+    }
+  }
+  return std::nullopt;
+}
+
 Network::Network(const topo::Topology& topo, CollisionModel collision,
                  CostModel cost, FaultModel faults, std::uint64_t fault_seed,
                  HardwareExtensions extensions)

@@ -42,6 +42,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -103,6 +104,10 @@ enum class CollisionModel : std::uint8_t {
 };
 
 const char* to_string(CollisionModel model);
+
+/// Parses a to_string name ("circuit", "cut-through", "packet"); nullopt
+/// on anything else.
+std::optional<CollisionModel> parse_collision(std::string_view name);
 
 /// Optional hardware capabilities beyond stock Myrinet (§6 future work).
 struct HardwareExtensions {

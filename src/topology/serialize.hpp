@@ -24,9 +24,8 @@ std::string to_text(const Topology& topo);
 
 /// Parses the v1 text format. Throws std::runtime_error with a line number
 /// on malformed input. With `stop_at_end`, parsing stops (consuming the
-/// marker) at a line whose first token is "end" — used by embedders that
-/// carry a topology as one section of a larger file (src/verify's scenario
-/// cases); without it the whole stream is read.
+/// marker) at a line whose first token is "end", for a topology carried as
+/// one section of a larger stream; without it the whole stream is read.
 Topology read_topology(std::istream& is, bool stop_at_end = false);
 Topology from_text(const std::string& text);
 

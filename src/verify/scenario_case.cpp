@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "topology/serialize.hpp"
 
@@ -132,23 +133,6 @@ std::string to_text(const ScenarioCase& c) {
   return oss.str();
 }
 
-namespace {
-
-simnet::CollisionModel parse_collision(const std::string& word) {
-  if (word == "cut-through") {
-    return simnet::CollisionModel::kCutThrough;
-  }
-  if (word == "circuit") {
-    return simnet::CollisionModel::kCircuit;
-  }
-  if (word == "packet") {
-    return simnet::CollisionModel::kPacket;
-  }
-  throw std::runtime_error("unknown collision model: " + word);
-}
-
-}  // namespace
-
 ScenarioCase read_case(std::istream& is) {
   ScenarioCase c;
   bool saw_topology = false;
@@ -202,11 +186,11 @@ ScenarioCase read_case(std::istream& is) {
       if (!(ls >> word)) {
         fail("expected a collision model");
       }
-      try {
-        c.collision = parse_collision(word);
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
+      const auto model = simnet::parse_collision(word);
+      if (!model) {
+        fail("unknown collision model: " + word);
       }
+      c.collision = *model;
     } else if (keyword == "mapper") {
       if (!(ls >> c.mapper_host)) {
         fail("expected a mapper host name");
@@ -215,8 +199,20 @@ ScenarioCase read_case(std::istream& is) {
       if (saw_topology) {
         fail("duplicate topology section");
       }
+      // Gathered here up to its end line, so this reader's count covers
+      // the section and the lines after it keep their numbers.
+      std::string section;
+      while (std::getline(is, line)) {
+        ++line_number;
+        if (std::string first;
+            std::istringstream(line) >> first && first == "end") {
+          break;
+        }
+        section += line + '\n';
+      }
+      std::istringstream section_stream(std::move(section));
       try {
-        c.network = topo::read_topology(is, /*stop_at_end=*/true);
+        c.network = topo::read_topology(section_stream);
       } catch (const std::runtime_error& e) {
         // The inner parser reports its own line numbers relative to the
         // section start; forward its message as-is.

@@ -3,6 +3,9 @@
 #
 #   bringup   one operator bring-up of a generated fabric:
 #               sanmap gen ... | info | map | routes --sample 20 | lint --json
+#               sanmap routes --root <the map's last switch> --seed 7
+#               sanmap lint --root no-such-switch  (exit 1, "... in the
+#                 mapper's component")
 #               sanmap map --algorithm identity|myricom|randomized, --previous
 #               sanmap lint --sabotage-turn   (must exit 2 naming an SL101 hop)
 #               sanmap lint --map-only, --hop-limit 3
@@ -14,19 +17,24 @@
 #                 revival), then query --snapshot ... --sample 5
 #               sanmap serve / query --engine dfs --optimize  (the same churn;
 #                 decode of an optimized DFS-engine snapshot)
-#               sanmap serve --ticks 3  (no timeline: the quiescent fabric)
-#               sanmap serve --root NAME  (an unknown root: refused up front)
+#               sanmap serve --ticks 3  (no timeline: the quiescent fabric),
+#                 and with --seed 5 --snapshot-out, then query --sample 5
+#               sanmap serve --root NAME  (refused as an unknown flag: serve
+#                 maps first, and a switch has no name before it is mapped)
 #   labeled   sanmap gen ... | map --algorithm labeled
-#   federate  sanmap gen ... | map --federate auto:2 | serve --federate auto:2
+#   federate  sanmap gen ... | map --federate auto:2 | serve --federate auto:2,
+#               also with --engine dfs --optimize --seed 3
 #   cases     checked-in .sancase inputs: sanmap serve of
 #               FIXTURE_DIR/torus-link-down.sancase, whose fault line takes a
 #               wire down at 600 ms, then query; sanmap info of
 #               tests/corpus/fig4-subcluster-c.sancase, whose mapper line
-#               (C.h0) is the default over C.util
-#   islands   sanmap info / map / routes / lint of FIXTURE_DIR/islands.topo:
-#               a mesh, an isolated switch, an isolated host and a
-#               switch-host pair; map and routes work on the first host's
-#               component
+#               (C.h0) is the default over C.util; sanmap map of
+#               tests/corpus/circuit-star.sancase, whose collision line
+#               (circuit) is the default collision model
+#   islands   sanmap info / map / routes / lint / serve of
+#               FIXTURE_DIR/islands.topo: a mesh, an isolated switch, an
+#               isolated host and a switch-host pair; map, routes and serve
+#               work on the first host's component; then query the snapshot
 #
 # Every step also fails when its output names a SANMAP_CHECK or a source
 # file: a refusal must be typed text, not an internal assertion.
@@ -122,7 +130,8 @@ if(STEPS STREQUAL "bringup")
   step(serve-seed 0 serve --in fabric.topo --ticks 3 --seed 5
        --snapshot-out fabric-seed.snap)
   step(query-seed 0 query --snapshot fabric-seed.snap --sample 5)
-  # An unknown root is refused before bootstrap: no probe is sent.
+  # serve maps before it routes, so it takes no root name: --root is
+  # refused as an unknown flag, before any probe is sent.
   step(serve-unknown-root 1 serve --in fabric.topo --root no-such-switch
        --ticks 1)
 elseif(STEPS STREQUAL "labeled")
@@ -137,17 +146,21 @@ elseif(STEPS STREQUAL "federate")
 elseif(STEPS STREQUAL "cases")
   file(COPY "${FIXTURE_DIR}/torus-link-down.sancase"
             "${FIXTURE_DIR}/../../corpus/fig4-subcluster-c.sancase"
+            "${FIXTURE_DIR}/../../corpus/circuit-star.sancase"
        DESTINATION "${WORK_DIR}")
   step(serve-faults 0 serve --in torus-link-down.sancase --ticks 8
        --snapshot-out fabric.snap)
   step(query 0 query --snapshot fabric.snap --src h0 --dst h8 --sample 5)
   step(info-case-mapper 0 info --in fig4-subcluster-c.sancase)
+  step(map-case-collision 0 map --in circuit-star.sancase)
 elseif(STEPS STREQUAL "islands")
   file(COPY "${FIXTURE_DIR}/islands.topo" DESTINATION "${WORK_DIR}")
   step(info 0 info --in islands.topo)
   step(map 0 map --in islands.topo --out -)
   step(routes 0 routes --in islands.topo --sample 5)
   step(lint 1 lint --in islands.topo)
+  step(serve 0 serve --in islands.topo --ticks 2 --snapshot-out islands.snap)
+  step(query 0 query --snapshot islands.snap --sample 5)
 else()
   message(FATAL_ERROR "cli_scenario: unknown step group ${STEPS}")
 endif()

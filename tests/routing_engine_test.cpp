@@ -1,7 +1,8 @@
 // The routing engines: the DFS-order load-aware engine next to UP*/DOWN*,
 // the deadlock certificate against its DFS cross-check, the
-// RouteOptimizer, and regressions — SL403 judging a direction-split trunk
-// by its joint loads, and the snapshot codec carrying engine + optimizer
+// RouteOptimizer, routing::route (an engine, then the optimizer when
+// asked), and regressions — SL403 judging a direction-split trunk by its
+// joint loads, and the snapshot codec carrying engine + optimizer
 // provenance (and refusing v1 files, which lacked it).
 #include <gtest/gtest.h>
 
@@ -167,6 +168,43 @@ TEST(Optimizer, IsDeterministic) {
   routing::optimize_routes(t, a);
   routing::optimize_routes(t, b);
   EXPECT_TRUE(same_tables(a, b));
+}
+
+TEST(Route, MatchesComputeRoutesThenOptimizeRoutes) {
+  const topo::Topology t = topo::now_cluster();
+  routing::UpDownOptions updown;
+  updown.root = t.switches().back();
+  for (const auto kind :
+       {routing::EngineKind::kUpDown, routing::EngineKind::kDfs}) {
+    for (const bool optimize : {false, true}) {
+      const routing::RouteChoices choices{
+          .engine = kind, .route_seed = 7, .optimize = optimize};
+      routing::OptimizerReport report;
+      const routing::RoutingResult routed =
+          routing::route(t, choices, updown, &report);
+
+      routing::RoutingResult expected =
+          routing::compute_routes(t, kind, updown, 7);
+      routing::OptimizerReport expected_report;
+      if (optimize) {
+        expected_report = routing::optimize_routes(t, expected);
+      }
+      const std::string label = std::string(routing::to_string(kind)) +
+                                (optimize ? " optimized" : "");
+      EXPECT_TRUE(std::ranges::equal(routed.routes.entries(),
+                                     expected.routes.entries()))
+          << label;
+      EXPECT_EQ(routed.orientation.root(), *updown.root) << label;
+      EXPECT_EQ(report.max_load_before, expected_report.max_load_before)
+          << label;
+      EXPECT_EQ(report.max_load_after, expected_report.max_load_after)
+          << label;
+      EXPECT_EQ(report.path_moves, expected_report.path_moves) << label;
+      EXPECT_EQ(report.cable_moves, expected_report.cable_moves) << label;
+      EXPECT_EQ(report.rounds, expected_report.rounds) << label;
+      EXPECT_EQ(report.reverted, expected_report.reverted) << label;
+    }
+  }
 }
 
 TEST(Optimizer, RebalancesASkewedParallelTrunk) {

@@ -102,6 +102,19 @@ TEST(ScenarioCase, RefusesWhatItCannotBuildInItsOwnWords) {
   }
 }
 
+TEST(ScenarioCase, NumbersTheLinesAfterItsTopologySection) {
+  // Line 8 names a wire the section (lines 3 to 7) does not have.
+  const std::string text =
+      "# sanmap case v1\ncase c\ntopology\nswitch a\nswitch b\n"
+      "wire a 0 b 0\nend\nfault link-down a 0 b 1 0\n";
+  try {
+    case_from_text(text);
+    ADD_FAILURE() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "case parse error at line 8: no wire a:0 -- b:1");
+  }
+}
+
 TEST(CaseSeed, DeterministicAndSpread) {
   std::set<std::uint64_t> seen;
   for (int trial = 0; trial < 64; ++trial) {

@@ -7,8 +7,8 @@
 //   sanmap map    --in FILE [--mapper HOST] [--algorithm berkeley|labeled|
 //                             myricom|identity|randomized] [--previous FILE]
 //                 [--federate SPEC [--overlap N]]
-//                 [--collision cut-through|circuit] [--out FILE]
-//   sanmap routes --in FILE [--root NAME] [--sample N]
+//                 [--collision cut-through|circuit|packet] [--out FILE]
+//   sanmap routes --in FILE [--root NAME] [--seed N] [--sample N]
 //                 [--engine updown|dfs] [--optimize]
 //   sanmap lint   --in FILE [--root NAME] [--seed N] [--json]
 //                 [--engine updown|dfs] [--optimize]
@@ -17,14 +17,14 @@
 //   sanmap dot    --in FILE [--out FILE]
 //   sanmap serve  --in FILE [--master HOST] [--ticks N] [--interval-ms M]
 //                 [--federate SPEC [--overlap N]]
-//                 [--engine updown|dfs] [--optimize]
+//                 [--seed N] [--engine updown|dfs] [--optimize]
 //                 [--churn SPEC [--churn-seed N]] [--snapshot-out FILE]
 //   sanmap query  --snapshot FILE [--src HOST --dst HOST] [--sample N]
 //
 // Every --in (and map --previous) reads a "sanmap topology v1" file, a
 // `sanmap dot` export or a .sancase scenario, told apart by content; "-"
-// means stdin/stdout. A case's mapper line is the default --mapper/--master,
-// and serve plays its fault lines against the fabric.
+// means stdin/stdout. A case's mapper and collision lines are the defaults
+// of map and serve, and serve plays its fault lines against the fabric.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -140,41 +140,44 @@ topo::Topology routed_component(const topo::Topology& fabric) {
   return topo::component_of(fabric, fabric.hosts().front()).compacted();
 }
 
-// The routing flags `routes`, `lint` and `serve` share, and what they ask
-// for with the root resolved in one fabric.
-void define_route_flags(common::Flags& flags) {
-  flags.define("root", "",
-               "UP*/DOWN* root switch name (default: farthest from hosts)");
+// The route choices `routes`, `lint` and `serve` share. Only the first two
+// route a map that exists and take --root: a switch has no name before
+// `serve` maps it.
+void define_route_flags(common::Flags& flags, bool named_root) {
+  if (named_root) {
+    flags.define("root", "",
+                 "UP*/DOWN* root switch name (default: farthest from hosts)");
+  }
   flags.define("seed", "1", "route load-balance seed");
   flags.define("engine", "updown", "routing engine: updown|dfs");
   flags.define("optimize", "false",
                "run the skew/funnel route optimizer over every table");
 }
 
-struct RouteFlags : service::SnapshotOptions {
-  routing::UpDownOptions options;
-};
-
-// An unknown root is refused here, before anything is routed or probed.
-RouteFlags route_flags(const common::Flags& flags, const topo::Topology& t,
-                       const std::string& where = "") {
-  RouteFlags route;
-  route.root_name = flags.get("root");
-  if (!route.root_name.empty()) {
-    route.options.root = t.find_switch(route.root_name);
-    if (!route.options.root) {
-      throw std::runtime_error("no switch named " + route.root_name + where);
-    }
-  }
+routing::RouteChoices route_choices(const common::Flags& flags) {
   const auto engine = routing::parse_engine(flags.get("engine"));
   if (!engine) {
     throw std::runtime_error("unknown routing engine " + flags.get("engine") +
                              " (expected updown or dfs)");
   }
-  route.engine = *engine;
-  route.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  route.optimize = flags.get_bool("optimize");
-  return route;
+  return {.engine = *engine,
+          .route_seed = static_cast<std::uint64_t>(flags.get_int("seed")),
+          .optimize = flags.get_bool("optimize")};
+}
+
+// --root resolved in the map to route; an unknown root is refused here,
+// before anything is routed.
+routing::UpDownOptions named_root(const common::Flags& flags,
+                                  const topo::Topology& t,
+                                  const std::string& where = "") {
+  routing::UpDownOptions updown;
+  if (const std::string name = flags.get("root"); !name.empty()) {
+    updown.root = t.find_switch(name);
+    if (!updown.root) {
+      throw std::runtime_error("no switch named " + name + where);
+    }
+  }
+  return updown;
 }
 
 int cmd_gen(int argc, const char* const* argv) {
@@ -316,19 +319,15 @@ int cmd_info(int argc, const char* const* argv) {
 // Shared by `map --federate` and `serve --federate`: run the full sharded
 // pipeline (partition, concurrent region sessions, boundary resolution,
 // route recomputation, certification) and narrate it.
-federation::FederatedResult run_federated(const common::Flags& flags,
-                                          const topo::Topology& t,
-                                          const RouteFlags& route,
-                                          const simnet::FaultSchedule* faults,
-                                          simnet::CollisionModel collision) {
+federation::FederatedResult run_federated(
+    const common::Flags& flags, const topo::Topology& t,
+    const routing::RouteChoices& choices, const simnet::FaultSchedule* faults,
+    simnet::CollisionModel collision) {
   federation::FederationConfig config;
+  static_cast<routing::RouteChoices&>(config) = choices;
   config.spec = federation::parse_federation_spec(flags.get("federate"));
   config.partition.overlap_margin = static_cast<int>(flags.get_int("overlap"));
   config.collision = collision;
-  config.root_name = route.root_name;
-  config.route_seed = route.route_seed;
-  config.engine = route.engine;
-  config.optimize = route.optimize;
   config.faults = faults;
   federation::FederatedMapper federated(t, config);
 
@@ -384,7 +383,9 @@ int cmd_map(int argc, const char* const* argv) {
   flags.define("mapper", "", "mapper host name");
   flags.define("algorithm", "berkeley",
                "berkeley|labeled|myricom|identity|randomized");
-  flags.define("collision", "cut-through", "cut-through|circuit");
+  flags.define("collision", "",
+               "cut-through|circuit|packet (default: the case's collision "
+               "line, else cut-through)");
   flags.define("previous", "",
                "previous map file: verify it and repair locally instead of "
                "mapping from scratch (berkeley algorithm only)");
@@ -403,16 +404,22 @@ int cmd_map(int argc, const char* const* argv) {
   // A mapper discovers its own component; it is bounded and verified there.
   input.network = topo::component_of(input.network, mapper);
   const topo::Topology& t = input.network;
-  const auto collision = flags.get("collision") == "circuit"
-                             ? simnet::CollisionModel::kCircuit
-                             : simnet::CollisionModel::kCutThrough;
+  simnet::CollisionModel collision = input.collision;  // cut-through if bare
+  if (const std::string name = flags.get("collision"); !name.empty()) {
+    const auto model = simnet::parse_collision(name);
+    if (!model) {
+      throw std::runtime_error("unknown collision model " + name +
+                               " (expected cut-through, circuit or packet)");
+    }
+    collision = *model;
+  }
   const std::string algorithm = flags.get("algorithm");
   const bool federated = !flags.get("federate").empty();
 
   Mapped m;
   if (federated) {
     federation::FederatedResult result =
-        run_federated(flags, t, RouteFlags{}, /*faults=*/nullptr, collision);
+        run_federated(flags, t, {}, /*faults=*/nullptr, collision);
     m = {std::move(result.map), result.total_probes, result.elapsed,
          /*expects_full_n=*/false, result.certified};
   } else {
@@ -515,21 +522,22 @@ int cmd_routes(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input fabric (typically a mapped one)");
   flags.define("sample", "10", "sample routes to print");
-  define_route_flags(flags);
+  define_route_flags(flags, /*named_root=*/true);
   if (!flags.parse(argc, argv)) {
     return 0;
   }
   const topo::Topology t =
       routed_component(load_case(flags.get("in")).network);
-  const RouteFlags route = route_flags(flags, t);
+  const routing::UpDownOptions updown = named_root(flags, t);
+  const routing::RouteChoices choices = route_choices(flags);
   if (t.num_switches() == 0) {
     throw std::runtime_error("the first host's component has no switch to "
                              "route through");
   }
-  routing::RoutingResult routes = routing::compute_routes(
-      t, route.engine, route.options, route.route_seed);
-  if (route.optimize) {
-    const routing::OptimizerReport opt = routing::optimize_routes(t, routes);
+  routing::OptimizerReport opt;
+  const routing::RoutingResult routes =
+      routing::route(t, choices, updown, &opt);
+  if (choices.optimize) {
     std::cout << "optimizer     : max channel load " << opt.max_load_before
               << " -> " << opt.max_load_after << " (" << opt.path_moves
               << " path moves, " << opt.cable_moves << " cable moves"
@@ -537,7 +545,8 @@ int cmd_routes(int argc, const char* const* argv) {
   }
   const analysis::DeadlockCertificate certificate =
       analysis::build_deadlock_certificate(t, routes);
-  std::cout << "engine        : " << routing::to_string(route.engine) << "\n";
+  std::cout << "engine        : " << routing::to_string(choices.engine)
+            << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
   const routing::HopSummary hops = routes.hop_summary();
@@ -561,7 +570,7 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.define("master", "", "mapper/master host name");
   flags.define("ticks", "10", "health-check cycles to run");
   flags.define("interval-ms", "50", "virtual time between checks");
-  define_route_flags(flags);
+  define_route_flags(flags, /*named_root=*/false);
   flags.define("churn", "",
                "churn scenario, e.g. "
                "\"rolling(start=1s,every=5s,down=2s,count=4)\" — compiled "
@@ -579,9 +588,7 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   const verify::ScenarioCase input = load_case(flags.get("in"));
   const topo::Topology& t = input.network;
-  // An unknown root is refused before the first probe, as `routes` refuses
-  // it: every snapshot would name it.
-  const RouteFlags route = route_flags(flags, t);
+  const routing::RouteChoices choices = route_choices(flags);
   const topo::NodeId master = pick_mapper(input, flags.get("master"));
   if (!flags.get("churn").empty() && !input.quiescent()) {
     throw std::runtime_error("the input's fault lines and --churn are "
@@ -594,17 +601,14 @@ int cmd_serve(int argc, const char* const* argv) {
   const simnet::FaultSchedule* faults =
       input.quiescent() ? nullptr : &schedule;
 
-  simnet::Network net(t);
+  simnet::Network net(t, input.collision);
   net.attach_faults(faults);
   service::MapCatalog catalog;
   service::RefreshConfig config;
+  static_cast<routing::RouteChoices&>(config) = choices;
   config.master_name = t.name(master);
   config.check_interval =
       common::SimTime::ms(flags.get_int("interval-ms"));
-  config.root_name = route.root_name;
-  config.route_seed = route.route_seed;
-  config.engine = route.engine;
-  config.optimize = route.optimize;
   service::RefreshLoop loop(net, catalog, config);
 
   if (!flags.get("federate").empty()) {
@@ -612,13 +616,14 @@ int cmd_serve(int argc, const char* const* argv) {
     // tick() only bootstraps an *empty* catalog, so it carries on from here
     // with health checks and, on any later breakage, its remap rungs.
     const federation::FederatedResult result = run_federated(
-        flags, t, route, faults, simnet::CollisionModel::kCutThrough);
+        flags, t, choices, faults, input.collision);
     if (!result.certified) {
       std::cerr << "bootstrap : REFUSED — uncertified merged map is not "
                    "publishable\n";
       return 1;
     }
-    service::SnapshotOptions snapshot_options = route;
+    service::SnapshotOptions snapshot_options;
+    static_cast<routing::RouteChoices&>(snapshot_options) = choices;
     snapshot_options.source = "federated-bootstrap";
     const auto publish = catalog.publish(service::build_snapshot(
         result.map, snapshot_options, result.elapsed));
@@ -747,7 +752,7 @@ int cmd_query(int argc, const char* const* argv) {
 int cmd_lint(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input fabric");
-  define_route_flags(flags);
+  define_route_flags(flags, /*named_root=*/true);
   flags.define("json", "false", "emit the full report as JSON");
   flags.define("map-only", "false", "fabric lints only, skip the route phase");
   flags.define("hop-limit", "0", "warn on routes longer than this (0 = off)");
@@ -774,14 +779,11 @@ int cmd_lint(int argc, const char* const* argv) {
     // Route over the component a mapper would discover: lints about the
     // rest of the fabric still come from the full-map fabric pass below.
     const topo::Topology local = routed_component(fabric);
-    const RouteFlags route =
-        route_flags(flags, local, " in the mapper's component");
+    const routing::UpDownOptions updown =
+        named_root(flags, local, " in the mapper's component");
+    const routing::RouteChoices choices = route_choices(flags);
     if (local.num_switches() >= 1) {
-      routing::RoutingResult routes = routing::compute_routes(
-          local, route.engine, route.options, route.route_seed);
-      if (route.optimize) {
-        routing::optimize_routes(local, routes);
-      }
+      routing::RoutingResult routes = routing::route(local, choices, updown);
       if (flags.get_bool("sabotage-turn")) {
         const std::string injected =
             analysis::inject_down_up_turn(local, routes);
