@@ -30,7 +30,8 @@
 #               tests/corpus/fig4-subcluster-c.sancase, whose mapper line
 #               (C.h0) is the default over C.util; sanmap map of
 #               tests/corpus/circuit-star.sancase, whose collision line
-#               (circuit) is the default collision model
+#               (circuit) is the default collision model, and an unknown
+#               --collision is refused
 #   islands   sanmap info / map / routes / lint / serve of
 #               FIXTURE_DIR/islands.topo: a mesh, an isolated switch, an
 #               isolated host and a switch-host pair; map, routes and serve
@@ -153,6 +154,7 @@ elseif(STEPS STREQUAL "cases")
   step(query 0 query --snapshot fabric.snap --src h0 --dst h8 --sample 5)
   step(info-case-mapper 0 info --in fig4-subcluster-c.sancase)
   step(map-case-collision 0 map --in circuit-star.sancase)
+  step(map-unknown-collision 1 map --in circuit-star.sancase --collision circut)
 elseif(STEPS STREQUAL "islands")
   file(COPY "${FIXTURE_DIR}/islands.topo" DESTINATION "${WORK_DIR}")
   step(info 0 info --in islands.topo)

@@ -456,6 +456,12 @@ TEST(Counters, StatusNames) {
                "stranded-in-network");
   EXPECT_STREQ(to_string(CollisionModel::kCircuit), "circuit");
   EXPECT_STREQ(to_string(CollisionModel::kCutThrough), "cut-through");
+  for (const CollisionModel model :
+       {CollisionModel::kCircuit, CollisionModel::kCutThrough,
+        CollisionModel::kPacket}) {
+    EXPECT_EQ(parse_collision(to_string(model)), model);
+  }
+  EXPECT_EQ(parse_collision("circut"), std::nullopt);
 }
 
 }  // namespace
