@@ -143,8 +143,8 @@ topo::Topology routed_component(const topo::Topology& fabric) {
 // The route choices `routes`, `lint` and `serve` share. Only the first two
 // route a map that exists and take --root: a switch has no name before
 // `serve` maps it.
-void define_route_flags(common::Flags& flags, bool named_root) {
-  if (named_root) {
+void define_route_flags(common::Flags& flags, bool with_root) {
+  if (with_root) {
     flags.define("root", "",
                  "UP*/DOWN* root switch name (default: farthest from hosts)");
   }
@@ -522,7 +522,7 @@ int cmd_routes(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input fabric (typically a mapped one)");
   flags.define("sample", "10", "sample routes to print");
-  define_route_flags(flags, /*named_root=*/true);
+  define_route_flags(flags, /*with_root=*/true);
   if (!flags.parse(argc, argv)) {
     return 0;
   }
@@ -570,7 +570,7 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.define("master", "", "mapper/master host name");
   flags.define("ticks", "10", "health-check cycles to run");
   flags.define("interval-ms", "50", "virtual time between checks");
-  define_route_flags(flags, /*named_root=*/false);
+  define_route_flags(flags, /*with_root=*/false);
   flags.define("churn", "",
                "churn scenario, e.g. "
                "\"rolling(start=1s,every=5s,down=2s,count=4)\" — compiled "
@@ -752,7 +752,7 @@ int cmd_query(int argc, const char* const* argv) {
 int cmd_lint(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input fabric");
-  define_route_flags(flags, /*named_root=*/true);
+  define_route_flags(flags, /*with_root=*/true);
   flags.define("json", "false", "emit the full report as JSON");
   flags.define("map-only", "false", "fabric lints only, skip the route phase");
   flags.define("hop-limit", "0", "warn on routes longer than this (0 = off)");
