@@ -36,6 +36,10 @@
 #               FIXTURE_DIR/islands.topo: a mesh, an isolated switch, an
 #               isolated host and a switch-host pair; map, routes and serve
 #               work on the first host's component; then query the snapshot
+#   mesh-tail FIXTURE_DIR/mesh-tail.topo: a host-free 4x4 mesh behind a
+#               switch-bridge, whose exploration reaches past the one-BFS
+#               depth floor; sanmap info, and sanmap map (which then solves
+#               the exact Q + D + 1) with the map on stdout
 #
 # Every step also fails when its output names a SANMAP_CHECK or a source
 # file: a refusal must be typed text, not an internal assertion.
@@ -163,6 +167,10 @@ elseif(STEPS STREQUAL "islands")
   step(lint 1 lint --in islands.topo)
   step(serve 0 serve --in islands.topo --ticks 2 --snapshot-out islands.snap)
   step(query 0 query --snapshot islands.snap --sample 5)
+elseif(STEPS STREQUAL "mesh-tail")
+  file(COPY "${FIXTURE_DIR}/mesh-tail.topo" DESTINATION "${WORK_DIR}")
+  step(info 0 info --in mesh-tail.topo)
+  step(map 0 map --in mesh-tail.topo --out -)
 else()
   message(FATAL_ERROR "cli_scenario: unknown step group ${STEPS}")
 endif()
