@@ -26,8 +26,7 @@ void Explorer::run(MapResult& result) {
         model_->vertex(r.vertex).explored) {
       continue;  // merged into an already-explored replicate: probes saved
     }
-    if (static_cast<int>(model_->vertex(r.vertex).probe_string.size()) >
-        config_->search_depth) {
+    if (cap_.exceeds(model_->vertex(r.vertex).probe_string.size())) {
       continue;  // beyond the Q + D + 1 bound (§3.1.4)
     }
     explore_vertex(r.vertex, result);

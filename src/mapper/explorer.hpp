@@ -28,7 +28,7 @@ class Explorer {
  public:
   Explorer(ModelGraph& model, probe::ProbeEngine& engine,
            const MapperConfig& config)
-      : model_(&model), engine_(&engine), config_(&config) {
+      : model_(&model), engine_(&engine), config_(&config), cap_(config) {
     if (config.pipeline_window >= 2) {
       pipeline_.emplace(engine, config.pipeline_window);
     }
@@ -42,8 +42,9 @@ class Explorer {
   }
 
   /// Drains the frontier, exploring every live, unexplored switch vertex
-  /// within the search depth. Accumulates counters and (optionally) the
-  /// Figure 8 trace into `result`.
+  /// within the search depth (resolving a lazy exact cap the first time a
+  /// probe string exceeds its floor). Accumulates counters and (optionally)
+  /// the Figure 8 trace into `result`.
   void run(MapResult& result);
 
   /// Pipeline telemetry (nullopt in serial mode).
@@ -64,6 +65,7 @@ class Explorer {
   probe::ProbeEngine* engine_;
   const MapperConfig* config_;
   std::optional<probe::ProbePipeline> pipeline_;
+  DepthCap cap_;
   std::vector<VertexId> frontier_;
   std::size_t head_ = 0;
   /// Reused probe-route buffer: prefix + one turn, rebuilt in place per

@@ -124,11 +124,11 @@ class Runner {
 
   void explore() {
     const auto order = TurnFeasibility::exploration_order(/*adaptive=*/false);
+    DepthCap cap(config_);
     std::size_t head = 0;
     while (head < frontier_.size()) {
       const LVertexId v = frontier_[head++];
-      if (static_cast<int>(vertices_[v].probe_string.size()) >
-          config_.search_depth) {
+      if (cap.exceeds(vertices_[v].probe_string.size())) {
         break;  // FIFO: probe strings are nondecreasing in length
       }
       const simnet::Route prefix = vertices_[v].probe_string;

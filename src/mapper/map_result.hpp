@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/sim_time.hpp"
 #include "probe/probe_engine.hpp"
 #include "topology/topology.hpp"
@@ -13,8 +15,19 @@ namespace sanmap::mapper {
 struct MapperConfig {
   /// Probe-string length bound (§3.1.4's SearchDepth). The paper uses
   /// Q + D + 1; benches compute it from the ground-truth topology via
-  /// topo::search_depth(). Must be >= 1.
+  /// topo::search_depth(). Must be >= 1. With exact_search_depth set it is
+  /// only a lower bound of the cap, typically topo::search_depth_floor().
   int search_depth = 16;
+
+  /// The exact cap, computed only when needed (empty: search_depth is
+  /// exact). The first vertex about to be explored whose probe string is
+  /// longer than search_depth calls it once per run, and its result, which
+  /// must be >= search_depth, becomes the cap. Every vertex explored before
+  /// then is within the lower bound, so within the exact cap too: each
+  /// explore/skip decision, and so every probe, equals an eager run's at
+  /// the exact cap. RandomizedMapper calls it up front, because its wild
+  /// probes use the depth as a length.
+  std::function<int()> exact_search_depth;
 
   /// §3.3's port-order heuristic: adaptive turn order plus skipping turns
   /// that cannot land on a legal port for any consistent entry port.
@@ -52,6 +65,42 @@ struct MapperConfig {
   /// differential fuzzer must catch this (and its minimizer must shrink the
   /// catch to a hand-checkable case) — it is how we verify the verifier.
   bool sabotage_skip_merges = false;
+};
+
+/// config.exact_search_depth() when set (checked against the lower bound
+/// search_depth), else config.search_depth.
+inline int resolved_search_depth(const MapperConfig& config) {
+  if (!config.exact_search_depth) {
+    return config.search_depth;
+  }
+  const int exact = config.exact_search_depth();
+  SANMAP_CHECK_MSG(exact >= config.search_depth,
+                   "exact search depth " << exact << " is below its floor "
+                                         << config.search_depth);
+  return exact;
+}
+
+/// The probe-string cap one exploration applies: config.search_depth,
+/// raised to resolved_search_depth(config) the first time a longer string
+/// is about to be explored. `config` must outlive the cap.
+class DepthCap {
+ public:
+  explicit DepthCap(const MapperConfig& config)
+      : config_(&config), cap_(config.search_depth) {}
+
+  /// True when a probe string of `length` turns lies beyond the cap.
+  bool exceeds(std::size_t length) {
+    if (static_cast<int>(length) > cap_ && !resolved_) {
+      cap_ = resolved_search_depth(*config_);
+      resolved_ = true;
+    }
+    return static_cast<int>(length) > cap_;
+  }
+
+ private:
+  const MapperConfig* config_;
+  int cap_;
+  bool resolved_ = false;
 };
 
 /// One Figure 8 sample, taken after each switch exploration.

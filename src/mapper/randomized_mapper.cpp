@@ -69,6 +69,9 @@ void RandomizedMapper::absorb_path(const simnet::Route& route,
 MapResult RandomizedMapper::run() {
   engine_->reset();
   MapResult result;
+  // The wild probes use the depth as a length: resolve a lazy cap up front.
+  config_.base.search_depth = resolved_search_depth(config_.base);
+  config_.base.exact_search_depth = nullptr;
 
   const auto& topo = engine_->network().topology();
   const VertexId root = model_.add_host_vertex(

@@ -552,6 +552,16 @@ int search_depth(const Topology& topo, NodeId mapper_host) {
   return q + d + 1;
 }
 
+int search_depth_floor(const Topology& topo, NodeId mapper_host) {
+  SANMAP_CHECK(topo.is_host(mapper_host));
+  const std::vector<int> dist = bfs_distances(topo, mapper_host);
+  int farthest_host = 0;
+  for (const NodeId h : topo.hosts()) {
+    farthest_host = std::max(farthest_host, dist[h]);
+  }
+  return farthest_host + *std::max_element(dist.begin(), dist.end()) + 1;
+}
+
 NodeId switch_farthest_from_hosts(const Topology& topo,
                                   const std::vector<NodeId>& ignore) {
   std::vector<int> min_dist(topo.node_capacity(),

@@ -13,7 +13,11 @@
 // vertex's BFS for D. That is O(V · E) per call, split in chunks of 64
 // vertices across a pool local to the call: ~45 ms for a 960-switch fat
 // tree and ~0.2 s at 1,920 switches on 4 vCPUs, against ~0.13 s and
-// ~0.57 s on one (RelWithDebInfo, 2.0 GHz Xeon KVM guest).
+// ~0.57 s on one (RelWithDebInfo, 2.0 GHz Xeon KVM guest). Its floor,
+// search_depth_floor, is one BFS from the mapper host: O(V + E). A mapper
+// given the floor and a callback for the exact bound (MapperConfig::
+// exact_search_depth) pays for the solve only when its exploration reaches
+// past the floor.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +90,13 @@ int q_value(const Topology& topo, NodeId mapper_host);
 /// The exploration depth bound of §3.1.4, in probe-string-length units:
 /// Q + D + 1.
 int search_depth(const Topology& topo, NodeId mapper_host);
+
+/// A lower bound of search_depth from one BFS from the mapper host m:
+/// max over hosts h of d(m, h), plus ecc(m), plus 1. Q(h) = d(m, h) for a
+/// host h (one unit returns to m, the other ends at h itself), and
+/// D >= ecc(m). Nodes m cannot reach are ignored, so the floor is defined
+/// on any topology; it bounds search_depth wherever that is defined.
+int search_depth_floor(const Topology& topo, NodeId mapper_host);
 
 /// Max over switches of the minimum distance to any host; returns the
 /// arg-max switch. Used by UP*/DOWN* to pick "a switch as far away from all

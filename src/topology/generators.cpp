@@ -625,14 +625,6 @@ Topology dragonfly_ish(const DragonflyishOptions& options, common::Rng& rng) {
   return topo;
 }
 
-int generous_search_depth(const Topology& topo) {
-  // A probe walk never repeats a directed wire, so Q <= 2 * wires and
-  // D <= wires: Q + D + 1 <= 3 * wires + 1. Overshooting the exact bound
-  // only relaxes the exploration cap — it adds no probes — so 5k-switch
-  // sessions skip the exact bound's O(V · E) solve.
-  return static_cast<int>(3 * topo.num_wires() + 3);
-}
-
 Topology random_irregular(int num_switches, int num_hosts, int extra_links,
                           common::Rng& rng) {
   SANMAP_CHECK(num_switches >= 1);

@@ -172,16 +172,6 @@ struct DragonflyishOptions {
 };
 Topology dragonfly_ish(const DragonflyishOptions& options, common::Rng& rng);
 
-/// A safe analytic search depth (3 * wires + 3) for generated megafabrics.
-/// A probe walk never repeats a directed wire, so Q <= 2 * wires and
-/// D <= wires, giving Q + D + 1 <= 3 * wires + 1. The depth bound only caps
-/// exploration — no probe is ever sent *because* the cap is generous — so
-/// sessions at megafabric scale use this O(1) bound instead of the exact
-/// topo::search_depth. That one is O(V · E): on 4 vCPUs ~45 ms at 960
-/// switches but ~1.4 s at 5k (~5 s on one core), which the O(1) bound
-/// saves every 5k-switch session.
-int generous_search_depth(const Topology& topo);
-
 /// Random connected irregular network: `num_switches` switches in a random
 /// spanning tree plus `extra_links` random extra switch-switch links, and
 /// `num_hosts` hosts attached to random switches with free ports. All port

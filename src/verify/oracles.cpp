@@ -54,12 +54,17 @@ std::string describe(const Topology& t) {
   return oss.str();
 }
 
+/// The paper's standing assumptions, under which §3.1.4's bound is defined.
+bool paper_assumptions_hold(const Topology& local) {
+  return local.num_switches() >= 1 && local.num_hosts() >= 2 &&
+         topo::connected(local);
+}
+
 /// The §3.1.4 depth bound when the paper's standing assumptions hold;
 /// otherwise a generous structural bound (depth only caps route length, so
 /// overshooting is safe, undershooting is not).
 int pick_search_depth(const Topology& local, NodeId mapper) {
-  if (local.num_switches() >= 1 && local.num_hosts() >= 2 &&
-      topo::connected(local)) {
+  if (paper_assumptions_hold(local)) {
     return topo::search_depth(local, mapper);
   }
   return std::max<int>(1, static_cast<int>(2 * local.num_wires() + 3));
@@ -113,13 +118,20 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
   // The session above ran with a hook attached, so every probe took the
   // simulator's plain hop-by-hop walk. The same session on a bare network
   // resumes each walk from the previous probe's and delivers loopbacks in
-  // closed form; nothing observable may differ.
+  // closed form; nothing observable may differ. The rerun bounds its depth
+  // as `sanmap map` does, by the one-BFS floor with the exact bound
+  // resolved only if the exploration reaches past it.
   if (have_berkeley) {
     simnet::Network net(c.network, c.collision);
     probe::ProbeEngine engine(net, mapper, transcribed);
+    mapper::MapperConfig rerun_config = berkeley_config;
+    if (paper_assumptions_hold(local)) {
+      rerun_config.search_depth = topo::search_depth_floor(local, mapper);
+      rerun_config.exact_search_depth = [depth] { return depth; };
+    }
     try {
       const mapper::MapResult rerun =
-          mapper::BerkeleyMapper(engine, berkeley_config).run();
+          mapper::BerkeleyMapper(engine, rerun_config).run();
       const auto& transcript = engine.transcript();
       const auto diverges = std::mismatch(
           transcript.begin(), transcript.end(), berkeley_transcript.begin(),

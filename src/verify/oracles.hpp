@@ -28,7 +28,11 @@
 //                     hop; an unhooked rerun, whose probes resume from the
 //                     previous probe's walk, must match it exactly:
 //                     transcript, probe counters, elapsed() and the
-//                     network's counters.
+//                     network's counters. Where the §3.1.4 bound applies,
+//                     the rerun caps its depth as `sanmap map` does — the
+//                     one-BFS floor, raised to the exact bound only if the
+//                     exploration reaches past it — so the match also pins
+//                     the lazy cap to the eager one.
 //  * pipeline-equiv — pipelined probing is a pure re-timing: BerkeleyMapper
 //                     with an outstanding-probe window (pipeline_window = 8)
 //                     on the same quiescent case produces a map isomorphic

@@ -354,24 +354,6 @@ TEST(Dragonflyish, SkeletonConnectedEvenWithoutExtras) {
   EXPECT_EQ(core(t).num_switches(), t.num_switches());
 }
 
-TEST(GenerousSearchDepth, DominatesExactDepthOnSmallFabrics) {
-  // The analytic 3W + 3 bound must never under-shoot the exact
-  // min-cost-flow depth; overshoot is free (no probe is sent because the
-  // cap is generous).
-  MegaFatTreeOptions options;
-  options.leaf_switches = 8;
-  const Topology fabric = mega_fat_tree(options);
-  const Topology c = core(fabric);
-  EXPECT_GE(generous_search_depth(c), search_depth(c, *c.hosts().begin()));
-
-  DragonflyishOptions dragonfly;
-  dragonfly.groups = 4;
-  dragonfly.switches_per_group = 4;
-  common::Rng rng(7);
-  const Topology d = core(dragonfly_ish(dragonfly, rng));
-  EXPECT_GE(generous_search_depth(d), search_depth(d, *d.hosts().begin()));
-}
-
 TEST(RandomIrregular, ConnectedAndDeterministic) {
   common::Rng rng1(99);
   common::Rng rng2(99);

@@ -18,6 +18,7 @@
 #include "mapper/berkeley_mapper.hpp"
 #include "probe/probe_engine.hpp"
 #include "simnet/network.hpp"
+#include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 
 namespace sanmap {
@@ -43,9 +44,12 @@ Point map_size(int target_switches) {
   simnet::Network net(network);
   probe::ProbeEngine engine(net, mapper_host);
   mapper::MapperConfig config;
-  // Analytic depth: overshoot sends no probes (the cap only skips vertices
-  // whose probe string exceeds it, and no generated fabric gets near 3W).
-  config.search_depth = topo::generous_search_depth(network);
+  // As `sanmap map`: the one-BFS floor, and the exact Q + D + 1 only if the
+  // exploration reaches past it (no fat tree of the sweep does).
+  config.search_depth = topo::search_depth_floor(network, mapper_host);
+  config.exact_search_depth = [&] {
+    return topo::search_depth(network, mapper_host);
+  };
   const mapper::MapResult result = mapper::BerkeleyMapper(engine, config).run();
   EXPECT_EQ(result.map.num_switches(), network.num_switches());
   EXPECT_EQ(result.map.num_wires(), network.num_wires());

@@ -335,13 +335,15 @@ TEST(SearchDepth, MatchesQPlusDPlusOne) {
 TEST(SearchDepth, PinnedOnBenchmarkFabrics) {
   // Q, D and Q + D + 1 on the fabrics the CLI and the benchmarks map, from
   // the host `sanmap` picks as mapper (C.util when present, else the first
-  // host). Any change to how the bound is computed must keep these values.
+  // host), and the one-BFS floor the CLI maps with. Any change to how the
+  // bound or its floor is computed must keep these values.
   struct Case {
     const char* name;
     Topology topo;
     int q;
     int d;
     int depth;
+    int floor;
   };
   const auto fat_tree = [](int leaves) {
     MegaFatTreeOptions options;
@@ -352,11 +354,12 @@ TEST(SearchDepth, PinnedOnBenchmarkFabrics) {
   DragonflyishOptions dragonfly;
   dragonfly.hosts_per_group = 16;
   std::vector<Case> cases;
-  cases.push_back({"megafattree-64", fat_tree(64), 12, 10, 23});
-  cases.push_back({"megafattree-256", fat_tree(256), 36, 34, 71});
-  cases.push_back({"megafattree-512", fat_tree(512), 68, 66, 135});
-  cases.push_back({"dragonfly-16", dragonfly_ish(dragonfly, rng), 9, 13, 23});
-  cases.push_back({"now", now_cluster(), 8, 8, 17});
+  cases.push_back({"megafattree-64", fat_tree(64), 12, 10, 23, 21});
+  cases.push_back({"megafattree-256", fat_tree(256), 36, 34, 71, 69});
+  cases.push_back({"megafattree-512", fat_tree(512), 68, 66, 135, 133});
+  cases.push_back(
+      {"dragonfly-16", dragonfly_ish(dragonfly, rng), 9, 13, 23, 19});
+  cases.push_back({"now", now_cluster(), 8, 8, 17, 13});
   for (const Case& c : cases) {
     const auto util = c.topo.find_host("C.util");
     const NodeId mapper = util ? *util : c.topo.hosts().front();
@@ -365,6 +368,7 @@ TEST(SearchDepth, PinnedOnBenchmarkFabrics) {
     EXPECT_EQ(q, c.q) << c.name;
     EXPECT_EQ(d, c.d) << c.name;
     EXPECT_EQ(search_depth(c.topo, mapper), c.depth) << c.name;
+    EXPECT_EQ(search_depth_floor(c.topo, mapper), c.floor) << c.name;
   }
 }
 
@@ -391,8 +395,10 @@ TEST(QOf, MatchesTheBellmanFordReferenceOnRandomFabrics) {
             << "seed " << seed << " mapper " << mapper << " v " << v;
         undefined += expected ? 0 : 1;
       }
-      ASSERT_EQ(search_depth(t, mapper),
-                reference_q_value(t, mapper) + diameter(t) + 1)
+      const int depth = search_depth(t, mapper);
+      ASSERT_EQ(depth, reference_q_value(t, mapper) + diameter(t) + 1)
+          << "seed " << seed << " mapper " << mapper;
+      ASSERT_LE(search_depth_floor(t, mapper), depth)
           << "seed " << seed << " mapper " << mapper;
     }
   }
@@ -428,7 +434,10 @@ TEST(SearchDepth, PooledSolveMatchesReferenceAcrossChunks) {
       max_beyond_first_chunk += first_chunk_q < reference_q ? 1 : 0;
       EXPECT_EQ(q_value(t, mapper), reference_q)
           << "seed " << seed << " mapper " << mapper;
-      EXPECT_EQ(search_depth(t, mapper), reference_q + diameter(t) + 1)
+      const int depth = search_depth(t, mapper);
+      EXPECT_EQ(depth, reference_q + diameter(t) + 1)
+          << "seed " << seed << " mapper " << mapper;
+      EXPECT_LE(search_depth_floor(t, mapper), depth)
           << "seed " << seed << " mapper " << mapper;
     }
   }

@@ -429,13 +429,18 @@ int cmd_map(int argc, const char* const* argv) {
     simnet::Network net(t, collision, simnet::CostModel{},
                         simnet::FaultModel{}, 1, ext);
     probe::ProbeEngine engine(net, mapper);
-    const auto depth = [&] { return topo::search_depth(t, mapper); };
+    // §3.1.4's Q + D + 1 is an O(V · E) solve, run only if the exploration
+    // reaches past its one-BFS floor; the probes are the same either way.
+    const auto bound_depth = [&](mapper::MapperConfig& config) {
+      config.search_depth = topo::search_depth_floor(t, mapper);
+      config.exact_search_depth = [&] { return topo::search_depth(t, mapper); };
+    };
     if (!flags.get("previous").empty()) {
       if (algorithm != "berkeley") {
         throw std::runtime_error("--previous works with --algorithm berkeley");
       }
       mapper::IncrementalConfig config;
-      config.base.search_depth = depth();
+      bound_depth(config.base);
       mapper::IncrementalResult result =
           mapper::IncrementalMapper(
               engine, load_case(flags.get("previous")).network, config)
@@ -453,13 +458,13 @@ int cmd_map(int argc, const char* const* argv) {
       m = mapped(std::move(result));
     } else if (algorithm == "berkeley" || algorithm == "labeled") {
       mapper::MapperConfig config;
-      config.search_depth = depth();
+      bound_depth(config);
       m = algorithm == "labeled"
               ? mapped(mapper::LabeledMapper(engine, config).run())
               : mapped(mapper::BerkeleyMapper(engine, config).run());
     } else if (algorithm == "randomized") {
       mapper::RandomizedConfig config;
-      config.base.search_depth = depth();
+      bound_depth(config.base);
       config.wild_probes = static_cast<int>(t.num_hosts()) * 4;
       m = mapped(mapper::RandomizedMapper(engine, config).run());
     } else if (algorithm == "identity") {
