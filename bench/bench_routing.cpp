@@ -28,6 +28,13 @@
 //    and 1,920 switches (120 under --smoke), and both certificates built
 //    from the per-destination table. Wall time per stage, the table's
 //    bytes, the legality certificate's bytes and the process's peak RSS.
+//    Routing is broken down by layer: "root s" is the UP*/DOWN* root
+//    search (one multi-source BFS), "recount s" the pooled routed-pair
+//    count, each timed again on its own, and "picks s" the rest of
+//    "route s" (orientation labels, the pooled per-destination searches and
+//    the serial picks). "summary s" is the one pooled pass over the trees
+//    (routing::summarize: turns, hops, compliance) and "deadlock s" the
+//    Kahn elimination over its turns.
 //    "check s" times the independent checker (analysis::TableCheck, which
 //    proves the table's structure, legality and dependency order entry by
 //    entry in blocks of 64 destinations across the analysis thread count
@@ -74,6 +81,7 @@
 #include "routing/optimizer.hpp"
 #include "routing/routes.hpp"
 #include "routing/tree_routes.hpp"
+#include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 #include "verify/scenario_case.hpp"
 
@@ -108,17 +116,17 @@ Measured measure(const topo::Topology& t, const Variant& v) {
       routing::route(t, {.engine = v.engine, .optimize = v.optimize});
   Measured m;
   m.load = routing::channel_load(t, routes);
-  const routing::HopSummary hops = routes.hop_summary();
-  m.mean_hops = hops.mean;
-  m.max_hops = hops.max;
+  const routing::TableSummary summary = routing::summarize(routes);
+  m.mean_hops = summary.hops().mean;
+  m.max_hops = summary.hops().max;
   routes.routes.for_each_route(
       [&](topo::NodeId, topo::NodeId, const routing::HostRoute& route) {
         ++m.histogram[route.hops()];
       });
-  const auto certificate = analysis::build_deadlock_certificate(t, routes);
+  const auto certificate = analysis::build_deadlock_certificate(t, summary);
   m.certified = certificate.deadlock_free &&
                 analysis::check_deadlock(t, routes, certificate) &&
-                routing::updown_compliant(routes);
+                summary.compliant;
   return m;
 }
 
@@ -306,7 +314,8 @@ bool updown_routes() {
     const auto mapped = bench::run_berkeley(c.network);
     const auto routes = routing::compute_updown_routes(mapped.map);
     const auto analysis = routing::analyze_routes(mapped.map, routes);
-    const bool compliant = routing::updown_compliant(routes);
+    const routing::TableSummary summary = routing::summarize(routes);
+    const bool compliant = summary.compliant;
 
     simnet::Network replay_net(mapped.map);
     std::size_t replayed = 0;
@@ -320,7 +329,7 @@ bool updown_routes() {
     const bool ok = analysis.deadlock_free && compliant &&
                     replayed == routes.routes.size();
     all_ok = all_ok && ok;
-    const routing::HopSummary hops = routes.hop_summary();
+    const routing::HopSummary hops = summary.hops();
     table.add_row({c.name, std::to_string(mapped.map.num_hosts()),
                    std::to_string(mapped.map.num_switches()),
                    std::to_string(routes.routes.size()),
@@ -385,7 +394,7 @@ bool routing_strategies() {
                          const routing::RoutingResult& routes) {
       const auto stats = routing::channel_load(c.network, routes);
       const auto analysis = routing::analyze_routes(c.network, routes);
-      const routing::HopSummary hops = routes.hop_summary();
+      const routing::HopSummary hops = routing::summarize(routes).hops();
       table.add_row({c.name, label, common::fmt(hops.mean, 2),
                      std::to_string(hops.max),
                      std::to_string(stats.max_channel_load),
@@ -451,9 +460,10 @@ bool scale(bool smoke) {
   bench::JsonReport report("routing_scale");
   std::cout << "analysis threads: " << common::ThreadPool::default_size()
             << "\n";
-  common::Table table({"switches", "hosts", "route s", "legality s",
-                       "deadlock s", "total s", "check s", "table MiB",
-                       "legality MiB", "peak RSS MiB", "certified"});
+  common::Table table({"switches", "hosts", "route s", "root s", "picks s",
+                       "recount s", "legality s", "summary s", "deadlock s",
+                       "total s", "check s", "table MiB", "legality MiB",
+                       "peak RSS MiB", "certified"});
   bool ok = true;
   const std::vector<int> leaves =
       smoke ? std::vector<int>{64} : std::vector<int>{256, 512, 1024};
@@ -463,18 +473,30 @@ bool scale(bool smoke) {
     const topo::Topology t = topo::mega_fat_tree(options);
 
     const Clock::time_point start = Clock::now();
-    const routing::RoutingResult routes =
+    routing::RoutingResult routes =
         routing::compute_routes(t, routing::EngineKind::kUpDown);
     const double route_s = seconds_since(start);
     const Clock::time_point legality_start = Clock::now();
     const analysis::LegalityCertificate legality =
         analysis::build_legality_certificate(t, routes);
     const double legality_s = seconds_since(legality_start);
+    const Clock::time_point summary_start = Clock::now();
+    const routing::TableSummary summary = routing::summarize(routes);
+    const double summary_s = seconds_since(summary_start);
     const Clock::time_point deadlock_start = Clock::now();
     const analysis::DeadlockCertificate deadlock =
-        analysis::build_deadlock_certificate(t, routes);
+        analysis::build_deadlock_certificate(t, summary);
     const double deadlock_s = seconds_since(deadlock_start);
     const double total_s = seconds_since(start);
+
+    // Two of compute_routes' layers again, each on its own.
+    const Clock::time_point root_start = Clock::now();
+    (void)topo::switch_farthest_from_hosts(t);
+    const double root_s = seconds_since(root_start);
+    const Clock::time_point recount_start = Clock::now();
+    routes.routes.recount();  // idempotent: the count is the entries
+    const double recount_s = seconds_since(recount_start);
+    const double picks_s = std::max(0.0, route_s - root_s - recount_s);
     const Clock::time_point check_start = Clock::now();
     common::CallPool pool;
     const analysis::TableCheck check(t, routes.routes, legality.labels, pool);
@@ -498,14 +520,20 @@ bool scale(bool smoke) {
         smoke || leaf_switches != leaves.back() || total_s < kBudgetS;
     ok = ok && certified && in_budget;
     table.add_row({std::to_string(t.num_switches()), std::to_string(hosts),
-                   common::fmt(route_s, 3), common::fmt(legality_s, 3),
+                   common::fmt(route_s, 3), common::fmt(root_s, 4),
+                   common::fmt(picks_s, 3), common::fmt(recount_s, 3),
+                   common::fmt(legality_s, 3), common::fmt(summary_s, 3),
                    common::fmt(deadlock_s, 3), common::fmt(total_s, 3),
                    common::fmt(check_s, 3), common::fmt(table_mib, 2),
                    common::fmt(legality_mib, 1), common::fmt(peak_mib, 1),
                    certified ? "yes" : "NO"});
     const std::string key = "fattree-" + std::to_string(t.num_switches());
     report.add(key, "route_s", route_s);
+    report.add(key, "root_s", root_s);
+    report.add(key, "picks_s", picks_s);
+    report.add(key, "recount_s", recount_s);
     report.add(key, "legality_s", legality_s);
+    report.add(key, "summary_s", summary_s);
     report.add(key, "deadlock_s", deadlock_s);
     report.add(key, "total_s", total_s);
     report.add(key, "check_s", check_s);

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
     updown.ignore_hosts = {*util};  // §5.5 ignores the utility host
   }
   const auto routes = routing::compute_updown_routes(result.map, updown);
-  const routing::HopSummary hops = routes.hop_summary();
+  const routing::TableSummary summary = routing::summarize(routes);
+  const routing::HopSummary hops = summary.hops();
   std::cout << "routing  : root switch label 0 = map node "
             << routes.orientation.root() << ", "
             << routes.routes.size() << " host-pair routes, mean "
@@ -70,14 +71,14 @@ int main(int argc, char** argv) {
 
   // -- 3. deadlock freedom ----------------------------------------------------
   const auto certificate =
-      analysis::build_deadlock_certificate(result.map, routes);
+      analysis::build_deadlock_certificate(result.map, summary);
   std::cout << "deadlock : " << certificate.dependencies
             << " channel dependencies over " << certificate.channels
             << " channels -> "
             << (certificate.deadlock_free ? "ACYCLIC (deadlock-free)"
                                           : "CYCLE!")
             << "\n";
-  if (!certificate.deadlock_free || !routing::updown_compliant(routes)) {
+  if (!certificate.deadlock_free || !summary.compliant) {
     return 1;
   }
 

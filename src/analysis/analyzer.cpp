@@ -76,7 +76,7 @@ AnalysisResult analyze(const topo::Topology& map,
 
   // The entry-local checker serves the structure lints and both
   // certificates' checks; the certificates themselves are built from the
-  // table's trees, and only for a structurally sound table. Both run their
+  // table's trees, and only for a structurally sound table. All run their
   // blocks of destinations on the call's pool.
   common::CallPool pool;
   const TableCheck check(map, routes.routes, legality_labels(map, routes),
@@ -102,7 +102,8 @@ AnalysisResult analyze(const topo::Topology& map,
                       "analyzer self-check: report this as a bug");
   }
 
-  result.deadlock = build_deadlock_certificate(map, routes);
+  result.deadlock =
+      build_deadlock_certificate(map, routing::summarize(routes, pool));
   emit_deadlock_findings(result.deadlock, result.report);
   why.clear();
   if (!check.check(result.deadlock, &why)) {

@@ -102,7 +102,7 @@ LegalityCertificate build_legality_certificate(
     first_up[i] = hop_goes_up(topo, cert.labels, table.host_wire(i),
                               table.hosts()[i]);
   }
-  constexpr std::uint32_t kBlock = 64;
+  constexpr std::uint32_t kBlock = routing::RouteTable::kBlock;
   std::vector<std::vector<IllegalRoute>> blocks((n + kBlock - 1) / kBlock);
   pool.run(blocks.size(), [&](std::size_t b) {
     const auto begin = static_cast<std::uint32_t>(b) * kBlock;
@@ -448,9 +448,14 @@ DeadlockCertificate build_deadlock_certificate(
 }
 
 DeadlockCertificate build_deadlock_certificate(
-    const topo::Topology& topo, const routing::RoutingResult& routes) {
+    const topo::Topology& topo, const routing::TableSummary& summary) {
   return deadlock_certificate(
-      dependency_edges(topo.wire_capacity() * 2, topo, routes));
+      dependency_edges(topo.wire_capacity() * 2, topo, summary));
+}
+
+DeadlockCertificate build_deadlock_certificate(
+    const topo::Topology& topo, const routing::RoutingResult& routes) {
+  return build_deadlock_certificate(topo, routing::summarize(routes));
 }
 
 bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,

@@ -15,15 +15,16 @@
 // builders read each destination's next-hop tree (routing/routes.hpp,
 // for_each_tree): the illegal routes come from one successors-first pass
 // over every tree's states, the dependencies from the distinct turns the
-// trees make, O(H·(S + E)) in all. The checker (TableCheck,
-// table_check.hpp) reads only the raw entries, the table's copied wire ends
-// and senses, and the carried evidence: it marks the states each source's
-// walk reaches, forward from its first hop, and proves legality,
-// termination and the dependency order entry by entry, O(H·S) for the
-// table. check_legality() and check_deadlock() over a table are that
-// checker. Both builders and the checker run their blocks of destinations
-// on a call-local pool and merge the blocks in a fixed order, so the
-// certificates and verdicts are the same bytes on any core count.
+// trees make (routing::summarize), O(H·(S + E)) in all. The checker
+// (TableCheck, table_check.hpp) reads only the raw entries, the table's
+// copied wire ends and senses, and the carried evidence: it marks the
+// states each source's walk reaches, forward from its first hop, and
+// proves legality, termination and the dependency order entry by entry,
+// O(H·S) for the table. check_legality() and check_deadlock() over a
+// table are that checker. Both builders and the checker run their blocks
+// of destinations on a call-local pool and merge the blocks in a fixed
+// order, so the certificates and verdicts are the same bytes on any core
+// count.
 //
 // The deadlock certificate is the one deadlock proof production code runs
 // (the publish gate and snapshot decode, both through service::certify
@@ -149,8 +150,12 @@ class DependencyGraph {
 DeadlockCertificate build_deadlock_certificate(
     const topo::Topology& topo,
     const std::vector<std::vector<routing::Channel>>& paths);
-/// The same certificate over a route table, its dependencies read off the
-/// trees (routing::for_each_dependency) — nothing is walked per hop.
+/// The same certificate over a route table, its dependencies the turns of
+/// the table's summary (routing::summarize, routing::for_each_dependency) —
+/// nothing is walked per hop. The elimination itself is serial.
+DeadlockCertificate build_deadlock_certificate(
+    const topo::Topology& topo, const routing::TableSummary& summary);
+/// The same, summarizing `routes` on a pool of its own.
 DeadlockCertificate build_deadlock_certificate(
     const topo::Topology& topo, const routing::RoutingResult& routes);
 

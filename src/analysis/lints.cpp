@@ -181,7 +181,7 @@ void lint_route_quality(const topo::Topology& topo,
   const auto live_host = [&](topo::NodeId n) {
     return n < topo.node_capacity() && topo.node_alive(n) && topo.is_host(n);
   };
-  constexpr std::uint32_t kBlock = 64;
+  constexpr std::uint32_t kBlock = routing::RouteTable::kBlock;
   const auto n = static_cast<std::uint32_t>(table.hosts().size());
   std::vector<Facts> blocks((n + kBlock - 1) / kBlock);
   pool.run(blocks.size(), [&](std::size_t b) {

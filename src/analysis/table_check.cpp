@@ -13,9 +13,7 @@ namespace {
 
 using routing::RouteTable;
 
-/// Destinations per block. A constant, not the core count, so the blocks
-/// and their merge are the same on every machine.
-constexpr std::uint32_t kBlock = 64;
+constexpr std::uint32_t kBlock = RouteTable::kBlock;
 constexpr std::uint8_t kNoPort = 0xff;
 
 /// A state's colour toward one destination: unvisited, open on the walk

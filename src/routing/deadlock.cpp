@@ -115,17 +115,4 @@ DeadlockAnalysis analyze_channel_paths(
       [&](const auto& visit) { for_each_dependency(paths, visit); }));
 }
 
-bool updown_compliant(const RoutingResult& routes) {
-  const RouteTable& table = routes.routes;
-  bool compliant = true;
-  table.for_each_tree([&](const RouteTable::Tree& tree) {
-    for (const std::uint32_t x : tree.order) {
-      compliant = compliant &&
-                  !(RouteTable::state_phase(x) == Phase::kDown &&
-                    table.entry_hop(tree.dst, x).up);
-    }
-  });
-  return compliant;
-}
-
 }  // namespace sanmap::routing

@@ -47,36 +47,20 @@ void for_each_dependency(const std::vector<std::vector<Channel>>& paths,
 }
 
 /// The same dependencies read off a route table's trees, each distinct one
-/// once, in ascending held-channel order: per destination, every state on
-/// the tree makes the turn from its entry's channel to its successor's, and
-/// every routed source the turn from its first hop onto its start state's
-/// entry. A turn is recorded as the port its second channel leaves the
-/// switch by, one bit per (channel, port), so the trees cost
-/// O(H·(S + E)) for the table in place of one visit per hop of every
-/// route. Requires a structurally sound table
+/// once, in ascending held-channel order. summarize() records them: per
+/// destination, every state on the tree makes the turn from its entry's
+/// channel to its successor's, and every routed source the turn from its
+/// first hop onto its start state's entry. A turn is one bit per (held
+/// channel, port its second channel leaves the switch by), so the trees
+/// cost O(H·(S + E)) for the table in place of one visit per hop of every
+/// route, and blocks of destinations read on a pool merge by OR into the
+/// same bits in any order: the dependency graph needs only the union of
+/// the turns (Dally & Seitz). Requires a structurally sound table
 /// (analysis::TableCheck::sound()).
 template <typename Visit>
 void for_each_dependency(const topo::Topology& topo,
-                         const RoutingResult& routes, Visit&& visit) {
-  const RouteTable& table = routes.routes;
-  std::vector<std::uint8_t> next_ports(2 * topo.wire_capacity(), 0);
-  const auto turn = [&](std::size_t held, topo::Port port) {
-    next_ports[held] |= static_cast<std::uint8_t>(1u << port);
-  };
-  table.for_each_tree([&](const RouteTable::Tree& tree) {
-    for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
-      if (tree.routed[i] != 0) {
-        turn(table.first_hop(i).channel,
-             table.entry_hop(tree.dst, table.start(i)).out_port);
-      }
-    }
-    for (const std::uint32_t x : tree.order) {
-      if (tree.succ[x] != RouteTable::kNone) {
-        turn(table.entry_hop(tree.dst, x).channel,
-             table.entry_hop(tree.dst, tree.succ[x]).out_port);
-      }
-    }
-  });
+                         const TableSummary& summary, Visit&& visit) {
+  const std::vector<std::uint8_t>& next_ports = summary.next_ports;
   for (std::size_t held = 0; held < next_ports.size(); ++held) {
     if (next_ports[held] == 0) {
       continue;
@@ -125,9 +109,5 @@ DeadlockAnalysis analyze_routes(const topo::Topology& topo,
 DeadlockAnalysis analyze_channel_paths(
     const topo::Topology& topo,
     const std::vector<std::vector<Channel>>& paths);
-
-/// True when every route obeys the UP*/DOWN* rule: no down-to-up turn.
-/// Reads the trees: no entry of a state in Phase::kDown moves up.
-bool updown_compliant(const RoutingResult& routes);
 
 }  // namespace sanmap::routing

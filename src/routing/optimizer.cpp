@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "routing/congestion.hpp"
-#include "routing/deadlock.hpp"
 #include "routing/shortest_trees.hpp"
 
 namespace sanmap::routing {
@@ -264,7 +263,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
       break;  // settled
     }
   }
-  if (!updown_compliant(routes)) {
+  if (!summarize(routes).compliant) {
     routes.routes = entry;
     load = channel_loads(topo, routes);
     report.reverted = true;

@@ -33,8 +33,8 @@
 // routing on the 480-switch fat tree).
 //
 // Safety is never assumed: the final table is checked against the
-// orientation (updown_compliant, which reads the trees). Routes that never
-// turn from down to up under a total order cannot close a dependency
+// orientation (summarize's compliance, which reads the trees). Routes that
+// never turn from down to up under a total order cannot close a dependency
 // cycle, so this is the optimizer's whole safety check; a table that fails
 // it is replaced by the entry table and `reverted` is set. Every caller
 // then certifies the table with the analysis layer's DeadlockCertificate

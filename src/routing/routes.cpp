@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "routing/congestion.hpp"
 #include "routing/shortest_trees.hpp"
 
@@ -15,7 +16,8 @@ RouteTable::RouteTable(const topo::Topology& topo,
       switches_(topo.switches()),
       host_index_(topo.node_capacity(), kNone),
       switch_index_(topo.node_capacity(), kNone),
-      ports_(topo::kSwitchPorts * topo.num_switches()) {
+      ports_(topo::kSwitchPorts * topo.num_switches()),
+      channels_(2 * topo.wire_capacity()) {
   for (std::uint32_t i = 0; i < hosts_.size(); ++i) {
     host_index_[hosts_[i]] = i;
   }
@@ -235,20 +237,35 @@ void RouteTable::tree(std::uint32_t dst, Tree& out) const {
   }
 }
 
-void RouteTable::recount() {
-  size_ = 0;
-  std::vector<Outcome> outcome;
-  std::vector<std::uint32_t> succ;
-  std::vector<std::uint32_t> post;
-  for (std::uint32_t j = 0; j < hosts_.size(); ++j) {
-    resolve(j, outcome, succ, post);
-    for (std::uint32_t i = 0; i < hosts_.size(); ++i) {
-      if (i != j && start(i) != kNone &&
-          outcome[start(i)] != Outcome::kMissing) {
-        ++size_;
+void RouteTable::recount(common::CallPool& pool) {
+  const auto n = static_cast<std::uint32_t>(hosts_.size());
+  std::vector<std::size_t> blocks((n + kBlock - 1) / kBlock, 0);
+  pool.run(blocks.size(), [&](std::size_t b) {
+    std::vector<Outcome> outcome;
+    std::vector<std::uint32_t> succ;
+    std::vector<std::uint32_t> post;
+    std::size_t routed = 0;  // counted here: the blocks share cache lines
+    const auto begin = static_cast<std::uint32_t>(b) * kBlock;
+    for (std::uint32_t j = begin; j < std::min(n, begin + kBlock); ++j) {
+      resolve(j, outcome, succ, post);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (i != j && start(i) != kNone &&
+            outcome[start(i)] != Outcome::kMissing) {
+          ++routed;
+        }
       }
     }
+    blocks[b] = routed;
+  });
+  size_ = 0;
+  for (const std::size_t count : blocks) {
+    size_ += count;
   }
+}
+
+void RouteTable::recount() {
+  common::CallPool pool;
+  recount(pool);
 }
 
 void RouteTable::set_entry(std::uint32_t dst, std::uint32_t state,
@@ -305,22 +322,73 @@ std::vector<HostRoute> RoutingResult::table_for(topo::NodeId src) const {
   return out;
 }
 
-HopSummary RoutingResult::hop_summary() const {
-  double total = 0;
-  std::size_t count = 0;
-  std::uint32_t longest = 0;
-  routes.for_each_tree([&](const RouteTable::Tree& tree) {
-    for (std::uint32_t i = 0; i < tree.routed.size(); ++i) {
-      if (tree.routed[i] != 0) {
-        const std::uint32_t hops = 1 + tree.len[routes.start(i)];
-        total += hops;
-        ++count;
-        longest = std::max(longest, hops);
+HopSummary TableSummary::hops() const {
+  // The sum is an integer, so the mean is one division whatever order the
+  // hops were added in.
+  return {routed == 0 ? 0.0
+                      : static_cast<double>(total_hops) /
+                            static_cast<double>(routed),
+          static_cast<int>(max_hops)};
+}
+
+TableSummary summarize(const RoutingResult& routes, common::CallPool& pool) {
+  const RouteTable& table = routes.routes;
+  const auto n = static_cast<std::uint32_t>(table.hosts().size());
+  constexpr std::uint32_t kBlock = RouteTable::kBlock;
+  std::vector<TableSummary> blocks((n + kBlock - 1) / kBlock);
+  pool.run(blocks.size(), [&](std::size_t b) {
+    // Filled here and moved out at the end: the blocks share cache lines.
+    TableSummary out;
+    out.next_ports.assign(table.num_channels(), 0);
+    const auto turn = [&](std::size_t held, topo::Port port) {
+      out.next_ports[held] |= static_cast<std::uint8_t>(1u << port);
+    };
+    RouteTable::Tree tree;
+    const auto begin = static_cast<std::uint32_t>(b) * kBlock;
+    for (std::uint32_t dst = begin; dst < std::min(n, begin + kBlock);
+         ++dst) {
+      table.tree(dst, tree);
+      const std::uint8_t* entry =
+          table.entries().data() + std::size_t{dst} * table.num_states();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (tree.routed[i] == 0) {
+          continue;
+        }
+        const std::uint32_t x = table.start(i);
+        const std::uint32_t hops = 1 + tree.len[x];
+        ++out.routed;
+        out.total_hops += hops;
+        out.max_hops = std::max(out.max_hops, hops);
+        turn(table.first_hop(i).channel, entry[x]);
+      }
+      for (const std::uint32_t x : tree.order) {
+        const RouteTable::Hop hop = table.entry_hop(dst, x);
+        out.compliant = out.compliant &&
+                        !(RouteTable::state_phase(x) == Phase::kDown && hop.up);
+        if (tree.succ[x] != RouteTable::kNone) {
+          turn(hop.channel, entry[tree.succ[x]]);
+        }
       }
     }
+    blocks[b] = std::move(out);
   });
-  return {count == 0 ? 0.0 : total / static_cast<double>(count),
-          static_cast<int>(longest)};
+  TableSummary summary;
+  summary.next_ports.assign(table.num_channels(), 0);
+  for (const TableSummary& block : blocks) {
+    for (std::size_t c = 0; c < block.next_ports.size(); ++c) {
+      summary.next_ports[c] |= block.next_ports[c];
+    }
+    summary.routed += block.routed;
+    summary.total_hops += block.total_hops;
+    summary.max_hops = std::max(summary.max_hops, block.max_hops);
+    summary.compliant = summary.compliant && block.compliant;
+  }
+  return summary;
+}
+
+TableSummary summarize(const RoutingResult& routes) {
+  common::CallPool pool;
+  return summarize(routes, pool);
 }
 
 RoutingResult compute_updown_routes(const topo::Topology& topo,

@@ -32,7 +32,11 @@
 // (certificates, loads, hop statistics, quality lints) read each
 // destination's tree instead (for_each_tree()): its reached states, how many
 // sources each entry routes and how far each state is from the
-// destination, in O(H·(S + E)) for the whole table.
+// destination, in O(H·(S + E)) for the whole table. The reads every table
+// gets — its turns, hop counts and UP*/DOWN* compliance (summarize()) and
+// its routed-pair count (recount()) — run in blocks of kBlock destinations
+// on the caller's pool and merge in block order by OR and integer sums, so
+// they are the same bytes on any core count.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +48,10 @@
 #include "routing/updown.hpp"
 #include "simnet/route.hpp"
 #include "topology/topology.hpp"
+
+namespace sanmap::common {
+class CallPool;
+}  // namespace sanmap::common
 
 namespace sanmap::routing {
 
@@ -72,6 +80,10 @@ class RouteTable {
  public:
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
+  /// Destinations per task of the pooled passes over the table: a
+  /// constant, so the blocks and the order they merge in do not depend on
+  /// the core count.
+  static constexpr std::uint32_t kBlock = 64;
 
   /// One move out of a state (or out of a source host).
   struct Hop {
@@ -127,6 +139,9 @@ class RouteTable {
   }
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
   [[nodiscard]] std::size_t num_states() const { return 2 * switches_.size(); }
+  /// Directed channel slots (channel_slot) of the topology the table was
+  /// built over: two per wire slot.
+  [[nodiscard]] std::size_t num_channels() const { return channels_; }
   [[nodiscard]] topo::NodeId state_switch(std::uint32_t state) const {
     return switches_[state / 2];
   }
@@ -195,7 +210,10 @@ class RouteTable {
   [[nodiscard]] std::span<const std::uint8_t> entries() const {
     return next_;
   }
-  /// Recomputes size() after entries were written.
+  /// Recomputes size() after entries were written, its blocks of
+  /// destinations on `pool`.
+  void recount(common::CallPool& pool);
+  /// recount() on a pool of its own.
   void recount();
 
   /// Walks src -> dst into `out` (its buffers are reused). Returns false
@@ -299,6 +317,7 @@ class RouteTable {
   /// state: one destination's tree is one contiguous run. kNoPort when
   /// unset.
   std::vector<std::uint8_t> next_;
+  std::size_t channels_ = 0;
   std::size_t size_ = 0;
 };
 
@@ -307,6 +326,23 @@ class RouteTable {
 struct HopSummary {
   double mean = 0.0;
   int max = 0;
+};
+
+/// What one pass over every destination's tree reads off a table.
+struct TableSummary {
+  /// Per held channel slot: bit p is set when some route turns from that
+  /// channel onto the one leaving its far switch by port p. Read as
+  /// channel dependencies by routing::for_each_dependency.
+  std::vector<std::uint8_t> next_ports;
+  /// Routed pairs, and the sum and maximum of their hop counts.
+  std::uint64_t routed = 0;
+  std::uint64_t total_hops = 0;
+  std::uint32_t max_hops = 0;
+  /// Every route obeys the UP*/DOWN* rule: no entry of a state in
+  /// Phase::kDown moves up.
+  bool compliant = true;
+
+  [[nodiscard]] HopSummary hops() const;
 };
 
 struct RoutingResult {
@@ -321,10 +357,15 @@ struct RoutingResult {
   /// The per-source route table (what the paper distributes to each
   /// network interface), in ascending destination order.
   [[nodiscard]] std::vector<HostRoute> table_for(topo::NodeId src) const;
-
-  /// Mean and maximum hop counts, from one pass over the trees.
-  [[nodiscard]] HopSummary hop_summary() const;
 };
+
+/// Reads every destination's tree once, in blocks of RouteTable::kBlock
+/// destinations on `pool`: the turns, the hop counts and compliance. The
+/// blocks merge in block order, by OR and by integer sums, so the summary
+/// is the same on any core count.
+TableSummary summarize(const RoutingResult& routes, common::CallPool& pool);
+/// summarize() on a pool of its own.
+TableSummary summarize(const RoutingResult& routes);
 
 /// Computes UP*/DOWN* routes over a (mapped) topology. The topology must be
 /// connected with at least one switch and one host. `seed` drives the

@@ -22,7 +22,7 @@ MapSnapshot build_snapshot(const topo::Topology& map,
   }
   routing::RoutingResult routes = routing::route(compacted, options, updown);
 
-  const routing::HopSummary hops = routes.hop_summary();
+  const routing::HopSummary hops = routing::summarize(routes).hops();
   return MapSnapshot{.created_at = created_at,
                      .map = std::move(compacted),
                      .routes = std::move(routes),

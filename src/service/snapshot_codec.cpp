@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "routing/engine.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/serialize.hpp"
@@ -229,9 +230,14 @@ MapSnapshot decode_snapshot(const std::string& bytes) {
     }
     table.set_port(dst, state, stored[at]);
   }
-  table.recount();
-
-  const routing::HopSummary hops = routes.hop_summary();
+  routing::HopSummary hops;
+  {
+    // Gone before certify() starts its own: idle workers keep their malloc
+    // arenas, so two live pools would hold twice as many.
+    common::CallPool pool;
+    table.recount(pool);
+    hops = routing::summarize(routes, pool).hops();
+  }
   MapSnapshot snapshot{.epoch = epoch,
                        .created_at = common::SimTime::ns(created_ns),
                        .map = std::move(map),

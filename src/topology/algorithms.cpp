@@ -564,25 +564,44 @@ int search_depth_floor(const Topology& topo, NodeId mapper_host) {
 
 NodeId switch_farthest_from_hosts(const Topology& topo,
                                   const std::vector<NodeId>& ignore) {
-  std::vector<int> min_dist(topo.node_capacity(),
-                            std::numeric_limits<int>::max());
-  for (const NodeId h : topo.hosts()) {
-    if (std::find(ignore.begin(), ignore.end(), h) != ignore.end()) {
-      continue;
+  // One search from every counted host at once: a node's distance is then
+  // its distance to the nearest of them, the minimum of the per-host
+  // searches.
+  std::vector<std::uint8_t> ignored(topo.node_capacity(), 0);
+  for (const NodeId h : ignore) {
+    if (h < ignored.size()) {
+      ignored[h] = 1;
     }
-    const auto dist = bfs_distances(topo, h);
-    for (NodeId v = 0; v < dist.size(); ++v) {
-      if (dist[v] >= 0) {
-        min_dist[v] = std::min(min_dist[v], dist[v]);
+  }
+  std::vector<int> dist(topo.node_capacity(), -1);
+  std::vector<NodeId> queue;
+  queue.reserve(topo.num_nodes());
+  for (const NodeId h : topo.hosts()) {
+    if (ignored[h] == 0) {
+      dist[h] = 0;
+      queue.push_back(h);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId n = queue[head];
+    Port p = 0;
+    for (const WireId w : topo.port_wires(n)) {
+      const PortRef here{n, p++};
+      if (w == kInvalidWire) {
+        continue;
+      }
+      const NodeId far = topo.wire(w).opposite(here).node;
+      if (dist[far] == -1) {
+        dist[far] = dist[n] + 1;
+        queue.push_back(far);
       }
     }
   }
   NodeId best = kInvalidNode;
   int best_dist = -1;
   for (const NodeId s : topo.switches()) {
-    if (min_dist[s] != std::numeric_limits<int>::max() &&
-        min_dist[s] > best_dist) {
-      best_dist = min_dist[s];
+    if (dist[s] > best_dist) {
+      best_dist = dist[s];
       best = s;
     }
   }

@@ -99,9 +99,11 @@ int search_depth(const Topology& topo, NodeId mapper_host);
 int search_depth_floor(const Topology& topo, NodeId mapper_host);
 
 /// Max over switches of the minimum distance to any host; returns the
-/// arg-max switch. Used by UP*/DOWN* to pick "a switch as far away from all
-/// hosts as possible" (§5.5). `ignore` lists hosts excluded from the
-/// distance computation (the paper ignores the utility host).
+/// arg-max switch, the first in switches() order on ties. Used by UP*/DOWN*
+/// to pick "a switch as far away from all hosts as possible" (§5.5).
+/// `ignore` lists hosts excluded from the distance computation (the paper
+/// ignores the utility host). One breadth-first search seeded with every
+/// counted host, O(V + E).
 NodeId switch_farthest_from_hosts(const Topology& topo,
                                   const std::vector<NodeId>& ignore = {});
 

@@ -258,7 +258,7 @@ void run_quiescent_oracles(const ScenarioCase& c, const OracleOptions& options,
     try {
       const routing::RoutingResult routes =
           routing::compute_updown_routes(berkeley.map, {}, options.route_seed);
-      if (!routing::updown_compliant(routes)) {
+      if (!routing::summarize(routes).compliant) {
         report.violations.push_back(
             {"deadlock-updown", "a route takes a down-to-up turn"});
       }

@@ -608,7 +608,8 @@ TEST(CertificateCheckers, RejectFabricatedDeadlockEvidence) {
     routing::Channel held;
     routing::Channel requested;
     routing::for_each_dependency(
-        t, routes, [&](const routing::Channel& h, const routing::Channel& r) {
+        t, routing::summarize(routes),
+        [&](const routing::Channel& h, const routing::Channel& r) {
           held = h;
           requested = r;
         });

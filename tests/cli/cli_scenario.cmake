@@ -39,7 +39,8 @@
 #   mesh-tail FIXTURE_DIR/mesh-tail.topo: a host-free 4x4 mesh behind a
 #               switch-bridge, whose exploration reaches past the one-BFS
 #               depth floor; sanmap info, and sanmap map (which then solves
-#               the exact Q + D + 1) with the map on stdout
+#               the exact Q + D + 1) with the map on stdout, and sanmap
+#               map --previous with a NOW map that lacks its mapper host
 #
 # Every step also fails when its output names a SANMAP_CHECK or a source
 # file: a refusal must be typed text, not an internal assertion.
@@ -171,6 +172,10 @@ elseif(STEPS STREQUAL "mesh-tail")
   file(COPY "${FIXTURE_DIR}/mesh-tail.topo" DESTINATION "${WORK_DIR}")
   step(info 0 info --in mesh-tail.topo)
   step(map 0 map --in mesh-tail.topo --out -)
+  # A previous map of another fabric, which lacks the mapper host: a typed
+  # refusal, not an internal check.
+  step(gen-now 0 gen --topology now --out now.map)
+  step(map-previous-foreign 1 map --in mesh-tail.topo --previous now.map)
 else()
   message(FATAL_ERROR "cli_scenario: unknown step group ${STEPS}")
 endif()

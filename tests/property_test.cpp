@@ -230,7 +230,7 @@ TEST(PropertyEndToEnd, MapRouteReplayOnRandomNetworks) {
 
     const auto routes = routing::compute_updown_routes(result.map, {},
                                                        rng.next());
-    EXPECT_TRUE(routing::updown_compliant(routes));
+    EXPECT_TRUE(routing::summarize(routes).compliant);
     EXPECT_TRUE(routing::analyze_routes(result.map, routes).deadlock_free);
 
     simnet::Network replay(result.map);

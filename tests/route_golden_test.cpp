@@ -136,7 +136,8 @@ void digest_variant(const topo::Topology& t, const Variant& v,
        << opt.rounds << ' ' << (opt.reverted ? "reverted" : "kept") << "\n";
   }
   os << "root " << t.name(routes.orientation.root()) << " routes "
-     << routes.routes.size() << " max_hops " << routes.hop_summary().max << "\n";
+     << routes.routes.size() << " max_hops "
+     << routing::summarize(routes).hops().max << "\n";
 
   // Routes, hashed per source (the map is key-ordered, so each source's
   // routes are contiguous) and over the whole table.
@@ -235,7 +236,7 @@ void digest_variant(const topo::Topology& t, const Variant& v,
      << " elapsed_ns " << dist.elapsed.to_ns() << " complete "
      << (dist.complete ? 1 : 0) << "\n";
 
-  const routing::HopSummary summary = routes.hop_summary();
+  const routing::TableSummary summary = routing::summarize(routes);
   service::SnapshotOptions options;
   options.route_seed = v.seed;
   options.source = "golden";
@@ -247,11 +248,11 @@ void digest_variant(const topo::Topology& t, const Variant& v,
                                       routes,
                                       options,
                                       deadlock.deadlock_free,
-                                      routing::updown_compliant(routes),
+                                      summary.compliant,
                                       deadlock.channels,
                                       deadlock.dependencies,
-                                      summary.mean,
-                                      summary.max};
+                                      summary.hops().mean,
+                                      summary.hops().max};
   const std::string bytes = service::encode_snapshot(snapshot);
   Fnv encoded;
   encoded.add_bytes(bytes);

@@ -214,7 +214,7 @@ TEST(RouteTableOptimizer, KeepsHopsAndNeverRaisesTheMaxOnTheCorpus) {
       EXPECT_EQ(report.max_load_before, before);
       EXPECT_LE(report.max_load_after, report.max_load_before);
       EXPECT_EQ(report.max_load_after, max_channel_load(t, routes));
-      EXPECT_TRUE(routing::updown_compliant(routes));
+      EXPECT_TRUE(routing::summarize(routes).compliant);
       std::size_t k = 0;
       routes.routes.for_each_route(
           [&](topo::NodeId, topo::NodeId, const routing::HostRoute& route) {

@@ -51,7 +51,7 @@ bool same_tables(const routing::RoutingResult& a,
 /// the three-color DFS agreeing that the dependency graph is acyclic.
 ::testing::AssertionResult certifies(const topo::Topology& t,
                                      const routing::RoutingResult& routes) {
-  if (!routing::updown_compliant(routes)) {
+  if (!routing::summarize(routes).compliant) {
     return ::testing::AssertionFailure() << "a down-to-up turn slipped in";
   }
   std::vector<std::string> why;
@@ -143,7 +143,7 @@ TEST(Engine, CertificateAndDfsAgreeOn200RandomTopologies) {
         ASSERT_EQ(routing::analyze_routes(t, routes).deadlock_free,
                   cert.deadlock_free)
             << where;
-        ASSERT_TRUE(routing::updown_compliant(routes)) << where;
+        ASSERT_TRUE(routing::summarize(routes).compliant) << where;
       }
     }
   }

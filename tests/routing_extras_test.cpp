@@ -66,7 +66,7 @@ TEST(TreeRoutes, AllPairsDeliveredAndDeadlockFree) {
     const auto routes = compute_tree_routes(t);
     const auto hosts = t.hosts();
     EXPECT_EQ(routes.routes.size(), hosts.size() * (hosts.size() - 1));
-    EXPECT_TRUE(updown_compliant(routes));
+    EXPECT_TRUE(summarize(routes).compliant);
     EXPECT_TRUE(analyze_routes(t, routes).deadlock_free);
     simnet::Network net(t);
     routes.routes.for_each_route(
@@ -93,7 +93,8 @@ TEST(TreeRoutes, LongerOrEqualPathsThanUpDown) {
   const Topology t = topo::torus(4, 4, 1);
   const auto tree = compute_tree_routes(t);
   const auto updown = compute_updown_routes(t);
-  EXPECT_GE(tree.hop_summary().mean, updown.hop_summary().mean);
+  EXPECT_GE(summarize(tree).hops().mean,
+            summarize(updown).hops().mean);
 }
 
 // ----------------------------------------------------------- distribution --

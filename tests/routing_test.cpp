@@ -1,10 +1,17 @@
-// Tests for UP*/DOWN* orientation, route computation, deadlock analysis,
-// and replay of the emitted source routes through the simulator.
+// Tests for UP*/DOWN* orientation, route computation, the pooled passes
+// over a table's trees, deadlock analysis, and replay of the emitted source
+// routes through the simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "analysis/certificates.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "routing/updown.hpp"
@@ -118,7 +125,7 @@ TEST(UpDown, DominantSwitchGetsRelabeled) {
     UpDownOptions options = fix;
     options.fix_dominant_switches = use_fix;
     const auto result = compute_updown_routes(t, options);
-    EXPECT_TRUE(updown_compliant(result));
+    EXPECT_TRUE(summarize(result).compliant);
     EXPECT_TRUE(analyze_routes(t, result).deadlock_free);
   }
 }
@@ -135,7 +142,7 @@ void expect_routes_valid(const Topology& t, const RoutingResult& result) {
   const auto hosts = t.hosts();
   // Every ordered host pair has a route.
   EXPECT_EQ(result.routes.size(), hosts.size() * (hosts.size() - 1));
-  EXPECT_TRUE(updown_compliant(result));
+  EXPECT_TRUE(summarize(result).compliant);
   const auto analysis = analyze_routes(t, result);
   EXPECT_TRUE(analysis.deadlock_free)
       << "dependency cycle of " << analysis.cycle.size() << " channels";
@@ -214,9 +221,9 @@ TEST(Routes, FullNowCluster) {
   const Topology t = topo::now_cluster();
   const auto result = compute_updown_routes(t);
   EXPECT_EQ(result.routes.size(), 100u * 99u);
-  EXPECT_TRUE(updown_compliant(result));
+  EXPECT_TRUE(summarize(result).compliant);
   EXPECT_TRUE(analyze_routes(t, result).deadlock_free);
-  const routing::HopSummary hops = result.hop_summary();
+  const HopSummary hops = summarize(result).hops();
   EXPECT_GT(hops.mean, 2.0);
   EXPECT_LE(hops.max, topo::diameter(t) + 4);
 }
@@ -316,6 +323,116 @@ TEST(Routes, MissingRouteThrows) {
   const auto result = compute_updown_routes(t);
   EXPECT_THROW((void)result.route(t.hosts()[0], t.hosts()[0]),
                common::CheckFailure);
+}
+
+// ------------------------------------------------------ pooled tree passes --
+
+/// 130 hosts: two full blocks of RouteTable::kBlock destinations and a
+/// partial third.
+Topology three_block_fabric(std::uint64_t seed) {
+  common::Rng rng(seed);
+  return topo::random_irregular(40, 130, 20, rng);
+}
+
+/// The walked dependencies of a table, each distinct one once.
+std::set<std::pair<Channel, Channel>> walked_dependencies(
+    const Topology& t, const RoutingResult& routes) {
+  std::set<std::pair<Channel, Channel>> out;
+  for_each_walked_dependency(
+      t, routes,
+      [&](const Channel& held, const Channel& next) {
+        out.emplace(held, next);
+      });
+  return out;
+}
+
+/// The summary's deadlock certificate against the three-colour DFS over
+/// the walked stream: same verdict and count, the same dependencies, and
+/// (when acyclic) an order in which every walked dependency points forward.
+void expect_certificate_matches_the_walk(const Topology& t,
+                                         const RoutingResult& routes,
+                                         const TableSummary& summary) {
+  const analysis::DeadlockCertificate cert =
+      analysis::build_deadlock_certificate(t, summary);
+  const DeadlockAnalysis dfs = analyze_routes(t, routes);
+  EXPECT_EQ(cert.deadlock_free, dfs.deadlock_free);
+  EXPECT_EQ(cert.dependencies, dfs.dependencies);
+  const auto walked = walked_dependencies(t, routes);
+  std::set<std::pair<Channel, Channel>> summarized;
+  for_each_dependency(t, summary, [&](const Channel& held,
+                                      const Channel& next) {
+    summarized.emplace(held, next);
+  });
+  EXPECT_EQ(summarized, walked);
+  if (!cert.deadlock_free) {
+    return;
+  }
+  std::map<Channel, std::size_t> position;
+  for (std::size_t k = 0; k < cert.topological_order.size(); ++k) {
+    position[cert.topological_order[k]] = k;
+  }
+  std::set<Channel> dependent;
+  for (const auto& [held, next] : walked) {
+    dependent.insert(held);
+    dependent.insert(next);
+    ASSERT_TRUE(position.contains(held) && position.contains(next));
+    EXPECT_LT(position[held], position[next]);
+  }
+  EXPECT_EQ(dependent.size(), cert.topological_order.size());
+}
+
+TEST(TableSummary, PooledPassMatchesTheWalkedRoutesAcrossAPartialBlock) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Topology t = three_block_fabric(seed);
+    ASSERT_EQ(t.num_hosts(), 130u);
+    const RoutingResult routes = compute_updown_routes(t, {}, seed);
+    common::CallPool pool;
+    const TableSummary summary = summarize(routes, pool);
+
+    std::uint64_t routed = 0;
+    std::uint64_t total = 0;
+    int longest = 0;
+    routes.routes.for_each_route(
+        [&](NodeId, NodeId, const HostRoute& route) {
+          ++routed;
+          total += static_cast<std::uint64_t>(route.hops());
+          longest = std::max(longest, route.hops());
+        });
+    EXPECT_EQ(summary.routed, routed) << "seed " << seed;
+    EXPECT_EQ(summary.total_hops, total) << "seed " << seed;
+    EXPECT_EQ(summary.hops().mean,
+              static_cast<double>(total) / static_cast<double>(routed));
+    EXPECT_EQ(summary.hops().max, longest) << "seed " << seed;
+    EXPECT_TRUE(summary.compliant) << "seed " << seed;
+    expect_certificate_matches_the_walk(t, routes, summary);
+  }
+}
+
+TEST(TableSummary, ADownUpTurnIsNotCompliant) {
+  const Topology t = three_block_fabric(4);
+  RoutingResult routes = compute_updown_routes(t);
+  ASSERT_FALSE(analysis::inject_down_up_turn(t, routes).empty());
+  common::CallPool pool;
+  const TableSummary summary = summarize(routes, pool);
+  EXPECT_FALSE(summary.compliant);
+  expect_certificate_matches_the_walk(t, routes, summary);
+}
+
+TEST(RouteTable, PooledRecountMatchesAWalkCount) {
+  const Topology t = three_block_fabric(5);
+  RoutingResult routes = compute_updown_routes(t);
+  RouteTable& table = routes.routes;
+  // Unroute destinations in every block and one entry of another's tree.
+  for (const std::uint32_t dst : {3u, 70u, 129u}) {
+    table.clear_entries(dst);
+  }
+  table.set_entry(100, table.start(0), topo::kInvalidWire);
+  common::CallPool pool;
+  table.recount(pool);
+  std::size_t walked = 0;
+  table.for_each_route([&](NodeId, NodeId, const HostRoute&) { ++walked; });
+  EXPECT_EQ(table.size(), walked);
+  EXPECT_LT(table.size(), 130u * 129u - 3u * 129u);
 }
 
 // ---------------------------------------------------------------- deadlock --

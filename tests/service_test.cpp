@@ -173,7 +173,8 @@ TEST(MapCatalog, PublishedSnapshotCarriesTheGateVerdict) {
   EXPECT_EQ(current->channels, certificate.channels);
   EXPECT_EQ(current->dependencies, certificate.dependencies);
   EXPECT_TRUE(current->compliant);
-  EXPECT_EQ(current->compliant, routing::updown_compliant(current->routes));
+  EXPECT_EQ(current->compliant,
+            routing::summarize(current->routes).compliant);
 }
 
 TEST(MapCatalog, GateStatsCountEveryAnalysedCandidate) {

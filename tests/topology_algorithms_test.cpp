@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -474,6 +475,77 @@ TEST(SwitchFarthestFromHosts, IgnoreListExcludesUtilityHost) {
   t.connect(util, 0, s2, 0);
   EXPECT_EQ(switch_farthest_from_hosts(t), s1);
   EXPECT_EQ(switch_farthest_from_hosts(t, {util}), s2);
+}
+
+/// The per-host definition switch_farthest_from_hosts answers in one
+/// search: one breadth-first search per counted host, each switch's
+/// nearest host, the first switch in switches() order at the maximum.
+/// Also returns how many switches share that maximum.
+std::pair<NodeId, int> farthest_by_per_host_searches(
+    const Topology& t, const std::vector<NodeId>& ignore) {
+  std::vector<int> nearest(t.node_capacity(),
+                           std::numeric_limits<int>::max());
+  for (const NodeId h : t.hosts()) {
+    if (std::find(ignore.begin(), ignore.end(), h) != ignore.end()) {
+      continue;
+    }
+    const std::vector<int> dist = bfs_distances(t, h);
+    for (NodeId v = 0; v < dist.size(); ++v) {
+      if (dist[v] >= 0) {
+        nearest[v] = std::min(nearest[v], dist[v]);
+      }
+    }
+  }
+  NodeId best = kInvalidNode;
+  int best_dist = -1;
+  int tied = 0;
+  for (const NodeId s : t.switches()) {
+    if (nearest[s] == std::numeric_limits<int>::max()) {
+      continue;
+    }
+    if (nearest[s] > best_dist) {
+      best_dist = nearest[s];
+      best = s;
+      tied = 1;
+    } else if (nearest[s] == best_dist) {
+      ++tied;
+    }
+  }
+  return {best, tied};
+}
+
+TEST(SwitchFarthestFromHosts, OneSearchMatchesThePerHostSearches) {
+  std::vector<std::pair<std::string, Topology>> fabrics;
+  MegaFatTreeOptions tree;
+  tree.leaf_switches = 16;
+  fabrics.emplace_back("mega_fat_tree", mega_fat_tree(tree));
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    common::Rng rng(seed);
+    DragonflyishOptions dragonfly;
+    dragonfly.groups = 4;
+    dragonfly.switches_per_group = 4;
+    fabrics.emplace_back("dragonfly_ish", dragonfly_ish(dragonfly, rng));
+    fabrics.emplace_back("random_irregular", random_irregular(14, 20, 6, rng));
+    fabrics.emplace_back("with_switch_tail", with_switch_tail(8, 10, 4, rng));
+  }
+  int ties = 0;
+  for (const auto& [name, t] : fabrics) {
+    const std::vector<NodeId> hosts = t.hosts();
+    std::vector<NodeId> every_other;
+    for (std::size_t i = 0; i < hosts.size(); i += 2) {
+      every_other.push_back(hosts[i]);
+    }
+    for (const std::vector<NodeId>& ignore :
+         {std::vector<NodeId>{}, std::vector<NodeId>{hosts.front()},
+          std::vector<NodeId>{hosts.back()}, every_other}) {
+      const auto [want, tied] = farthest_by_per_host_searches(t, ignore);
+      EXPECT_EQ(switch_farthest_from_hosts(t, ignore), want)
+          << name << ", " << ignore.size() << " hosts ignored";
+      ties += tied > 1 ? 1 : 0;
+    }
+  }
+  // The fat tree's upper levels tie, so the first-switch rule is exercised.
+  EXPECT_GT(ties, 0);
 }
 
 }  // namespace

@@ -439,12 +439,17 @@ int cmd_map(int argc, const char* const* argv) {
       if (algorithm != "berkeley") {
         throw std::runtime_error("--previous works with --algorithm berkeley");
       }
+      topo::Topology previous = load_case(flags.get("previous")).network;
+      // Verification starts at the mapper's own switch in the previous map.
+      if (!previous.find_host(t.name(mapper))) {
+        throw std::runtime_error("the previous map " + flags.get("previous") +
+                                 " has no host " + t.name(mapper) +
+                                 ", the mapper; map from scratch instead");
+      }
       mapper::IncrementalConfig config;
       bound_depth(config.base);
       mapper::IncrementalResult result =
-          mapper::IncrementalMapper(
-              engine, load_case(flags.get("previous")).network, config)
-              .run();
+          mapper::IncrementalMapper(engine, std::move(previous), config).run();
       std::cerr << "verify    : " << result.verification_probes
                 << " probes, "
                 << (result.unchanged
@@ -548,13 +553,16 @@ int cmd_routes(int argc, const char* const* argv) {
               << " path moves, " << opt.cable_moves << " cable moves"
               << (opt.reverted ? ", reverted" : "") << ")\n";
   }
+  // One pass over the trees serves the certificate, the hop counts and
+  // compliance.
+  const routing::TableSummary summary = routing::summarize(routes);
   const analysis::DeadlockCertificate certificate =
-      analysis::build_deadlock_certificate(t, routes);
+      analysis::build_deadlock_certificate(t, summary);
   std::cout << "engine        : " << routing::to_string(choices.engine)
             << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
-  const routing::HopSummary hops = routes.hop_summary();
+  const routing::HopSummary hops = summary.hops();
   std::cout << "routes        : " << routes.routes.size() << " (mean "
             << common::fmt(hops.mean, 2) << " hops, max " << hops.max
             << ")\n";
@@ -562,7 +570,7 @@ int cmd_routes(int argc, const char* const* argv) {
             << (certificate.deadlock_free ? "yes" : "NO — cycle found")
             << " (" << certificate.dependencies << " channel dependencies)\n";
   std::cout << "compliant     : "
-            << (routing::updown_compliant(routes) ? "yes" : "NO") << "\n";
+            << (summary.compliant ? "yes" : "NO") << "\n";
 
   std::cout << "\n" << route_sample(t, routes, flags.get_int("sample"));
   return certificate.deadlock_free ? 0 : 1;
